@@ -181,10 +181,10 @@ def cmd_sweep(args) -> int:
     else:
         slope = fit_decay_slope(rows)
         decreasing = all(b.err < a.err for a, b in zip(valid, valid[1:]))
-        ok = (cfg.tolerances.slope_min <= slope <= cfg.tolerances.slope_max)
+        in_band = cfg.tolerances.slope_min <= slope <= cfg.tolerances.slope_max
+        gate = in_band and decreasing
         summary.update({"slope_skipped": False, "slope": slope,
-                        "err_strictly_decreasing": decreasing, "ok": ok})
-        gate = ok
+                        "err_strictly_decreasing": decreasing, "ok": gate})
     summary_path = os.path.join(out_dir, "sweep_summary.json")
     _write_json(summary_path, summary)
     _write_manifest(out_dir, "sweep",

@@ -92,14 +92,19 @@ def _wrap(value: complex, half_value: complex, size: int,
                      elapsed=time.perf_counter() - t0)
 
 
-def nystrom_det(kernel: Callable, rule: QuadratureRule) -> DetResult:
+def nystrom_det(kernel: Callable, rule: QuadratureRule,
+                value: Optional[complex] = None) -> DetResult:
     """Fredholm determinant of a scalar kernel over a quadrature rule.
 
     The kernel must accept broadcast complex arrays (lam, mu) and be finite
     at every node pair (diagonal limits are the kernel's responsibility).
+    A caller that has already factored the collocation matrix of ``kernel``
+    on ``rule`` passes its determinant as ``value``; only the
+    half-resolution rerun is computed then.
     """
     t0 = time.perf_counter()
-    value = _collocation_det(kernel, rule)
+    if value is None:
+        value = _collocation_det(kernel, rule)
     half = _collocation_det(kernel, rule.half())
     return _wrap(value, half, rule.size, t0)
 

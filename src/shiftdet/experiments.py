@@ -44,6 +44,9 @@ __all__ = [
 
 DET_KINDS = ("V", "Vtilde", "W", "M", "N", "M0", "Uplus", "Uminus")
 
+# default ceiling of the sweep / m-vs-m0 thread pool (SHIFTDET_THREADS overrides)
+MAX_THREADS = 8
+
 
 # --------------------------------------------------------------------------
 # rule builders
@@ -67,7 +70,7 @@ def _line_rule(cfg: ProblemConfig, m: Optional[int] = None) -> QuadratureRule:
 
 def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("SHIFTDET_THREADS", "")
-    workers = min(n_jobs, os.cpu_count() or 1)
+    workers = min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
     if cap.strip():
         try:
             workers = min(workers, max(1, int(cap)))
@@ -114,7 +117,8 @@ def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
 
     det_V = nystrom_det(
         lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule_j)
-    det_Vt = nystrom_det(chi.kernel, rule_j)
+    # solve_chi factored the same I + V~ matrix on rule_j already
+    det_Vt = nystrom_det(chi.kernel, rule_j, value=chi.det_tilde)
     det_W = nystrom_det(
         lambda l, m: W_kernel(l, m, chi, pair, shift), rule_j)
     det_M = nystrom_det_matrix(

@@ -10,7 +10,7 @@ All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
 (N, N) axis.  Near-diagonal removable singularities are evaluated through
 divided-difference forms that carry no cancellation, switched on at
-|lam - mu| < delta0 = 1e-4 * (b - a).
+|lam - mu| < delta0 = 1e-4 * (b - a) and evaluated on those entries only.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ __all__ = [
     "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
     "W_kernel", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel", "M0_kernel",
-    "near_diagonal_mask",
+    "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
 ]
 
 # fraction of (b - a) below which the divided-difference branch takes over
@@ -64,6 +64,30 @@ def _sinhc(w):
 def near_diagonal_mask(lam, mu, delta0: float):
     """Boolean mask selecting pairs handled by the divided-difference branch."""
     return np.abs(np.asarray(lam) - np.asarray(mu)) < delta0
+
+
+def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
+                       near: Callable):
+    """A kernel with a removable lam = mu singularity, branch by branch.
+
+    ``direct(lam, mu, d)`` receives the unbroadcast inputs and the broadcast
+    difference d = lam - mu, set to 1 on the near-diagonal entries
+    |lam - mu| < delta0 so that the quotient stays finite there.
+    ``near(lam, mu)`` receives only those entries, as 1-D arrays, and its
+    cancellation-free values replace them: the series costs O(#near), not
+    one evaluation per entry of the broadcast grid.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    d = np.asarray(lam - mu)
+    mask = np.abs(d) < delta0
+    if not mask.any():
+        return direct(lam, mu, d)
+    d[mask] = 1.0
+    out = np.asarray(direct(lam, mu, d))
+    out[mask] = near(np.broadcast_to(lam, mask.shape)[mask],
+                     np.broadcast_to(mu, mask.shape)[mask])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -553,12 +577,23 @@ def eval_e(lam, cfg: ProblemConfig):
     return np.exp(0.5j * cfg.x * cfg.p.value(lam))
 
 
+def _phase(lam, mu, cfg: ProblemConfig):
+    """phi = x (p(lam) - p(mu)) / 2, so that e(lam)/e(mu) = exp(i phi)."""
+    return 0.5 * cfg.x * (cfg.p.value(lam) - cfg.p.value(mu))
+
+
 def _phase_parts(lam, mu, cfg: ProblemConfig):
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
-    phi = 0.5 * cfg.x * (cfg.p.value(lam) - cfg.p.value(mu))
+    phi = _phase(lam, mu, cfg)
     ddp = cfg.p.divided_difference(lam, mu)
     return lam, mu, phi, ddp
+
+
+def _gsk_near(lam, mu, cfg: ProblemConfig):
+    """F(lam) (x/2) dd_p sinc(phi) / pi: the sine kernel without cancellation."""
+    lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
+    return cfg.F.value(lam) * (0.5 * cfg.x) * ddp * _sinc(phi) / pi
 
 
 def gsk_kernel(lam, mu, cfg: ProblemConfig):
@@ -569,13 +604,11 @@ def gsk_kernel(lam, mu, cfg: ProblemConfig):
     same analytic function written without cancellation.  Exactly on the
     diagonal this reduces to F(lam) * x * p'(lam) / (2 pi).
     """
-    lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
-    F = cfg.F.value(lam)
-    near = F * (0.5 * cfg.x) * ddp * _sinc(phi) / pi
-    mask = near_diagonal_mask(lam, mu, cfg.delta0)
-    d = np.where(mask, 1.0, lam - mu)
-    direct = F * np.sin(phi) / (pi * d)
-    return np.where(mask, near, direct)
+    def direct(lam, mu, d):
+        return cfg.F.value(lam) * np.sin(_phase(lam, mu, cfg)) / (pi * d)
+
+    return near_diagonal_eval(lam, mu, cfg.delta0, direct,
+                              lambda l, m: _gsk_near(l, m, cfg))
 
 
 def shift_kernel(lam, mu, cfg: ProblemConfig):
@@ -586,20 +619,28 @@ def shift_kernel(lam, mu, cfg: ProblemConfig):
     the brace vanishes at lam = mu, so the diagonal is removable with value
     F(lam) (x p'(lam) + 2/c) / (2 pi).
     """
-    lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
     c = cfg.c
     d = lam - mu
     pole = min(np.min(np.abs(d + 1j * c)), np.min(np.abs(d - 1j * c)))
     if pole < 1e-12 * (abs(c) + 1.0):
         raise ValueError("shift_kernel evaluated at a pole lam - mu = -+ ic")
-    F = cfg.F.value(lam)
-    near = (F * c * (np.cos(phi) + c * (0.5 * cfg.x) * ddp * _sinc(phi))
-            / (pi * (d * d + c * c)))
-    mask = near_diagonal_mask(lam, mu, cfg.delta0)
-    dsafe = np.where(mask, 1.0, d)
-    direct = (1j * c * F / (2j * pi * dsafe)
-              * (np.exp(1j * phi) / (d + 1j * c) + np.exp(-1j * phi) / (d - 1j * c)))
-    return np.where(mask, near, direct)
+
+    def direct(lam, mu, dsafe):
+        F = cfg.F.value(lam)
+        phi = _phase(lam, mu, cfg)
+        return (1j * c * F / (2j * pi * dsafe)
+                * (np.exp(1j * phi) / (d + 1j * c) + np.exp(-1j * phi) / (d - 1j * c)))
+
+    def near(lam, mu):
+        lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
+        dn = lam - mu
+        F = cfg.F.value(lam)
+        return (F * c * (np.cos(phi) + c * (0.5 * cfg.x) * ddp * _sinc(phi))
+                / (pi * (dn * dn + c * c)))
+
+    return near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
 
 
 def gsk_shift_spec(cfg: ProblemConfig) -> ShiftSpec:
@@ -627,10 +668,16 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
 
     def exact_dd(lam, mu):
         # bracket/(lam - mu) = F(lam) (x/2) dd_p sinc(phi) / pi, exactly
-        lam2, mu2, phi, ddp = _phase_parts(lam, mu, cfg)
-        return cfg.F.value(lam2) * (0.5 * cfg.x) * ddp * _sinc(phi) / pi
+        return _gsk_near(lam, mu, cfg)
 
     return VectorPairSpec(N=2, E_L=E_L, E_R=E_R, exact_bracket_dd=exact_dd)
+
+
+def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
+    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu), diagonal made removable."""
+    return near_diagonal_eval(lam, mu, delta0,
+                              lambda l, m, d: pair.bracket(l, m) / d,
+                              pair.bracket_dd)
 
 
 def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
@@ -644,9 +691,7 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     d = lam - mu
-    mask = near_diagonal_mask(lam, mu, delta0)
-    dsafe = np.where(mask, 1.0, d)
-    out = np.where(mask, pair.bracket_dd(lam, mu), pair.bracket(lam, mu) / dsafe)
+    out = bracket_kernel(lam, mu, pair, delta0)
     EL = pair.E_L(lam)
     ER = pair.E_R(mu)
     for a_idx in range(shift.N):

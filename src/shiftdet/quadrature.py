@@ -18,6 +18,7 @@ some analyticity at infinity are integrated with spectral accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import pi
 from typing import Callable
 
@@ -88,10 +89,17 @@ class QuadratureRule:
         return self.with_size(max(16, self.size // 2))
 
 
+@lru_cache(maxsize=64)
 def _gl01(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1], built once per size.
+
+    The arrays are shared between callers and therefore read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:

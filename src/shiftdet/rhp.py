@@ -37,7 +37,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .kernels import (ConfigError, NumericError, ProblemConfig,
-                      VectorPairSpec, gsk_vector_pair, near_diagonal_mask)
+                      VectorPairSpec, bracket_kernel, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -266,14 +266,9 @@ class ChiSolution:
 
 
 def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
-    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu), diagonal made removable."""
+    """The kernel V~ of ``pair`` (see ``bracket_kernel``) as a callable."""
     def kernel(lam, mu):
-        lam = np.asarray(lam, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        mask = near_diagonal_mask(lam, mu, delta0)
-        dsafe = np.where(mask, 1.0, lam - mu)
-        return np.where(mask, pair.bracket_dd(lam, mu),
-                        pair.bracket(lam, mu) / dsafe)
+        return bracket_kernel(lam, mu, pair, delta0)
     return kernel
 
 

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from shiftdet import cli
+from shiftdet.experiments import SweepRow
 
 SWEEP_HEADER = "x,ratio_re,ratio_im,limit_re,limit_im,err,conv_delta"
 MVSM0_HEADER = "x,err,det_m_re,det_m_im,det_m0_re,det_m0_im,conv_delta"
@@ -152,6 +153,24 @@ class TestSweepCommand:
                        "--out", str(tmp_path), "--x", "50"])
         assert rc == 2
         assert "insufficient points for slope" in capsys.readouterr().err
+
+    def test_non_monotone_errors_fail_gate(self, tmp_path, config_dir,
+                                           monkeypatch, capsys):
+        # slope about -1, inside the band, but err rises from x=50 to x=100
+        errs = {25.0: 0.04, 50.0: 0.02, 100.0: 0.021, 200.0: 0.005,
+                400.0: 0.0025}
+        rows = [SweepRow(x=x, ratio=1.0 + e, limit=1.0 + 0j, err=e,
+                         conv_delta=0.0, valid=True) for x, e in errs.items()]
+        monkeypatch.setattr(cli, "asymptotic_sweep", lambda cfg, xs: rows)
+        rc = cli.main(["sweep", cfg_path(config_dir, "standard.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "[FAIL]" in capsys.readouterr().out
+        summary = read_json(tmp_path / "sweep_summary.json")
+        jsonschema.validate(summary, load_schema("sweep_summary.schema.json"))
+        assert -1.3 < summary["slope"] < -0.7
+        assert summary["err_strictly_decreasing"] is False
+        assert summary["ok"] is False
 
     def test_outputs_are_deterministic(self, tmp_path, config_dir):
         a, b = tmp_path / "a", tmp_path / "b"

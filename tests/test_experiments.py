@@ -1,15 +1,18 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftdet.experiments import (DET_KINDS, SweepRow, asymptotic_sweep,
-                                  compute_determinant, fit_decay_slope,
-                                  limit_determinants, m_vs_m0,
-                                  verify_factorization)
+from shiftdet.determinants import nystrom_det
+from shiftdet.experiments import (DET_KINDS, SweepRow, _worker_count,
+                                  asymptotic_sweep, compute_determinant,
+                                  fit_decay_slope, limit_determinants,
+                                  m_vs_m0, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
                               ShiftSpec, problem_config_from_json)
+from shiftdet.rhp import solve_chi
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,17 @@ class TestVerifyFactorization:
                     rep.det_N_line):
             assert abs(det.value - 1.0) < 1e-12
         assert rep.r1 < 1e-12 and rep.r2 < 1e-12 and rep.r3 < 1e-12
+
+    def test_vtilde_reuses_resolvent_determinant(self, standard_cfg,
+                                                 standard_report):
+        # one factorization of I + V~ per verify: the full-resolution value
+        # comes from solve_chi, bit-equal to a fresh Nystrom determinant
+        chi = solve_chi(standard_cfg)
+        fresh = nystrom_det(chi.kernel, chi.rule)
+        assert standard_report.det_Vtilde.value == chi.det_tilde
+        assert standard_report.det_Vtilde.value == fresh.value
+        assert (standard_report.det_Vtilde.convergence_delta
+                == fresh.convergence_delta)
 
     def test_doubled_resolution_stays_at_floor(self, standard_cfg):
         fine = replace(standard_cfg, numerics=NumericsConfig(
@@ -195,6 +209,14 @@ class TestWorkerConfiguration:
         monkeypatch.setenv("SHIFTDET_THREADS", "abc")
         with pytest.raises(ConfigError):
             asymptotic_sweep(standard_cfg, [50.0, 100.0, 200.0, 400.0])
+
+    def test_default_pool_capped_at_eight(self, monkeypatch):
+        monkeypatch.delenv("SHIFTDET_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _worker_count(20) == 8
+        assert _worker_count(3) == 3
+        monkeypatch.setenv("SHIFTDET_THREADS", "2")
+        assert _worker_count(20) == 2
 
 
 def test_invalid_config_rejected_up_front():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
                               ShiftSpec, M0_kernel, M_kernel, N_kernel,
-                              U_minus_kernel, U_plus_kernel, W_kernel, eval_e,
-                              general_kernel_V, gsk_kernel, gsk_shift_spec,
-                              gsk_vector_pair, near_diagonal_mask,
+                              U_minus_kernel, U_plus_kernel, W_kernel,
+                              _phase_parts, _sinc, eval_e, general_kernel_V,
+                              gsk_kernel, gsk_shift_spec, gsk_vector_pair,
+                              near_diagonal_eval, near_diagonal_mask,
                               problem_config_from_json, shift_kernel)
-from shiftdet.rhp import make_alpha
+from shiftdet.quadrature import gauss_legendre_rule
+from shiftdet.rhp import _base_kernel, make_alpha
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -395,3 +398,111 @@ class TestDressedKernels:
         assert blk[0, 1] == 0.0 and blk[1, 0] == 0.0
         assert abs(blk[0, 0] - U_minus_kernel(lam, mu, alpha, c)[0]) < 1e-15
         assert abs(blk[1, 1] - U_plus_kernel(lam, mu, alpha, c)[0]) < 1e-15
+
+
+# --------------------------------------------------------------------------
+# masked near-diagonal assembly against the full-grid np.where formulas
+# --------------------------------------------------------------------------
+# The oracles below evaluate both branches on every entry and select with
+# np.where; the kernels evaluate the series only on the masked entries.
+# The two must agree bit for bit, not merely to rounding.
+
+def _where_gsk(lam, mu, cfg):
+    lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
+    F = cfg.F.value(lam)
+    near = F * (0.5 * cfg.x) * ddp * _sinc(phi) / np.pi
+    mask = near_diagonal_mask(lam, mu, cfg.delta0)
+    d = np.where(mask, 1.0, lam - mu)
+    direct = F * np.sin(phi) / (np.pi * d)
+    return np.where(mask, near, direct)
+
+
+def _where_shift(lam, mu, cfg):
+    lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
+    c = cfg.c
+    d = lam - mu
+    F = cfg.F.value(lam)
+    near = (F * c * (np.cos(phi) + c * (0.5 * cfg.x) * ddp * _sinc(phi))
+            / (np.pi * (d * d + c * c)))
+    mask = near_diagonal_mask(lam, mu, cfg.delta0)
+    dsafe = np.where(mask, 1.0, d)
+    direct = (1j * c * F / (2j * np.pi * dsafe)
+              * (np.exp(1j * phi) / (d + 1j * c) + np.exp(-1j * phi) / (d - 1j * c)))
+    return np.where(mask, near, direct)
+
+
+def _where_base(lam, mu, pair, delta0):
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    mask = near_diagonal_mask(lam, mu, delta0)
+    dsafe = np.where(mask, 1.0, lam - mu)
+    return np.where(mask, pair.bracket_dd(lam, mu), pair.bracket(lam, mu) / dsafe)
+
+
+def _where_V(lam, mu, pair, shift, delta0):
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    d = lam - mu
+    out = _where_base(lam, mu, pair, delta0)
+    EL = pair.E_L(lam)
+    ER = pair.E_R(mu)
+    for a_idx in range(shift.N):
+        out = out - (shift.gamma[a_idx] * EL[..., a_idx]
+                     * ER[..., shift.v0[a_idx]] / (d + 1j * shift.c[a_idx]))
+    return out
+
+
+class TestMaskedAssembly:
+    @pytest.fixture(scope="class", params=["standard", "general"])
+    def large_n(self, request):
+        # n = 1019 is the smallest standard-config size with off-diagonal
+        # near pairs (152, all near the endpoints); at n = 64 there are none
+        cfg = replace(request.getfixturevalue(request.param + "_cfg"), x=400.0)
+        nodes = gauss_legendre_rule(1019, cfg.a, cfg.b).nodes
+        return cfg, gsk_vector_pair(cfg), nodes
+
+    @staticmethod
+    def _pairs(nodes):
+        return {
+            "grid": (nodes[:, None], nodes[None, :]),
+            # ChiSolution.FL_at: lam[..., None] of shape (k, 1, 1) against
+            # the nodes; the first rows hold the left endpoint's near pairs
+            "FL_at": (nodes[:16, None, None], nodes),
+            "scalar": (np.complex128(nodes[3]), np.complex128(nodes[4])),
+            "diagonal": (np.complex128(nodes[3]), np.complex128(nodes[3])),
+        }
+
+    def test_grid_has_off_diagonal_near_pairs(self, large_n):
+        cfg, _, nodes = large_n
+        mask = near_diagonal_mask(nodes[:, None], nodes[None, :], cfg.delta0)
+        assert mask.sum() - nodes.size == 152
+        assert near_diagonal_mask(nodes[3], nodes[4], cfg.delta0)
+
+    @pytest.mark.parametrize("which", ["grid", "FL_at", "scalar", "diagonal"])
+    def test_bit_equal_to_full_grid_formulas(self, large_n, which):
+        cfg, pair, nodes = large_n
+        lam, mu = self._pairs(nodes)[which]
+        base = _base_kernel(pair, cfg.delta0)
+        for got, want in [
+            (gsk_kernel(lam, mu, cfg), _where_gsk(lam, mu, cfg)),
+            (shift_kernel(lam, mu, cfg), _where_shift(lam, mu, cfg)),
+            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0),
+             _where_V(lam, mu, pair, cfg.shift, cfg.delta0)),
+            (base(lam, mu), _where_base(lam, mu, pair, cfg.delta0)),
+        ]:
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    def test_series_only_on_masked_entries(self):
+        seen = []
+
+        def near(lam, mu):
+            seen.append(lam.size)
+            return np.zeros(lam.shape, complex)
+
+        lam = np.array([0.0, 0.5, 1.0])[:, None]
+        out = near_diagonal_eval(lam, lam.T, 1e-4,
+                                 lambda l, m, d: 1.0 / d, near)
+        assert seen == [3]
+        np.testing.assert_array_equal(np.diag(out), 0.0)
+        assert out[0, 1] == 1.0 / (0.0 - 0.5)

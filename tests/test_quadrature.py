@@ -5,7 +5,7 @@ from numpy.polynomial import polynomial as P
 
 from shiftdet.quadrature import (QuadratureRule, compactified_line_rule,
                                  gauss_legendre_rule, stadium_loop_rule,
-                                 truncated_line_rule, winding_number)
+                                 truncated_line_rule, winding_number, _gl01)
 
 
 class TestGaussLegendre:
@@ -60,6 +60,25 @@ class TestGaussLegendre:
         assert abs(np.sum(r2.weights) - 3.0) < 1e-13
         assert r.half().size == 16
         assert gauss_legendre_rule(3, 0, 1).half().size == 2  # floor at 2
+
+    def test_rule_cache_is_bit_stable(self):
+        first = gauss_legendre_rule(101, -1.0, 2.0)
+        second = gauss_legendre_rule(101, -1.0, 2.0)
+        assert np.array_equal(first.nodes, second.nodes)
+        assert np.array_equal(first.weights, second.weights)
+
+    def test_rule_matches_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(77)
+        r = gauss_legendre_rule(77, -0.5, 3.0)
+        assert np.array_equal(r.nodes, -0.5 + 3.5 * ((x + 1.0) / 2.0))
+        assert np.array_equal(r.weights, 3.5 * (w / 2.0))
+
+    def test_cached_base_rule_is_read_only(self):
+        t, w = _gl01(40)
+        assert _gl01(40)[0] is t
+        for arr in (t, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestStadiumLoop:
