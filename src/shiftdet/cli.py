@@ -141,8 +141,9 @@ def cmd_verify(args) -> int:
     for key in ("r1", "r2", "r3"):
         res = getattr(report, key)
         tag = "PASS" if passed[key] else "FAIL"
+        cert = "certified" if report.certified[key] else "uncertified"
         role = "" if key != "r3" or args.strict_line else " (advisory)"
-        print(f"{key} = {res:.3e} [{tag}]{role}")
+        print(f"{key} = {res:.3e} [{tag}] {cert}{role}")
     print(f"wrote {report_path}")
     return 0 if gate else 1
 

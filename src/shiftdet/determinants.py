@@ -24,7 +24,8 @@ import numpy as np
 from .kernels import NumericError
 from .quadrature import QuadratureRule
 
-__all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study"]
+__all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study",
+           "collocation_matrix"]
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,37 @@ class DetResult:
             raise NumericError("convergence delta is not finite")
 
 
-def _collocation_det(kernel: Callable, rule: QuadratureRule) -> complex:
+def collocation_matrix(K, weights) -> np.ndarray:
+    """I + K diag(weights) for an (n, n) kernel matrix K, built in K's memory.
+
+    K is scaled and its diagonal raised in place when it is a writable
+    complex array that owns its data (a fresh kernel result); any other
+    array -- read-only, a view or broadcast, or not complex -- is copied
+    first, so a caller's array is never modified.
+    """
+    if not (isinstance(K, np.ndarray) and K.dtype == complex
+            and K.flags.owndata and K.flags.writeable):
+        K = np.array(K, dtype=complex)
+    K *= weights[None, :]
+    idx = np.arange(K.shape[0])
+    K[idx, idx] += 1.0
+    return K
+
+
+def _kernel_matrix(kernel: Callable, rule: QuadratureRule, shape: tuple,
+                   what: str):
     z = rule.nodes
-    K = np.asarray(kernel(z[:, None], z[None, :]), dtype=complex)
-    if K.shape != (rule.size, rule.size):
+    K = kernel(z[:, None], z[None, :])
+    if np.shape(K) != shape:
         raise NumericError(
-            f"scalar kernel returned shape {K.shape}, expected "
-            f"{(rule.size, rule.size)}")
+            f"{what} kernel returned shape {np.shape(K)}, expected {shape}")
     if not np.isfinite(K).all():
-        raise NumericError("kernel produced non-finite values at node pairs")
-    D = np.eye(rule.size, dtype=complex) + K * rule.weights[None, :]
+        raise NumericError(f"{what} kernel produced non-finite values at "
+                           f"node pairs")
+    return K
+
+
+def _det(D: np.ndarray) -> complex:
     try:
         det = complex(np.linalg.det(D))
     except np.linalg.LinAlgError as exc:
@@ -60,29 +82,22 @@ def _collocation_det(kernel: Callable, rule: QuadratureRule) -> complex:
     if not np.isfinite([det]).all():
         raise NumericError("determinant overflowed or is undefined")
     return det
+
+
+def _collocation_det(kernel: Callable, rule: QuadratureRule) -> complex:
+    m = rule.size
+    K = _kernel_matrix(kernel, rule, (m, m), "scalar")
+    return _det(collocation_matrix(K, rule.weights))
 
 
 def _collocation_det_matrix(kernel: Callable, rule: QuadratureRule,
                             dim: int) -> complex:
-    z = rule.nodes
     m = rule.size
-    K = np.asarray(kernel(z[:, None], z[None, :]), dtype=complex)
-    if K.shape != (m, m, dim, dim):
-        raise NumericError(
-            f"matrix kernel returned shape {K.shape}, expected "
-            f"{(m, m, dim, dim)}")
-    if not np.isfinite(K).all():
-        raise NumericError("matrix kernel produced non-finite values")
+    K = _kernel_matrix(kernel, rule, (m, m, dim, dim), "matrix")
     # block (j,k) = w_k * K(z_j, z_k); row-major interleave (node, component)
-    block = (K * rule.weights[None, :, None, None]).transpose(0, 2, 1, 3)
-    D = np.eye(m * dim, dtype=complex) + block.reshape(m * dim, m * dim)
-    try:
-        det = complex(np.linalg.det(D))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"determinant factorization failed: {exc}") from exc
-    if not np.isfinite([det]).all():
-        raise NumericError("determinant overflowed or is undefined")
-    return det
+    D = np.empty((m * dim, m * dim), dtype=complex)
+    D.reshape(m, dim, m, dim)[...] = np.transpose(K, (0, 2, 1, 3))
+    return _det(collocation_matrix(D, np.repeat(rule.weights, dim)))
 
 
 def _wrap(value: complex, half_value: complex, size: int,

@@ -282,39 +282,21 @@ class VectorPairSpec:
     E_L and E_R map a complex array of shape S to an array of shape S+(N,).
     The bilinear bracket <E_L(lam), E_R(lam)> must vanish identically on
     [a, b] (regularity), which makes the kernel bracket/(lam - mu) smooth
-    on the diagonal.  ``bracket_dd`` is the divided difference of the
-    bracket in its second argument; the default central-difference fallback
-    is overridden with an exact form where one is known.
+    on the diagonal.  ``bracket_dd(lam, mu)`` is that quotient written
+    without cancellation, finite on the diagonal; it is evaluated only on
+    the near-diagonal entries.
     """
 
     N: int
     E_L: Callable[[np.ndarray], np.ndarray]
     E_R: Callable[[np.ndarray], np.ndarray]
-    dd_scale: float = 1e-5
-    exact_bracket_dd: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    bracket_dd: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def bracket(self, lam, mu):
         """<E_L(lam), E_R(mu)> (plain bilinear pairing, no conjugation)."""
+        # optimize=True contracts a broadcast grid as one GEMM
         return np.einsum("...a,...a->...", self.E_L(np.asarray(lam, complex)),
-                         self.E_R(np.asarray(mu, complex)))
-
-    def bracket_dd(self, lam, mu):
-        """bracket(lam, mu)/(lam - mu), finite on the diagonal.
-
-        Uses regularity: bracket(lam, lam) = 0, so the quotient equals
-        -d/dmu bracket(lam, mu)|_{mu=lam} - (mu-lam)/2 * d2/dmu2 ... with
-        the derivatives taken by central differences of step dd_scale.
-        """
-        if self.exact_bracket_dd is not None:
-            return self.exact_bracket_dd(lam, mu)
-        lam = np.asarray(lam, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        d = self.dd_scale
-        qp = self.bracket(lam, lam + d)
-        qm = self.bracket(lam, lam - d)
-        dq = (qp - qm) / (2.0 * d)
-        d2q = (qp + qm) / (d * d)          # bracket(lam, lam) = 0
-        return -(dq + 0.5 * (mu - lam) * d2q)
+                         self.E_R(np.asarray(mu, complex)), optimize=True)
 
     def validate_regularity(self, a: float, b: float, tol: float = 1e-12,
                             n_grid: int = 257):
@@ -670,7 +652,7 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
         # bracket/(lam - mu) = F(lam) (x/2) dd_p sinc(phi) / pi, exactly
         return _gsk_near(lam, mu, cfg)
 
-    return VectorPairSpec(N=2, E_L=E_L, E_R=E_R, exact_bracket_dd=exact_dd)
+    return VectorPairSpec(N=2, E_L=E_L, E_R=E_R, bracket_dd=exact_dd)
 
 
 def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
@@ -725,7 +707,7 @@ def W_kernel(lam, mu, chi, pair: VectorPairSpec, shift: ShiftSpec):
     out = np.zeros(np.broadcast(lam, mu).shape, dtype=complex)
     for n_idx in range(shift.N):
         Cn = chi.chi_at(mu - 1j * shift.c[n_idx])     # (..., N, N)
-        g = np.einsum("...a,...a->...", FL, Cn[..., :, n_idx])
+        g = np.einsum("...a,...a->...", FL, Cn[..., :, n_idx], optimize=True)
         out = out - (shift.gamma[n_idx] * g * ER[..., shift.v0[n_idx]]
                      / (lam - mu + 1j * shift.c[n_idx]))
     return out

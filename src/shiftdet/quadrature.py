@@ -89,13 +89,60 @@ class QuadratureRule:
         return self.with_size(max(16, self.size // 2))
 
 
+def _legendre_gauss(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton iteration on P_n, evaluated by the three-term recurrence, from
+    Tricomi's asymptotic guesses for the ceil(n/2) nonnegative nodes; the
+    rest are their mirror images.  O(n^2) flops in O(n) vector operations,
+    against the O(n^3) eigensolve of ``numpy.polynomial.legendre.leggauss``.
+
+    The weights are 2 / ((1 - x^2) P_n'(x)^2).  Near +-1 that formula is
+    sensitive to the node's last bit (d ln w / dx = -2x / (1 - x^2)), so it
+    is moved from the rounded node to the exact root by the final Newton
+    step dx: w *= 1 + 2 x dx / (1 - x^2).  Finally the weights are scaled to
+    sum to 2 exactly, as ``leggauss`` does.
+    """
+    m = (n + 1) // 2
+    theta = (4 * np.arange(m, 0, -1) - 1) * (pi / (4 * n + 2))
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)) * np.cos(theta)
+    if n % 2:
+        x[0] = 0.0          # P_n(0) = 0 holds exactly in the recurrence too
+    p0, p1, nxt = np.empty((3, m))
+    for _ in range(8):
+        p0.fill(1.0)
+        p1[:] = x
+        for j in range(1, n):
+            # P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1)
+            np.multiply(x, p1, out=nxt)
+            nxt *= (2 * j + 1) / (j + 1)
+            p0 *= j / (j + 1)
+            nxt -= p0
+            p0, p1, nxt = p1, nxt, p0
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        dp = n * (p0 - x * p1) / one_minus_x2       # P_n'(x)
+        dx = p1 / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-14:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre Newton iteration did not converge "
+                           f"at n={n}")
+    w = 2.0 / (one_minus_x2 * dp * dp) * (1.0 + 2.0 * x * dx / one_minus_x2)
+    x = np.concatenate([-x[::-1], x[n % 2:]])
+    w = np.concatenate([w[::-1], w[n % 2:]])
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _gl01(n: int):
     """Gauss-Legendre nodes/weights on [0, 1], built once per size.
 
     The arrays are shared between callers and therefore read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_gauss(n)
     t, w = (x + 1.0) / 2.0, w / 2.0
     t.flags.writeable = False
     w.flags.writeable = False

@@ -36,6 +36,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .determinants import collocation_matrix
 from .kernels import (ConfigError, NumericError, ProblemConfig,
                       VectorPairSpec, bracket_kernel, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
@@ -228,9 +229,17 @@ class ChiSolution:
         return -np.einsum("...j,jpq->...pq", ker, self._rho_R)
 
     def FL_at(self, lam) -> np.ndarray:
-        """Nystrom interpolation of F_L; exact at the quadrature nodes."""
+        """Nystrom interpolation of F_L; FL_nodes itself at the nodes.
+
+        Asked at exactly ``rule.nodes`` (in order, any shape) it returns the
+        solved values without re-assembling V~ on the nodes; interpolation
+        would reproduce them up to the solve residual only.
+        """
         lam = np.asarray(lam, dtype=complex)
-        Kmat = self.kernel(lam[..., None], self.rule.nodes)
+        nodes = self.rule.nodes
+        if lam.size == nodes.size and np.array_equal(lam.reshape(-1), nodes):
+            return self.FL_nodes.reshape(lam.shape + (-1,)).copy()
+        Kmat = self.kernel(lam[..., None], nodes)
         acc = np.einsum("...k,ka->...a", Kmat * self.rule.weights, self.FL_nodes)
         return self.pair.E_L(lam) - acc
 
@@ -286,16 +295,16 @@ def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
     rule = gauss_legendre_rule(n, cfg.a, cfg.b)
     kernel = _base_kernel(pair, cfg.delta0)
     lam = rule.nodes
-    Kmat = kernel(lam[:, None], lam[None, :])
-    A = Kmat * rule.weights[None, :]
-    B = Kmat.T * rule.weights[None, :]
+    w = rule.weights[:, None]
+    # D = I + K diag(w).  The right equation's matrix I + K^T diag(w) is
+    # diag(w)^-1 D^T diag(w), so it is solved as D^T (w F_R) = w E_R on D
+    D = collocation_matrix(kernel(lam[:, None], lam[None, :]), rule.weights)
     EL = pair.E_L(lam)
     ER = pair.E_R(lam)
-    eye = np.eye(n)
     try:
-        FL = np.linalg.solve(eye + A, EL)
-        FR = np.linalg.solve(eye + B, ER)
-        det_tilde = complex(np.linalg.det(eye + A))
+        FL = np.linalg.solve(D, EL)
+        FR = np.linalg.solve(D.T, w * ER) / w
+        det_tilde = complex(np.linalg.det(D))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent system is singular at n={n}: {exc}") from exc
     if not (np.isfinite(FL).all() and np.isfinite(FR).all()
@@ -305,8 +314,8 @@ def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
         raise NumericError(
             f"det(I + V~) = {det_tilde:.3e} at n={n}: the unique-solvability "
             f"condition det(I + V~) != 0 fails at this discretization")
-    res_L = np.max(np.abs((eye + A) @ FL - EL)) / max(np.max(np.abs(EL)), 1e-300)
-    res_R = np.max(np.abs((eye + B) @ FR - ER)) / max(np.max(np.abs(ER)), 1e-300)
+    res_L = np.max(np.abs(D @ FL - EL)) / max(np.max(np.abs(EL)), 1e-300)
+    res_R = np.max(np.abs((D.T @ (w * FR)) / w - ER)) / max(np.max(np.abs(ER)), 1e-300)
     if max(res_L, res_R) > 1e-10:
         raise NumericError(
             f"node residuals of the resolvent systems are {res_L:.2e}/{res_R:.2e} "

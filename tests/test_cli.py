@@ -83,6 +83,27 @@ class TestVerifyCommand:
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_certification_on_each_line(self, tmp_path, config_dir, capsys):
+        # a coarse line rule: r3 = 3.7e-9 passes its 5e-5 tolerance, but the
+        # line determinant's half-resolution delta (1.1e-5) is not 10x below
+        # it, so r3 is uncertified while r1 and r2 stay certified
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"),
+                              **{"numerics.m_line": 32,
+                                 "tolerances.r3": 5e-5})
+        rc = cli.main(["verify", config, "--out", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("r1 = ")
+        assert lines[0].endswith("[PASS] certified")
+        assert lines[1].startswith("r2 = ")
+        assert lines[1].endswith("[PASS] certified")
+        assert lines[2].startswith("r3 = ")
+        assert lines[2].endswith("[PASS] uncertified (advisory)")
+        report = read_json(tmp_path / "identity_report.json")
+        assert report["certified"] == {"r1": True, "r2": True, "r3": False}
+        assert report["ok"] is True
+
     def test_report_is_deterministic(self, tmp_path, config_dir):
         a, b = tmp_path / "a", tmp_path / "b"
         config = cfg_path(config_dir, "standard.json")
@@ -231,14 +252,22 @@ class TestMVsM0Command:
 
 
 def test_console_script_runs(tmp_path, config_dir):
+    # the installed console script if there is one, else the module itself
+    # from this checkout's src/
     exe = shutil.which("shiftdet")
+    env = dict(os.environ)
     if exe is None:
-        pytest.skip("console script not on PATH")
+        cmd = [sys.executable, "-m", "shiftdet.cli"]
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    else:
+        cmd = [exe]
     proc = subprocess.run(
-        [exe, "verify", cfg_path(config_dir, "trivial.json"),
+        [*cmd, "verify", cfg_path(config_dir, "trivial.json"),
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "[PASS]" in proc.stdout
+    assert "[PASS] certified" in proc.stdout
     assert (tmp_path / "identity_report.json").exists()

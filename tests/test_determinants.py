@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shiftdet.determinants import (DetResult, convergence_study, nystrom_det,
+from shiftdet.determinants import (DetResult, collocation_matrix,
+                                   convergence_study, nystrom_det,
                                    nystrom_det_matrix)
 from shiftdet.kernels import (M0_kernel, M_kernel, NumericError,
                               U_minus_kernel, U_plus_kernel, gsk_kernel,
@@ -114,6 +115,54 @@ def test_trivial_amplitude_dressed_determinants(trivial_cfg, trivial_chi):
     assert abs(d_up.value - 1.0) < 1e-10
     assert abs(d_um.value - 1.0) < 1e-10
     assert abs(d_m0.value - 1.0) < 1e-10
+
+
+class TestInPlaceCollocation:
+    """I + K diag(w) is built in the kernel's own result when that is a
+    fresh complex array, and in a copy otherwise."""
+
+    def test_fresh_complex_result_is_reused(self):
+        rule = gauss_legendre_rule(8, -1.0, 1.0)
+        K = np.full((8, 8), 0.5 + 0j)
+        D = collocation_matrix(K, rule.weights)
+        assert D is K
+        want = np.eye(8) + np.full((8, 8), 0.5) * rule.weights[None, :]
+        assert np.array_equal(D, want)
+
+    @pytest.mark.parametrize("kind", ["read-only", "broadcast", "view", "real"])
+    def test_kernel_result_is_not_modified(self, kind):
+        rule = gauss_legendre_rule(16, -1.0, 1.0)
+        n = rule.size
+        base = (0.1 * np.outer(rule.nodes, rule.nodes) + 0.2).astype(complex)
+        if kind == "read-only":
+            K = base.copy()
+            K.flags.writeable = False
+        elif kind == "broadcast":
+            K = np.broadcast_to(base[:1], (n, n))
+        elif kind == "view":
+            K = np.concatenate([base, base], axis=1)[:, :n]
+        else:
+            K = base.real.copy()
+        before = np.array(K, copy=True)
+        res = nystrom_det(lambda l, m: K if np.size(l) == n else
+                          np.array(K)[::2, ::2], rule)
+        assert np.array_equal(K, before)
+        fresh = nystrom_det(lambda l, m: np.array(K, dtype=complex) if
+                            np.size(l) == n else
+                            np.array(K, dtype=complex)[::2, ::2], rule)
+        assert res.value == fresh.value
+
+    def test_matrix_kernel_result_is_not_modified(self):
+        rule = gauss_legendre_rule(12, -1.0, 1.0)
+        n = rule.size
+        K = np.zeros((n, n, 2, 2), dtype=complex)
+        K[..., 0, 0] = 0.3
+        K[..., 1, 1] = 0.2
+        before = K.copy()
+        d = nystrom_det_matrix(
+            lambda l, m: K if np.size(l) == n else K[::2, ::2], rule, 2)
+        assert np.array_equal(K, before)
+        assert abs(d.value - 1.6 * 1.4) < 1e-14
 
 
 class TestConvergenceStudy:

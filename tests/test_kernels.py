@@ -299,20 +299,12 @@ class TestVectorPair:
         np.testing.assert_allclose(pair.bracket(lam, mu) / (lam - mu),
                                    gsk_kernel(lam, mu, cfg), rtol=1e-13)
 
-    def test_fallback_dd_matches_exact(self):
-        cfg = make_cfg(x=5.0)
-        exact = gsk_vector_pair(cfg)
-        from dataclasses import replace
-        approx = replace(exact, exact_bracket_dd=None)
-        lam = np.array([0.2, -0.4])
-        np.testing.assert_allclose(approx.bracket_dd(lam, lam),
-                                   exact.bracket_dd(lam, lam),
-                                   rtol=2e-5, atol=2e-5)
-
     def test_regularity_violation_caught(self):
         from shiftdet.kernels import VectorPairSpec
         ones = lambda z: np.ones(np.shape(z) + (1,), dtype=complex)
-        bad = VectorPairSpec(N=1, E_L=ones, E_R=ones)
+        bad = VectorPairSpec(N=1, E_L=ones, E_R=ones,
+                             bracket_dd=lambda lam, mu: np.zeros(
+                                 np.broadcast(lam, mu).shape, complex))
         with pytest.raises((ConfigError, ValueError)):
             bad.validate_regularity(-1.0, 1.0)
 
@@ -334,7 +326,8 @@ class TestGeneralV:
         pair = gsk_vector_pair(cfg)
         zero = replace(pair,
                        E_L=lambda z: np.zeros(np.shape(z) + (2,), complex),
-                       exact_bracket_dd=None)
+                       bracket_dd=lambda lam, mu: np.zeros(
+                           np.broadcast(lam, mu).shape, complex))
         table = gsk_shift_spec(cfg)
         out = general_kernel_V(0.3, -0.1, zero, table, delta0=cfg.delta0)
         assert abs(out) < 1e-14

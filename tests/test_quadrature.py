@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +6,30 @@ from numpy.polynomial import polynomial as P
 
 from shiftdet.quadrature import (QuadratureRule, compactified_line_rule,
                                  gauss_legendre_rule, stadium_loop_rule,
-                                 truncated_line_rule, winding_number, _gl01)
+                                 truncated_line_rule, winding_number, _gl01,
+                                 _legendre_gauss)
+
+
+def _mp_legendre_root(n, i):
+    """The i-th smallest root of P_n and its Gauss weight, to 40 digits.
+
+    Newton on the three-term recurrence in mpmath, started from the
+    classical guess cos(pi (4k - 1) / (4n + 2)) for the k-th largest root,
+    so the reference does not depend on the float64 rule under test.
+    """
+    with mpmath.workdps(40):
+        k = n - i
+        x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(50):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            dp = n * (p0 - x * p1) / (1 - x * x)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < mpmath.mpf(10) ** -35:
+                break
+        return x, 2 / ((1 - x * x) * dp * dp)
 
 
 class TestGaussLegendre:
@@ -67,11 +91,30 @@ class TestGaussLegendre:
         assert np.array_equal(first.nodes, second.nodes)
         assert np.array_equal(first.weights, second.weights)
 
-    def test_rule_matches_leggauss(self):
-        x, w = np.polynomial.legendre.leggauss(77)
-        r = gauss_legendre_rule(77, -0.5, 3.0)
-        assert np.array_equal(r.nodes, -0.5 + 3.5 * ((x + 1.0) / 2.0))
-        assert np.array_equal(r.weights, 3.5 * (w / 2.0))
+    @pytest.mark.parametrize("n", [2, 7, 64, 166, 1019, 2038])
+    def test_rule_matches_mpmath_reference(self, n):
+        # endpoint, next-to-endpoint, quarter and middle nodes against the
+        # roots of P_n and their weights found at 40 digits; the weights
+        # must also be no worse there than numpy's eigenvalue-based rule
+        x, w = _legendre_gauss(n)
+        x_eig, w_eig = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.diff(x) > 0)
+        node_err, weight_err, eig_weight_err = [], [], []
+        for i in sorted({0, 1, n // 4, n // 2}):
+            root, weight = _mp_legendre_root(n, i)
+            node_err.append(abs(float(root - x[i])))
+            weight_err.append(abs(float((weight - w[i]) / weight)))
+            eig_weight_err.append(abs(float((weight - w_eig[i]) / weight)))
+        assert max(node_err) <= 2.3e-16
+        assert max(weight_err) <= 1e-9
+        assert max(weight_err) <= max(eig_weight_err)
+
+    def test_unit_interval_rule_is_the_mapped_base_rule(self):
+        x, w = _legendre_gauss(77)
+        t, wt = _gl01(77)
+        assert np.array_equal(t, (x + 1.0) / 2.0)
+        assert np.array_equal(wt, w / 2.0)
+        assert abs(np.sum(w) - 2.0) < 1e-15
 
     def test_cached_base_rule_is_read_only(self):
         t, w = _gl01(40)

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from shiftdet import rhp
 from shiftdet.kernels import FunctionSpec, NumericError, gsk_vector_pair
+from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
@@ -45,6 +47,68 @@ class TestResolventSolve:
         bad = replace(standard_cfg, F=FunctionSpec.constant(-1.0 + 1e-18))
         with pytest.raises(NumericError):
             solve_chi(bad)
+
+
+@pytest.fixture(scope="module", params=["standard", "general"])
+def chi_1019(request, standard_cfg, general_cfg):
+    cfg = {"standard": standard_cfg, "general": general_cfg}[request.param]
+    return solve_chi(cfg, n=1019)
+
+
+class TestOneMatrixSolve:
+    """solve_chi solves both equations and takes det(I + V~) on one matrix."""
+
+    def test_transposed_right_solve_matches_direct(self, chi_1019):
+        # the right equation solved directly on I + B, B = V~^T diag(w)
+        rule = chi_1019.rule
+        lam = rule.nodes
+        K = chi_1019.kernel(lam[:, None], lam[None, :])
+        B = K.T * rule.weights[None, :]
+        FR = np.linalg.solve(np.eye(rule.size) + B, chi_1019.pair.E_R(lam))
+        err = np.max(np.abs(chi_1019.FR_nodes - FR)) / np.max(np.abs(FR))
+        assert err < 1e-13
+
+    def test_left_solve_and_determinant_use_the_same_matrix(self, chi_1019):
+        rule = chi_1019.rule
+        lam = rule.nodes
+        A = chi_1019.kernel(lam[:, None], lam[None, :]) * rule.weights[None, :]
+        D = np.eye(rule.size) + A
+        FL = np.linalg.solve(D, chi_1019.pair.E_L(lam))
+        assert np.array_equal(chi_1019.FL_nodes, FL)
+        assert chi_1019.det_tilde == complex(np.linalg.det(D))
+
+    def test_FL_at_the_nodes_is_FL_nodes(self, chi_1019):
+        nodes = chi_1019.rule.nodes
+        assert np.array_equal(chi_1019.FL_at(nodes), chi_1019.FL_nodes)
+        column = chi_1019.FL_at(nodes[:, None])          # as W_kernel asks
+        assert column.shape == (nodes.size, 1, chi_1019.N)
+        assert np.array_equal(column[:, 0, :], chi_1019.FL_nodes)
+        # a copy: the solution itself cannot be changed through it
+        column[...] = 0.0
+        assert np.any(chi_1019.FL_nodes != 0.0)
+
+    def test_FL_at_other_points_is_the_nystrom_interpolant(self, chi_1019):
+        rule = chi_1019.rule
+        pts = [rule.nodes[::-1],                          # reordered nodes
+               rule.nodes[:-1],                           # a subset
+               0.5 * (rule.nodes[1:] + rule.nodes[:-1]),  # off the nodes
+               rule.half().nodes[:, None]]                # W's half rerun
+        for lam in pts:
+            K = chi_1019.kernel(lam[..., None], rule.nodes)
+            want = chi_1019.pair.E_L(lam) - np.einsum(
+                "...k,ka->...a", K * rule.weights, chi_1019.FL_nodes)
+            assert np.array_equal(chi_1019.FL_at(lam), want)
+
+    def test_exactly_singular_system_is_numeric_error(self, standard_cfg,
+                                                      monkeypatch):
+        # V~ = -diag(1/w) on the nodes makes I + V~ diag(w) the zero matrix
+        rule = gauss_legendre_rule(64, standard_cfg.a, standard_cfg.b)
+
+        def singular(pair, delta0):
+            return lambda lam, mu: -np.diag(1.0 / rule.weights)
+        monkeypatch.setattr(rhp, "_base_kernel", singular)
+        with pytest.raises(NumericError, match="singular"):
+            solve_chi(standard_cfg, n=64)
 
 
 class TestChiProperties:
