@@ -17,9 +17,8 @@ from .experiments import (ComparisonRow, IdentityReport, SweepRow,
 from .kernels import (ConfigError, FunctionSpec, NumericError,
                       NumericsConfig, ProblemConfig, ShiftSpec,
                       ToleranceConfig, VectorPairSpec, eval_e,
-                      general_kernel_V, gsk_kernel, gsk_shift_spec,
-                      gsk_vector_pair, problem_config_from_json,
-                      shift_kernel)
+                      general_kernel_V, gsk_shift_spec, gsk_vector_pair,
+                      problem_config_from_json)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule,
                          truncated_line_rule, winding_number)
@@ -32,7 +31,7 @@ __all__ = [
     "FunctionSpec", "ShiftSpec", "VectorPairSpec",
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
-    "eval_e", "gsk_kernel", "shift_kernel", "general_kernel_V",
+    "eval_e", "general_kernel_V",
     "gsk_vector_pair", "gsk_shift_spec",
     "QuadratureRule", "gauss_legendre_rule", "stadium_loop_rule",
     "compactified_line_rule", "truncated_line_rule", "winding_number",

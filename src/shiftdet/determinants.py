@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .kernels import NumericError
+from .kernels import ConfigError, NumericError
 from .quadrature import QuadratureRule
 
 __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study",
@@ -100,6 +100,16 @@ def _collocation_det_matrix(kernel: Callable, rule: QuadratureRule,
     return _det(collocation_matrix(D, np.repeat(rule.weights, dim)))
 
 
+def _half(rule: QuadratureRule) -> QuadratureRule:
+    half = rule.half()
+    if half.size >= rule.size:
+        raise ConfigError(
+            f"a {rule.domain_kind} rule of {rule.size} nodes is at its floor "
+            f"size: its half-resolution rerun is the same rule, so the "
+            f"convergence delta would read 0")
+    return half
+
+
 def _wrap(value: complex, half_value: complex, size: int,
           t0: float) -> DetResult:
     delta = abs(value - half_value) / max(abs(value), 1e-30)
@@ -118,9 +128,10 @@ def nystrom_det(kernel: Callable, rule: QuadratureRule,
     half-resolution rerun is computed then.
     """
     t0 = time.perf_counter()
+    half_rule = _half(rule)
     if value is None:
         value = _collocation_det(kernel, rule)
-    half = _collocation_det(kernel, rule.half())
+    half = _collocation_det(kernel, half_rule)
     return _wrap(value, half, rule.size, t0)
 
 
@@ -128,8 +139,9 @@ def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,
                        dim: int) -> DetResult:
     """Fredholm determinant of a dim x dim matrix kernel over a rule."""
     t0 = time.perf_counter()
+    half_rule = _half(rule)
     value = _collocation_det_matrix(kernel, rule, dim)
-    half = _collocation_det_matrix(kernel, rule.half(), dim)
+    half = _collocation_det_matrix(kernel, half_rule, dim)
     return _wrap(value, half, rule.size, t0)
 
 

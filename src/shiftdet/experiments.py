@@ -28,8 +28,8 @@ import numpy as np
 from .determinants import DetResult, nystrom_det, nystrom_det_matrix
 from .kernels import (ConfigError, M0_kernel, M_kernel, N_kernel,
                       NumericError, ProblemConfig, U_minus_kernel,
-                      U_plus_kernel, W_kernel, general_kernel_V, gsk_kernel,
-                      gsk_shift_spec, gsk_vector_pair, shift_kernel)
+                      U_plus_kernel, W_kernel, bracket_kernel,
+                      general_kernel_V, gsk_shift_spec, gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule,
                          truncated_line_rule)
@@ -175,14 +175,27 @@ def _sweep_row(cfg: ProblemConfig, xv: float, limit: complex,
                limit_delta: float) -> SweepRow:
     cfg_x = replace(cfg, x=xv)
     rule = _interval_rule(cfg_x)
-    det_S = nystrom_det(lambda l, m: shift_kernel(l, m, cfg_x), rule)
-    det_St = nystrom_det(lambda l, m: gsk_kernel(l, m, cfg_x), rule)
+    # the separable forms: O(n) exponentials and a rank-2 GEMM per matrix
+    pair, shift, d0 = gsk_vector_pair(cfg_x), cfg_x.shift, cfg_x.delta0
+    det_S = nystrom_det(
+        lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
+    det_St = nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule)
     valid = abs(det_St.value) > 1e-12
     ratio = det_S.value / det_St.value if valid else complex("nan")
     err = abs(ratio / limit - 1.0) if valid else float("nan")
     conv = max(det_S.convergence_delta, det_St.convergence_delta, limit_delta)
     return SweepRow(x=float(xv), ratio=ratio, limit=limit, err=err,
                     conv_delta=conv, valid=valid)
+
+
+def _require_canonical_table(cfg: ProblemConfig, what: str):
+    ref = gsk_shift_spec(cfg)
+    s = cfg.shift
+    if not (np.array_equal(s.gamma, ref.gamma) and np.array_equal(s.c, ref.c)
+            and np.array_equal(s.v, ref.v)):
+        raise ConfigError(
+            f"{what} is defined for the canonical two-shift table "
+            f"gamma=(1,1), c=(-c,c), v=(1,2); this config overrides it")
 
 
 def _check_xs(xs: Sequence[float]) -> List[float]:
@@ -203,6 +216,8 @@ def asymptotic_sweep(cfg: ProblemConfig, xs: Sequence[float]) -> List[SweepRow]:
     once.  SHIFTDET_THREADS caps the worker count.
     """
     cfg.validate()
+    # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
+    _require_canonical_table(cfg, "the asymptotic sweep")
     xs = _check_xs(xs)
     d_up, d_um = limit_determinants(cfg)
     limit = d_up.value * d_um.value
@@ -244,16 +259,6 @@ class ComparisonRow:
     det_M0: DetResult
     err: float
     conv_delta: float
-
-
-def _require_canonical_table(cfg: ProblemConfig, what: str):
-    ref = gsk_shift_spec(cfg)
-    s = cfg.shift
-    if not (np.array_equal(s.gamma, ref.gamma) and np.array_equal(s.c, ref.c)
-            and np.array_equal(s.v, ref.v)):
-        raise ConfigError(
-            f"{what} is defined for the canonical two-shift table "
-            f"gamma=(1,1), c=(-c,c), v=(1,2); this config overrides it")
 
 
 def m_vs_m0(cfg: ProblemConfig,
@@ -304,8 +309,10 @@ def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:
                 lambda l, m: general_kernel_V(l, m, pair, shift, d0),
                 _interval_rule(cfg))
         if which == "Vtilde":
-            return nystrom_det(lambda l, m: gsk_kernel(l, m, cfg),
-                               _interval_rule(cfg))
+            # the kernel solve_chi factors, so this equals verify's det_Vtilde
+            return nystrom_det(
+                lambda l, m: bracket_kernel(l, m, pair, cfg.delta0),
+                _interval_rule(cfg))
         chi = solve_chi(cfg, pair)
         return nystrom_det(
             lambda l, m: W_kernel(l, m, chi, pair, cfg.shift), chi.rule)

@@ -21,13 +21,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .quadrature import MIN_SIZE
+
 __all__ = [
     "ConfigError", "NumericError",
     "FunctionSpec", "ShiftSpec", "VectorPairSpec",
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
-    "eval_e", "gsk_kernel", "shift_kernel",
-    "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
+    "eval_e", "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
     "W_kernel", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel", "M0_kernel",
     "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
@@ -396,8 +397,19 @@ class ProblemConfig:
         for name in ("m_loop", "m_line", "rho", "map_scale", "line_truncation"):
             if getattr(nm, name) <= 0:
                 raise ConfigError(f"numerics.{name} must be positive")
-        if nm.n_interval is not None and nm.n_interval < 2:
-            raise ConfigError("numerics.n_interval must be >= 2")
+        # a rule at its kind's floor size is its own half-resolution rule,
+        # so every convergence delta on it would read 0
+        for name, kind in (("n_interval", "interval"), ("m_loop", "loop"),
+                           ("m_line", "line")):
+            size = getattr(nm, name)
+            if size is not None and size <= MIN_SIZE[kind]:
+                raise ConfigError(
+                    f"numerics.{name} = {size} must exceed {MIN_SIZE[kind]}, "
+                    f"the {kind} rule's floor size: a rule of that size has "
+                    f"no smaller half-resolution rerun to measure its "
+                    f"convergence against")
+        if nm.m_loop % 2:
+            raise ConfigError(f"numerics.m_loop = {nm.m_loop} must be even")
         if nm.line_rule not in ("tan", "truncated"):
             raise ConfigError("numerics.line_rule must be 'tan' or 'truncated'")
         self._validate_amplitude(h)
@@ -559,15 +571,12 @@ def eval_e(lam, cfg: ProblemConfig):
     return np.exp(0.5j * cfg.x * cfg.p.value(lam))
 
 
-def _phase(lam, mu, cfg: ProblemConfig):
-    """phi = x (p(lam) - p(mu)) / 2, so that e(lam)/e(mu) = exp(i phi)."""
-    return 0.5 * cfg.x * (cfg.p.value(lam) - cfg.p.value(mu))
-
-
 def _phase_parts(lam, mu, cfg: ProblemConfig):
+    """lam, mu as complex arrays, phi = x (p(lam) - p(mu)) / 2 (so that
+    e(lam)/e(mu) = exp(i phi)) and the divided difference of p."""
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
-    phi = _phase(lam, mu, cfg)
+    phi = 0.5 * cfg.x * (cfg.p.value(lam) - cfg.p.value(mu))
     ddp = cfg.p.divided_difference(lam, mu)
     return lam, mu, phi, ddp
 
@@ -576,53 +585,6 @@ def _gsk_near(lam, mu, cfg: ProblemConfig):
     """F(lam) (x/2) dd_p sinc(phi) / pi: the sine kernel without cancellation."""
     lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
     return cfg.F.value(lam) * (0.5 * cfg.x) * ddp * _sinc(phi) / pi
-
-
-def gsk_kernel(lam, mu, cfg: ProblemConfig):
-    """Generalized sine kernel F(lam)[e(lam)/e(mu) - e(mu)/e(lam)]/(2i pi (lam-mu)).
-
-    The numerator vanishes on the diagonal; for |lam - mu| < delta0 the
-    kernel is evaluated as F * (x/2) * dd_p * sinc(phi) / pi, which is the
-    same analytic function written without cancellation.  Exactly on the
-    diagonal this reduces to F(lam) * x * p'(lam) / (2 pi).
-    """
-    def direct(lam, mu, d):
-        return cfg.F.value(lam) * np.sin(_phase(lam, mu, cfg)) / (pi * d)
-
-    return near_diagonal_eval(lam, mu, cfg.delta0, direct,
-                              lambda l, m: _gsk_near(l, m, cfg))
-
-
-def shift_kernel(lam, mu, cfg: ProblemConfig):
-    """Shifted sine kernel with denominators lam - mu +- ic.
-
-    S = ic F(lam)/(2i pi (lam-mu)) * { e(lam)/e(mu)/(lam-mu+ic)
-                                       + e(mu)/e(lam)/(lam-mu-ic) };
-    the brace vanishes at lam = mu, so the diagonal is removable with value
-    F(lam) (x p'(lam) + 2/c) / (2 pi).
-    """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    c = cfg.c
-    d = lam - mu
-    pole = min(np.min(np.abs(d + 1j * c)), np.min(np.abs(d - 1j * c)))
-    if pole < 1e-12 * (abs(c) + 1.0):
-        raise ValueError("shift_kernel evaluated at a pole lam - mu = -+ ic")
-
-    def direct(lam, mu, dsafe):
-        F = cfg.F.value(lam)
-        phi = _phase(lam, mu, cfg)
-        return (1j * c * F / (2j * pi * dsafe)
-                * (np.exp(1j * phi) / (d + 1j * c) + np.exp(-1j * phi) / (d - 1j * c)))
-
-    def near(lam, mu):
-        lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
-        dn = lam - mu
-        F = cfg.F.value(lam)
-        return (F * c * (np.cos(phi) + c * (0.5 * cfg.x) * ddp * _sinc(phi))
-                / (pi * (dn * dn + c * c)))
-
-    return near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
 
 
 def gsk_shift_spec(cfg: ProblemConfig) -> ShiftSpec:
@@ -672,18 +634,23 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     """
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
-    d = lam - mu
+    # on real lam, mu every |lam - mu + ic_a| >= |c_a|: the pole guard's
+    # pass over the grid is needed only when |c_a| itself is below its bound
+    real = not (lam.imag.any() or mu.imag.any())
     out = bracket_kernel(lam, mu, pair, delta0)
     EL = pair.E_L(lam)
     ER = pair.E_R(mu)
     for a_idx in range(shift.N):
-        den = d + 1j * shift.c[a_idx]
-        if np.min(np.abs(den)) < 1e-12 * (abs(shift.c[a_idx]) + 1.0):
+        c_a = shift.c[a_idx]
+        den = lam - (mu - 1j * c_a)       # one pass over the broadcast grid
+        guard = 1e-12 * (abs(c_a) + 1.0)
+        if (not real or abs(c_a) < guard) and np.min(np.abs(den)) < guard:
             raise ValueError(
                 f"general_kernel_V evaluated at the shifted pole lam - mu = "
                 f"-i c_{a_idx + 1}")
-        out = out - (shift.gamma[a_idx] * EL[..., a_idx]
-                     * ER[..., shift.v0[a_idx]] / den)
+        term = shift.gamma[a_idx] * EL[..., a_idx] * ER[..., shift.v0[a_idx]]
+        term /= den
+        out -= term
     return out
 
 
@@ -726,7 +693,9 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec):
     Ainv = chi.chi_inv_at(lam)[..., shift.v0, :]   # (..., k, r)
     Bcol = np.stack([chi.chi_at(mu - 1j * shift.c[l])[..., :, l]
                      for l in range(N)], axis=-2)   # (..., l, r)
-    numer = np.einsum("...kr,...lr->...kl", Ainv, Bcol)
+    # optimize=True runs the per-pair 2x2 products as one batched matmul,
+    # not numpy's generic broadcast einsum loop
+    numer = np.einsum("...kr,...lr->...kl", Ainv, Bcol, optimize=True)
     den = (lam[..., None, None] - mu[..., None, None]
            + 1j * shift.c[None, :])                 # (..., 1, l) broadcast over k
     if np.min(np.abs(den)) < 1e-10:
@@ -754,36 +723,26 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float = 1e-4):
                      for k in range(N)], axis=-2)   # (..., k, r)
     Bcol = np.stack([chi.chi_at(mu - 0.5j * shift.c[l])[..., :, l]
                      for l in range(N)], axis=-2)   # (..., l, r)
-    prod = np.einsum("...kr,...lr->...kl", Ainv, Bcol)
     eye_kl = (shift.v0[:, None] == np.arange(N)[None, :]).astype(complex)
-    brack = eye_kl - prod
+    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
+    out = eye_kl - np.einsum("...kr,...lr->...kl", Ainv, Bcol, optimize=True)
+    out *= pref[:, None]
     csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
-    den = (lam[..., None, None] - mu[..., None, None] + 1j * csum)
-    sgn = np.sign(shift.c)
-    pref = sgn[:, None] * shift.gamma[:, None] / (2j * pi)
-    compensated = np.abs(csum) < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = pref * brack / den
+        out /= lam[..., None, None] - (mu[..., None, None] - 1j * csum)
     # exact divided-difference branch for compensated pairs near the diagonal
-    dmask = near_diagonal_mask(lam, mu, delta0)
-    for k in range(N):
-        for l in range(N):
-            if not compensated[k, l]:
-                continue
-            if not np.any(dmask):
-                continue
-            idx = np.broadcast_to(dmask, shape)
-            lam_b = np.broadcast_to(lam, shape)[idx]
-            mu_b = np.broadcast_to(mu, shape)[idx]
-            z = lam_b + 0.5j * shift.c[k]
-            zp = mu_b - 0.5j * shift.c[l]
-            # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
-            dchi = chi.delta_chi(z, zp)                        # (M, N, N)
-            cinv = chi.chi_inv_at(z)                           # (M, N, N)
-            vals = pref[k, 0] * np.matmul(cinv, dchi)[:, shift.v0[k], l]
-            sub = np.array(out[..., k, l], copy=True)
-            sub[idx] = vals
-            out[..., k, l] = sub
+    idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
+    if not idx.any():
+        return out
+    z0 = np.broadcast_to(lam, shape)[idx]
+    z0p = np.broadcast_to(mu, shape)[idx]
+    for k, l in zip(*np.nonzero(np.abs(csum) < 1e-14)):
+        z = z0 + 0.5j * shift.c[k]
+        zp = z0p - 0.5j * shift.c[l]
+        # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
+        dchi = chi.delta_chi(z, zp)                        # (M, N, N)
+        cinv = chi.chi_inv_at(z)                           # (M, N, N)
+        out[..., k, l][idx] = pref[k] * np.matmul(cinv, dchi)[:, shift.v0[k], l]
     return out
 
 

@@ -33,6 +33,9 @@ __all__ = [
     "winding_number",
 ]
 
+# smallest rule of each domain kind; ``QuadratureRule.half`` never goes below
+MIN_SIZE = {"interval": 2, "loop": 8, "line": 16}
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -80,13 +83,15 @@ class QuadratureRule:
         return compactified_line_rule(size, d["map_scale"])
 
     def half(self) -> "QuadratureRule":
-        """The rule at half resolution, respecting each kind's size floor."""
-        if self.domain_kind == "interval":
-            return self.with_size(max(2, self.size // 2))
+        """The rule at half resolution, respecting each kind's size floor.
+
+        At the floor itself this is a rule of the same size; callers that
+        compare against it must reject such a rule (``nystrom_det`` does).
+        """
+        m = max(MIN_SIZE[self.domain_kind], self.size // 2)
         if self.domain_kind == "loop":
-            m = max(8, self.size // 2)
-            return self.with_size(m + (m % 2))
-        return self.with_size(max(16, self.size // 2))
+            m += m % 2
+        return self.with_size(m)
 
 
 def _legendre_gauss(n: int):

@@ -226,7 +226,7 @@ class ChiSolution:
         lam = self.rule.nodes
         ker = (self.rule.weights[None, :]
                / ((lam[None, :] - z1[..., None]) * (lam[None, :] - z2[..., None])))
-        return -np.einsum("...j,jpq->...pq", ker, self._rho_R)
+        return -np.einsum("...j,jpq->...pq", ker, self._rho_R, optimize=True)
 
     def FL_at(self, lam) -> np.ndarray:
         """Nystrom interpolation of F_L; FL_nodes itself at the nodes.

@@ -140,6 +140,22 @@ class TestConfigErrors:
                               mystery_knob=3)
         assert cli.main(["verify", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("field,size", [("m_line", 16), ("m_loop", 8),
+                                            ("n_interval", 2), ("m_loop", 31)])
+    def test_rule_without_smaller_half_rejected(self, tmp_path, config_dir,
+                                                capsys, field, size):
+        # at its floor size a rule is its own half-resolution rerun: with
+        # m_line = 16 the line determinant's delta read 0 and r3 = 1.1e-5
+        # was certified on an unconverged value.  An odd loop size has no
+        # rule at all.
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"),
+                              **{"numerics." + field: size})
+        rc = cli.main(["verify", config, "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"numerics.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "identity_report.json").exists()
+
     def test_amplitude_at_one(self, tmp_path, config_dir):
         config = write_config(tmp_path,
                               cfg_path(config_dir, "standard.json"),
@@ -222,6 +238,17 @@ class TestDetCommand:
             vals[which] = complex(blob["value_re"], blob["value_im"])
         prod = vals["Uplus"] * vals["Uminus"]
         assert abs(vals["M0"] - prod) < 1e-12 * abs(prod)
+
+    def test_vtilde_equals_verify(self, tmp_path, config_dir, capsys):
+        config = cfg_path(config_dir, "standard.json")
+        assert cli.main(["verify", config, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["det", config, "--which", "Vtilde"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        report = read_json(tmp_path / "identity_report.json")
+        want = report["determinants"]["Vtilde"]
+        for key in ("value_re", "value_im", "convergence_delta", "rule_size"):
+            assert blob[key] == want[key]
 
     def test_unknown_kind_is_usage_error(self, config_dir):
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,13 @@ import pytest
 from shiftdet.determinants import (DetResult, collocation_matrix,
                                    convergence_study, nystrom_det,
                                    nystrom_det_matrix)
-from shiftdet.kernels import (M0_kernel, M_kernel, NumericError,
-                              U_minus_kernel, U_plus_kernel, gsk_kernel,
-                              gsk_shift_spec, shift_kernel)
+from shiftdet.kernels import (ConfigError, M0_kernel, M_kernel, NumericError,
+                              U_minus_kernel, U_plus_kernel, gsk_shift_spec)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha
+
+from closed_forms import gsk_kernel, shift_kernel
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -213,3 +214,20 @@ class TestFailureModes:
         with pytest.raises(NumericError):
             DetResult(value=complex("nan"), rule_size=8,
                       convergence_delta=0.0, elapsed=0.0)
+
+
+@pytest.mark.parametrize("rule,dim", [
+    (gauss_legendre_rule(2, -1.0, 1.0), None),
+    (stadium_loop_rule(-1.0, 1.0, 0.25, 8), 2),
+    (compactified_line_rule(16, 1.0), None),
+    (compactified_line_rule(16, 1.0), 2),
+])
+def test_rule_at_floor_size_refused(rule, dim):
+    # rule.half() is the rule itself here, so the delta would read 0
+    assert rule.half().size == rule.size
+    with pytest.raises(ConfigError, match="floor size"):
+        if dim is None:
+            nystrom_det(zero_kernel, rule)
+        else:
+            nystrom_det_matrix(lambda l, m: np.zeros(
+                np.broadcast(l, m).shape + (dim, dim), complex), rule, dim)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from shiftdet.determinants import nystrom_det
-from shiftdet.experiments import (DET_KINDS, SweepRow, _worker_count,
+from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
+                                  _sweep_row, _worker_count,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
                               ShiftSpec, problem_config_from_json)
 from shiftdet.rhp import solve_chi
+
+from closed_forms import gsk_kernel, shift_kernel
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +121,26 @@ class TestAsymptoticSweep:
     def test_trivial_amplitude_errors_vanish(self, trivial_cfg):
         rows = asymptotic_sweep(trivial_cfg, [50.0, 100.0, 200.0, 400.0])
         assert all(r.err < 1e-12 for r in rows)
+
+    def test_non_canonical_table_rejected(self, nonintegrable_cfg):
+        # det V on another table has a different large-x limit
+        with pytest.raises(ConfigError, match="canonical"):
+            asymptotic_sweep(nonintegrable_cfg, [50.0, 100.0, 200.0, 400.0])
+
+    @pytest.mark.parametrize("name", ["standard", "general"])
+    def test_row_matches_closed_form_row(self, request, name):
+        # the row is built from the separable forms; the closed forms give
+        # the same determinants up to the phase rounding of the factors
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=100.0)
+        row = _sweep_row(cfg, cfg.x, 1.0, 0.0)
+        rule = _interval_rule(cfg)
+        det_S = nystrom_det(lambda l, m: shift_kernel(l, m, cfg), rule)
+        det_St = nystrom_det(lambda l, m: gsk_kernel(l, m, cfg), rule)
+        ratio = det_S.value / det_St.value
+        assert abs(row.ratio - ratio) <= 1e-12 * abs(ratio)
+        assert abs(row.err - abs(ratio - 1.0)) <= 1e-12 * abs(ratio)
+        assert row.conv_delta == pytest.approx(
+            max(det_S.convergence_delta, det_St.convergence_delta), abs=1e-13)
 
     @pytest.mark.parametrize("xs", [[], [50.0, -1.0, 100.0, 200.0],
                                     [100.0, 50.0, 200.0, 400.0],

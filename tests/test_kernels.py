@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
                               ShiftSpec, M0_kernel, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel, W_kernel,
-                              _phase_parts, _sinc, eval_e, general_kernel_V,
-                              gsk_kernel, gsk_shift_spec, gsk_vector_pair,
+                              _phase_parts, _sinc, bracket_kernel, eval_e,
+                              general_kernel_V, gsk_shift_spec, gsk_vector_pair,
                               near_diagonal_eval, near_diagonal_mask,
-                              problem_config_from_json, shift_kernel)
+                              problem_config_from_json)
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
+
+from closed_forms import gsk_kernel, shift_kernel
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -499,3 +501,125 @@ class TestMaskedAssembly:
         assert seen == [3]
         np.testing.assert_array_equal(np.diag(out), 0.0)
         assert out[0, 1] == 1.0 / (0.0 - 0.5)
+
+
+# --------------------------------------------------------------------------
+# one kernel per operator: the separable forms against the closed forms
+# --------------------------------------------------------------------------
+
+class TestSeparableForms:
+    @pytest.fixture(scope="class", params=[("standard", 50.0), ("standard", 400.0),
+                                           ("general", 50.0), ("general", 400.0)])
+    def grid(self, request):
+        name, x = request.param
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        nodes = gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b).nodes
+        return cfg, gsk_vector_pair(cfg), nodes[:, None], nodes[None, :]
+
+    def test_match_closed_forms_on_the_node_grid(self, grid):
+        # the separable forms round the phase x p / 2 inside each factor
+        # instead of the difference x (p(lam) - p(mu)) / 2, an absolute error
+        # of ~eps x max|p| / (pi |lam - mu|); measured normwise 1.2e-13 at
+        # x = 50 and 3.3e-13 to 6.4e-13 at x = 400 (n = 1019, 1325)
+        cfg, pair, lam, mu = grid
+        for got, want in [
+            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0),
+             shift_kernel(lam, mu, cfg)),
+            (bracket_kernel(lam, mu, pair, cfg.delta0), gsk_kernel(lam, mu, cfg)),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_pole_guard(self):
+        cfg = make_cfg(c=1.0)
+        pair = gsk_vector_pair(cfg)
+        # complex arguments can reach lam - mu = -i c_a
+        with pytest.raises(ValueError, match="shifted pole"):
+            general_kernel_V(0.3 - 1j, 0.3, pair, gsk_shift_spec(cfg), cfg.delta0)
+        # real ones stay |c_a| away, which a shift below the guard still hits
+        tiny = ShiftSpec.make([1.0, 1.0], [-1e-13, 1e-13], [1, 2])
+        with pytest.raises(ValueError, match="shifted pole"):
+            general_kernel_V(0.3, 0.3, pair, tiny, cfg.delta0)
+
+
+# --------------------------------------------------------------------------
+# matrix kernels contracted through BLAS against the c_einsum formulas
+# --------------------------------------------------------------------------
+
+def _chi_factors(lam, mu, chi, shift, ck, cl):
+    """chi^-1 rows at lam + ck[k] and chi columns at mu - cl[l], (..., N, N)."""
+    N = shift.N
+    A = np.stack([chi.chi_inv_at(lam + ck[k])[..., shift.v0[k], :]
+                  for k in range(N)], axis=-2)
+    B = np.stack([chi.chi_at(mu - cl[l])[..., :, l] for l in range(N)], axis=-2)
+    return A, B
+
+
+def _c_einsum_M(lam, mu, chi, shift):
+    A, B = _chi_factors(lam, mu, chi, shift, np.zeros(shift.N), 1j * shift.c)
+    den = lam[..., None, None] - mu[..., None, None] + 1j * shift.c[None, :]
+    return (shift.gamma[:, None] * np.einsum("...kr,...lr->...kl", A, B)
+            / (2j * np.pi * den))
+
+
+def _c_einsum_delta_chi(chi, z1, z2):
+    lam = chi.rule.nodes
+    ker = chi.rule.weights / ((lam - z1[..., None]) * (lam - z2[..., None]))
+    return -np.einsum("...j,jpq->...pq", ker, chi._rho_R)
+
+
+def _c_einsum_N(lam, mu, chi, shift, delta0):
+    """N_kernel with c_einsum contractions; also the scale |pref| (|I| +
+    sum_r |A_kr| |B_lr|) / |den| of the terms that cancel in I - A B."""
+    N = shift.N
+    A, B = _chi_factors(lam, mu, chi, shift, 0.5j * shift.c, 0.5j * shift.c)
+    eye = (shift.v0[:, None] == np.arange(N)[None, :]).astype(complex)
+    csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
+    den = lam[..., None, None] - mu[..., None, None] + 1j * csum
+    pref = np.sign(shift.c)[:, None] * shift.gamma[:, None] / (2j * np.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = pref * (eye - np.einsum("...kr,...lr->...kl", A, B)) / den
+        scale = (np.abs(pref) * (np.abs(eye) + np.einsum(
+            "...kr,...lr->...kl", np.abs(A), np.abs(B))) / np.abs(den))
+    near = near_diagonal_mask(lam, mu, delta0)
+    for k, l in zip(*np.nonzero(np.abs(csum) < 1e-14)):
+        z = np.broadcast_to(lam, near.shape)[near] + 0.5j * shift.c[k]
+        zp = np.broadcast_to(mu, near.shape)[near] - 0.5j * shift.c[l]
+        vals = np.matmul(chi.chi_inv_at(z), _c_einsum_delta_chi(chi, z, zp))
+        out[..., k, l][near] = pref[k, 0] * vals[:, shift.v0[k], l]
+    return out, scale, near
+
+
+@pytest.mark.filterwarnings("ignore::shiftdet.rhp.NearIntervalWarning")
+class TestBlasContractions:
+    @pytest.fixture(scope="class", params=["standard", "nonintegrable"])
+    def solved(self, request):
+        from shiftdet.experiments import _line_rule, _loop_rule
+        from shiftdet.rhp import solve_chi
+        cfg = request.getfixturevalue(request.param + "_cfg")
+        return cfg, solve_chi(cfg), _loop_rule(cfg).nodes, _line_rule(cfg).nodes
+
+    def test_M_kernel(self, solved):
+        cfg, chi, loop, _ = solved
+        got = M_kernel(loop[:, None], loop[None, :], chi, cfg.shift)
+        want = _c_einsum_M(loop[:, None], loop[None, :], chi, cfg.shift)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_delta_chi(self, solved):
+        cfg, chi, _, line = solved
+        z, zp = line + 0.5j * cfg.c, line - 0.5j * cfg.c
+        got = chi.delta_chi(z, zp)
+        want = _c_einsum_delta_chi(chi, z, zp)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_N_kernel(self, solved):
+        # entries of I - chi^-1 chi can cancel to ~1e-2 of their terms
+        # (nonintegrable: normwise 2.2e-13), so off the compensated diagonal
+        # the bound is relative to the terms' own size
+        cfg, chi, _, line = solved
+        lam, mu = line[:, None], line[None, :]
+        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0)
+        want, scale, near = _c_einsum_N(lam, mu, chi, cfg.shift, cfg.delta0)
+        far = np.isfinite(scale) & ~near[..., None, None]
+        assert np.all(np.abs(got - want)[far] <= 1e-14 * scale[far])
+        assert (np.max(np.abs(got - want)[~far])
+                <= 1e-14 * np.max(np.abs(want[~far])))
