@@ -64,7 +64,6 @@ def _parse_xs(text: str) -> List[float]:
 
 
 def _det_json(d: DetResult) -> dict:
-    # elapsed is intentionally omitted: data files must be byte-deterministic
     return {
         "value_re": float(d.value.real),
         "value_im": float(d.value.imag),

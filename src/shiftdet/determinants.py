@@ -15,7 +15,6 @@ quadrature error.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -35,7 +34,6 @@ class DetResult:
     value: complex
     rule_size: int
     convergence_delta: float     # |value - value_at_half_resolution| / |value|
-    elapsed: float               # seconds, both resolutions included
 
     def __post_init__(self):
         if not np.isfinite([self.value]).all():
@@ -61,19 +59,6 @@ def collocation_matrix(K, weights) -> np.ndarray:
     return K
 
 
-def _kernel_matrix(kernel: Callable, rule: QuadratureRule, shape: tuple,
-                   what: str):
-    z = rule.nodes
-    K = kernel(z[:, None], z[None, :])
-    if np.shape(K) != shape:
-        raise NumericError(
-            f"{what} kernel returned shape {np.shape(K)}, expected {shape}")
-    if not np.isfinite(K).all():
-        raise NumericError(f"{what} kernel produced non-finite values at "
-                           f"node pairs")
-    return K
-
-
 def _det(D: np.ndarray) -> complex:
     try:
         det = complex(np.linalg.det(D))
@@ -84,37 +69,40 @@ def _det(D: np.ndarray) -> complex:
     return det
 
 
-def _collocation_det(kernel: Callable, rule: QuadratureRule) -> complex:
-    m = rule.size
-    K = _kernel_matrix(kernel, rule, (m, m), "scalar")
-    return _det(collocation_matrix(K, rule.weights))
+def _collocation_det(kernel: Callable, rule: QuadratureRule,
+                     dim: Optional[int]) -> complex:
+    """det(I + K diag(w)) on the rule; dim None for a scalar kernel."""
+    m, z = rule.size, rule.nodes
+    shape = (m, m) if dim is None else (m, m, dim, dim)
+    what = "scalar" if dim is None else "matrix"
+    K = kernel(z[:, None], z[None, :])
+    if np.shape(K) != shape:
+        raise NumericError(
+            f"{what} kernel returned shape {np.shape(K)}, expected {shape}")
+    if not np.isfinite(K).all():
+        raise NumericError(f"{what} kernel produced non-finite values at "
+                           f"node pairs")
+    if dim is not None:
+        # block (j,k) = w_k * K(z_j, z_k); row-major interleave (node, component)
+        D = np.empty((m * dim, m * dim), dtype=complex)
+        D.reshape(m, dim, m, dim)[...] = np.transpose(K, (0, 2, 1, 3))
+        K = D
+    return _det(collocation_matrix(K, np.repeat(rule.weights, dim or 1)))
 
 
-def _collocation_det_matrix(kernel: Callable, rule: QuadratureRule,
-                            dim: int) -> complex:
-    m = rule.size
-    K = _kernel_matrix(kernel, rule, (m, m, dim, dim), "matrix")
-    # block (j,k) = w_k * K(z_j, z_k); row-major interleave (node, component)
-    D = np.empty((m * dim, m * dim), dtype=complex)
-    D.reshape(m, dim, m, dim)[...] = np.transpose(K, (0, 2, 1, 3))
-    return _det(collocation_matrix(D, np.repeat(rule.weights, dim)))
-
-
-def _half(rule: QuadratureRule) -> QuadratureRule:
-    half = rule.half()
-    if half.size >= rule.size:
+def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
+             value: Optional[complex]) -> DetResult:
+    half_rule = rule.half()
+    if half_rule.size >= rule.size:
         raise ConfigError(
             f"a {rule.domain_kind} rule of {rule.size} nodes is at its floor "
             f"size: its half-resolution rerun is the same rule, so the "
             f"convergence delta would read 0")
-    return half
-
-
-def _wrap(value: complex, half_value: complex, size: int,
-          t0: float) -> DetResult:
-    delta = abs(value - half_value) / max(abs(value), 1e-30)
-    return DetResult(value=value, rule_size=size, convergence_delta=delta,
-                     elapsed=time.perf_counter() - t0)
+    if value is None:
+        value = _collocation_det(kernel, rule, dim)
+    half = _collocation_det(kernel, half_rule, dim)
+    delta = abs(value - half) / max(abs(value), 1e-30)
+    return DetResult(value=value, rule_size=rule.size, convergence_delta=delta)
 
 
 def nystrom_det(kernel: Callable, rule: QuadratureRule,
@@ -127,22 +115,13 @@ def nystrom_det(kernel: Callable, rule: QuadratureRule,
     on ``rule`` passes its determinant as ``value``; only the
     half-resolution rerun is computed then.
     """
-    t0 = time.perf_counter()
-    half_rule = _half(rule)
-    if value is None:
-        value = _collocation_det(kernel, rule)
-    half = _collocation_det(kernel, half_rule)
-    return _wrap(value, half, rule.size, t0)
+    return _nystrom(kernel, rule, None, value)
 
 
 def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,
                        dim: int) -> DetResult:
     """Fredholm determinant of a dim x dim matrix kernel over a rule."""
-    t0 = time.perf_counter()
-    half_rule = _half(rule)
-    value = _collocation_det_matrix(kernel, rule, dim)
-    half = _collocation_det_matrix(kernel, half_rule, dim)
-    return _wrap(value, half, rule.size, t0)
+    return _nystrom(kernel, rule, dim, None)
 
 
 def convergence_study(kernel: Callable, rule: QuadratureRule,
@@ -155,11 +134,5 @@ def convergence_study(kernel: Callable, rule: QuadratureRule,
     """
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
-    out = []
-    for s in sizes:
-        r = rule.with_size(s)
-        if matrix_dim is None:
-            out.append(nystrom_det(kernel, r))
-        else:
-            out.append(nystrom_det_matrix(kernel, r, matrix_dim))
-    return out
+    return [_nystrom(kernel, rule.with_size(s), matrix_dim, None)
+            for s in sizes]

@@ -33,7 +33,7 @@ from .kernels import (ConfigError, M0_kernel, M_kernel, N_kernel,
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule,
                          truncated_line_rule)
-from .rhp import make_alpha, solve_chi
+from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
 
 __all__ = [
     "IdentityReport", "SweepRow", "ComparisonRow",
@@ -109,22 +109,9 @@ def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
     |Im z| < min|c_a|/2) and NumericError on solve/determinant failure.
     """
     cfg.validate()
-    pair = gsk_vector_pair(cfg)
-    chi = solve_chi(cfg, pair)
-    rule_j = chi.rule
-    shift = cfg.shift
-    d0 = cfg.delta0
-
-    det_V = nystrom_det(
-        lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule_j)
-    # solve_chi factored the same I + V~ matrix on rule_j already
-    det_Vt = nystrom_det(chi.kernel, rule_j, value=chi.det_tilde)
-    det_W = nystrom_det(
-        lambda l, m: W_kernel(l, m, chi, pair, shift), rule_j)
-    det_M = nystrom_det_matrix(
-        lambda l, m: M_kernel(l, m, chi, shift), _loop_rule(cfg), shift.N)
-    det_N = nystrom_det_matrix(
-        lambda l, m: N_kernel(l, m, chi, shift, d0), _line_rule(cfg), shift.N)
+    chi = solve_chi(cfg)
+    det_V, det_Vt, det_W, det_M, det_N = (
+        _det(cfg, which, chi=chi) for which in ("V", "Vtilde", "W", "M", "N"))
 
     vV, vT, vW, vM, vN = (det_V.value, det_Vt.value, det_W.value,
                           det_M.value, det_N.value)
@@ -165,21 +152,14 @@ class SweepRow:
 def limit_determinants(cfg: ProblemConfig) -> Tuple[DetResult, DetResult]:
     """det_loop(I+U+) and det_loop(I+U-); depends on F and [a,b] only."""
     alpha = make_alpha(cfg)
-    loop = _loop_rule(cfg)
-    d_up = nystrom_det(lambda l, m: U_plus_kernel(l, m, alpha, cfg.c), loop)
-    d_um = nystrom_det(lambda l, m: U_minus_kernel(l, m, alpha, cfg.c), loop)
-    return d_up, d_um
+    return _det(cfg, "Uplus", alpha=alpha), _det(cfg, "Uminus", alpha=alpha)
 
 
 def _sweep_row(cfg: ProblemConfig, xv: float, limit: complex,
                limit_delta: float) -> SweepRow:
     cfg_x = replace(cfg, x=xv)
     rule = _interval_rule(cfg_x)
-    # the separable forms: O(n) exponentials and a rank-2 GEMM per matrix
-    pair, shift, d0 = gsk_vector_pair(cfg_x), cfg_x.shift, cfg_x.delta0
-    det_S = nystrom_det(
-        lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
-    det_St = nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule)
+    det_S, det_St = (_det(cfg_x, k, rule=rule) for k in ("V", "Vtilde"))
     valid = abs(det_St.value) > 1e-12
     ratio = det_S.value / det_St.value if valid else complex("nan")
     err = abs(ratio / limit - 1.0) if valid else float("nan")
@@ -271,16 +251,10 @@ def m_vs_m0(cfg: ProblemConfig,
     cfg.validate()
     _require_canonical_table(cfg, "the M vs M0 comparison")
     xs = _check_xs([50.0, 100.0, 200.0, 400.0] if xs is None else xs)
-    alpha = make_alpha(cfg)
-    det_M0 = nystrom_det_matrix(
-        lambda l, m: M0_kernel(l, m, alpha, cfg.c), _loop_rule(cfg), 2)
+    det_M0 = _det(cfg, "M0")
 
     def job(xv: float) -> ComparisonRow:
-        cfg_x = replace(cfg, x=xv)
-        chi = solve_chi(cfg_x)
-        det_M = nystrom_det_matrix(
-            lambda l, m: M_kernel(l, m, chi, cfg_x.shift),
-            _loop_rule(cfg_x), cfg_x.shift.N)
+        det_M = _det(replace(cfg, x=xv), "M")
         return ComparisonRow(
             x=float(xv), det_M=det_M, det_M0=det_M0,
             err=abs(det_M.value - det_M0.value),
@@ -295,42 +269,52 @@ def m_vs_m0(cfg: ProblemConfig,
 # single-determinant dispatch
 # --------------------------------------------------------------------------
 
+def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
+         alpha: Optional[AlphaEvaluator] = None,
+         rule: Optional[QuadratureRule] = None) -> DetResult:
+    """The one binding of each of DET_KINDS to its kernel, rule and block size.
+
+    A solved ``chi`` or ``alpha`` is reused; otherwise one is built only for
+    a kind that needs it (V and Vtilde need neither).  ``rule`` is the
+    interval rule of V and Vtilde, chi's rule when chi is given.
+    """
+    shift, d0, c = cfg.shift, cfg.delta0, cfg.c
+    if which in ("V", "Vtilde"):
+        pair = gsk_vector_pair(cfg) if chi is None else chi.pair
+        if rule is None:
+            rule = _interval_rule(cfg) if chi is None else chi.rule
+        if which == "V":
+            return nystrom_det(
+                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
+        # solve_chi factored this same I + V~ matrix on chi.rule already
+        return nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule,
+                           value=None if chi is None else chi.det_tilde)
+    if which in ("W", "M", "N"):
+        if chi is None:
+            chi = solve_chi(cfg)
+        if which == "W":
+            return nystrom_det(
+                lambda l, m: W_kernel(l, m, chi, chi.pair, shift), chi.rule)
+        if which == "M":
+            return nystrom_det_matrix(lambda l, m: M_kernel(l, m, chi, shift),
+                                      _loop_rule(cfg), shift.N)
+        return nystrom_det_matrix(lambda l, m: N_kernel(l, m, chi, shift, d0),
+                                  _line_rule(cfg), shift.N)
+    if alpha is None:
+        alpha = make_alpha(cfg)
+    loop = _loop_rule(cfg)
+    if which == "M0":
+        return nystrom_det_matrix(lambda l, m: M0_kernel(l, m, alpha, c),
+                                  loop, 2)
+    if which == "Uplus":
+        return nystrom_det(lambda l, m: U_plus_kernel(l, m, alpha, c), loop)
+    return nystrom_det(lambda l, m: U_minus_kernel(l, m, alpha, c), loop)
+
+
 def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:
     """One named determinant from the chain (see DET_KINDS)."""
     if which not in DET_KINDS:
         raise ConfigError(f"unknown determinant {which!r}; choose one of "
                           f"{', '.join(DET_KINDS)}")
     cfg.validate()
-    if which in ("V", "Vtilde", "W"):
-        pair = gsk_vector_pair(cfg)
-        if which == "V":
-            shift, d0 = cfg.shift, cfg.delta0
-            return nystrom_det(
-                lambda l, m: general_kernel_V(l, m, pair, shift, d0),
-                _interval_rule(cfg))
-        if which == "Vtilde":
-            # the kernel solve_chi factors, so this equals verify's det_Vtilde
-            return nystrom_det(
-                lambda l, m: bracket_kernel(l, m, pair, cfg.delta0),
-                _interval_rule(cfg))
-        chi = solve_chi(cfg, pair)
-        return nystrom_det(
-            lambda l, m: W_kernel(l, m, chi, pair, cfg.shift), chi.rule)
-    if which == "M":
-        chi = solve_chi(cfg)
-        return nystrom_det_matrix(
-            lambda l, m: M_kernel(l, m, chi, cfg.shift), _loop_rule(cfg),
-            cfg.shift.N)
-    if which == "N":
-        chi = solve_chi(cfg)
-        return nystrom_det_matrix(
-            lambda l, m: N_kernel(l, m, chi, cfg.shift, cfg.delta0),
-            _line_rule(cfg), cfg.shift.N)
-    alpha = make_alpha(cfg)
-    loop = _loop_rule(cfg)
-    if which == "M0":
-        return nystrom_det_matrix(
-            lambda l, m: M0_kernel(l, m, alpha, cfg.c), loop, 2)
-    if which == "Uplus":
-        return nystrom_det(lambda l, m: U_plus_kernel(l, m, alpha, cfg.c), loop)
-    return nystrom_det(lambda l, m: U_minus_kernel(l, m, alpha, cfg.c), loop)
+    return _det(cfg, which)

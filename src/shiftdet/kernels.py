@@ -346,14 +346,17 @@ class ProblemConfig:
     F: FunctionSpec
     p: FunctionSpec
     shift: Optional[ShiftSpec] = None     # None: canonical two-shift table
-    N: int = 2
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def __post_init__(self):
         if self.shift is None:
             self.shift = gsk_shift_spec(self)
-        self.N = self.shift.N
+
+    @property
+    def N(self) -> int:
+        """Block size of the loop and line kernels: the shift table's N."""
+        return self.shift.N
 
     # -- resolved numerics ---------------------------------------------------
     @property

@@ -159,8 +159,9 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2n-1.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 interval nodes, got {n}")
+    if n < MIN_SIZE["interval"]:
+        raise ValueError(
+            f"need n >= {MIN_SIZE['interval']} interval nodes, got {n}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     t, w = _gl01(n)
@@ -185,8 +186,9 @@ def stadium_loop_rule(a: float, b: float, h: float, m: int) -> QuadratureRule:
     """
     if h <= 0:
         raise ValueError(f"need h > 0, got {h}")
-    if m < 8 or m % 2:
-        raise ValueError(f"need even m >= 8 loop nodes, got {m}")
+    if m < MIN_SIZE["loop"] or m % 2:
+        raise ValueError(
+            f"need even m >= {MIN_SIZE['loop']} loop nodes, got {m}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     seg = b - a
@@ -234,8 +236,8 @@ def compactified_line_rule(m: int, map_scale: float) -> QuadratureRule:
     O(1/z^2)-decaying function analytic at infinity is periodic and smooth,
     so the midpoint rule converges spectrally in m.
     """
-    if m < 16:
-        raise ValueError(f"need m >= 16 line nodes, got {m}")
+    if m < MIN_SIZE["line"]:
+        raise ValueError(f"need m >= {MIN_SIZE['line']} line nodes, got {m}")
     if map_scale <= 0:
         raise ValueError(f"need map_scale > 0, got {map_scale}")
     theta = -pi / 2 + (np.arange(m) + 0.5) * (pi / m)
@@ -251,8 +253,8 @@ def truncated_line_rule(m: int, half_length: float) -> QuadratureRule:
     Carries an O(1/T) truncation error for slowly decaying kernels; kept
     behind a config switch, never the default.
     """
-    if m < 16:
-        raise ValueError(f"need m >= 16 line nodes, got {m}")
+    if m < MIN_SIZE["line"]:
+        raise ValueError(f"need m >= {MIN_SIZE['line']} line nodes, got {m}")
     if half_length <= 0:
         raise ValueError(f"need half_length > 0, got {half_length}")
     t, w = _gl01(m)

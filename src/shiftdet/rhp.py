@@ -128,25 +128,8 @@ def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
     return out.reshape(z.shape + (dens.shape[1],))
 
 
-# --------------------------------------------------------------------------
-# chi
-# --------------------------------------------------------------------------
-
-@dataclass
-class ChiSolution:
-    """Nystrom solution of the resolvent equations plus evaluators.
-
-    Immutable after construction; all evaluation methods are read-only and
-    safe to call concurrently.
-    """
-
-    rule: QuadratureRule
-    pair: VectorPairSpec
-    FL_nodes: np.ndarray          # (n, N)
-    FR_nodes: np.ndarray          # (n, N)
-    det_tilde: complex
-    kernel: Callable              # base kernel V~(lam, mu), vectorized
-    bandwidth_hint: int = 0       # Legendre modes needed by the densities
+class _OnCut:
+    """The cut [a, b] of an evaluator built on the Gauss rule ``self.rule``."""
 
     @property
     def a(self) -> float:
@@ -160,6 +143,27 @@ class ChiSolution:
     def near_threshold(self) -> float:
         """Distance below which reconstruction accuracy degrades."""
         return 10.0 * (self.b - self.a) / self.rule.size
+
+
+# --------------------------------------------------------------------------
+# chi
+# --------------------------------------------------------------------------
+
+@dataclass
+class ChiSolution(_OnCut):
+    """Nystrom solution of the resolvent equations plus evaluators.
+
+    Immutable after construction; all evaluation methods are read-only and
+    safe to call concurrently.
+    """
+
+    rule: QuadratureRule
+    pair: VectorPairSpec
+    FL_nodes: np.ndarray          # (n, N)
+    FR_nodes: np.ndarray          # (n, N)
+    det_tilde: complex
+    kernel: Callable              # base kernel V~(lam, mu), vectorized
+    bandwidth_hint: int = 0       # Legendre modes needed by the densities
 
     @property
     def N(self) -> int:
@@ -365,33 +369,23 @@ def jump_residual_chi(lam0: float, eps: float, chi: ChiSolution,
 # --------------------------------------------------------------------------
 
 @dataclass
-class AlphaEvaluator:
+class AlphaEvaluator(_OnCut):
     """Scalar Cauchy-exponential alpha(z); immutable and thread-safe."""
 
     rule: QuadratureRule
     logF_nodes: np.ndarray        # ln(1 + F(lam_j)), principal branch
 
-    @property
-    def a(self) -> float:
-        return self.rule.descriptor["a"]
-
-    @property
-    def b(self) -> float:
-        return self.rule.descriptor["b"]
-
-    @property
-    def near_threshold(self) -> float:
-        return 10.0 * (self.b - self.a) / self.rule.size
+    @cached_property
+    def _density(self) -> np.ndarray:
+        return (self.logF_nodes / (2j * pi)).reshape(-1, 1)
 
     @cached_property
     def _near(self) -> _NearCutCauchy:
-        dens = (self.logF_nodes / (2j * pi)).reshape(-1, 1)
-        return _NearCutCauchy(self.rule, dens, _NEAR_MODE_MARGIN)
+        return _NearCutCauchy(self.rule, self._density, _NEAR_MODE_MARGIN)
 
     def alpha_at(self, z, warn: bool = True) -> np.ndarray:
         """alpha(z) = exp{int_a^b ln(1+F(mu))/(z-mu) dmu / 2 i pi}."""
-        dens = (self.logF_nodes / (2j * pi)).reshape(-1, 1)
-        C = _cauchy_transform(self.rule, dens, self._near,
+        C = _cauchy_transform(self.rule, self._density, self._near,
                               self.near_threshold, z, warn=warn)
         z = np.asarray(z, dtype=complex)
         # C integrates against 1/(mu - z); the exponent uses 1/(z - mu)

@@ -239,16 +239,19 @@ class TestDetCommand:
         prod = vals["Uplus"] * vals["Uminus"]
         assert abs(vals["M0"] - prod) < 1e-12 * abs(prod)
 
-    def test_vtilde_equals_verify(self, tmp_path, config_dir, capsys):
-        config = cfg_path(config_dir, "standard.json")
+    @pytest.mark.parametrize("name", ["standard", "nonintegrable"])
+    def test_chain_kinds_equal_verify(self, tmp_path, config_dir, capsys,
+                                      name):
+        # det and verify bind each kind to the same kernel and rule
+        config = cfg_path(config_dir, name + ".json")
         assert cli.main(["verify", config, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert cli.main(["det", config, "--which", "Vtilde"]) == 0
-        blob = json.loads(capsys.readouterr().out)
         report = read_json(tmp_path / "identity_report.json")
-        want = report["determinants"]["Vtilde"]
-        for key in ("value_re", "value_im", "convergence_delta", "rule_size"):
-            assert blob[key] == want[key]
+        for which, field in (("V", "V"), ("Vtilde", "Vtilde"), ("W", "W"),
+                             ("M", "M_loop"), ("N", "N_line")):
+            assert cli.main(["det", config, "--which", which]) == 0
+            blob = json.loads(capsys.readouterr().out)
+            assert blob == {"which": which, **report["determinants"][field]}
 
     def test_unknown_kind_is_usage_error(self, config_dir):
         with pytest.raises(SystemExit) as exc:

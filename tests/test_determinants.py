@@ -213,7 +213,7 @@ class TestFailureModes:
     def test_non_finite_value_rejected_in_result(self):
         with pytest.raises(NumericError):
             DetResult(value=complex("nan"), rule_size=8,
-                      convergence_delta=0.0, elapsed=0.0)
+                      convergence_delta=0.0)
 
 
 @pytest.mark.parametrize("rule,dim", [

@@ -112,6 +112,11 @@ class TestAsymptoticSweep:
         for d50, d200 in zip(lim50, lim200):
             assert abs(d50.value - d200.value) < 1e-12 * abs(d50.value)
 
+    def test_limit_equals_single_determinants(self, standard_cfg):
+        assert limit_determinants(standard_cfg) == (
+            compute_determinant(standard_cfg, "Uplus"),
+            compute_determinant(standard_cfg, "Uminus"))
+
     def test_limit_factorizes(self, standard_cfg):
         d_up, d_um = limit_determinants(standard_cfg)
         d_m0 = compute_determinant(standard_cfg, "M0")
@@ -190,6 +195,13 @@ class TestMVsM0:
         for x in (50.0, 100.0, 200.0):
             ratio = by_x[2 * x].err / by_x[x].err
             assert 0.3 < ratio < 0.8   # err(2x)/err(x) ~ 1/2
+
+    def test_rows_equal_single_determinants(self, standard_cfg,
+                                            comparison_rows):
+        row = comparison_rows[1]
+        assert row.det_M == compute_determinant(
+            replace(standard_cfg, x=row.x), "M")
+        assert row.det_M0 == compute_determinant(standard_cfg, "M0")
 
     def test_m0_value_is_constant_in_x(self, comparison_rows):
         vals = {r.det_M0 for r in comparison_rows}

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +188,21 @@ class TestProblemConfig:
         blob["extra_knob"] = 1
         with pytest.raises(ConfigError):
             problem_config_from_json(blob)
+
+    def test_readme_example_loads(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) == 1
+        cfg = problem_config_from_json(json.loads(blocks[0]))
+        assert (cfg.a, cfg.b, cfg.x) == (-1.0, 1.0, 50.0)
+        cfg.validate()
+
+    def test_block_size_is_the_shift_tables(self, nonintegrable_cfg):
+        for cfg in (make_cfg(), nonintegrable_cfg):
+            assert cfg.N == cfg.shift.N
+        with pytest.raises(TypeError):
+            make_cfg(N=7)
 
 
 class TestPlaneWaveAndSine:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from shiftdet.quadrature import (QuadratureRule, compactified_line_rule,
+from shiftdet.quadrature import (MIN_SIZE, QuadratureRule,
+                                 compactified_line_rule,
                                  gauss_legendre_rule, stadium_loop_rule,
                                  truncated_line_rule, winding_number, _gl01,
                                  _legendre_gauss)
@@ -256,6 +257,18 @@ class TestLineRules:
 
 
 class TestRuleContainer:
+    @pytest.mark.parametrize("kind,build", [
+        ("interval", lambda n: gauss_legendre_rule(n, -1.0, 1.0)),
+        ("loop", lambda m: stadium_loop_rule(-1.0, 1.0, 0.25, m)),
+        ("line", lambda m: compactified_line_rule(m, 1.0)),
+        ("line", lambda m: truncated_line_rule(m, 100.0)),
+    ])
+    def test_constructors_stop_at_the_floor(self, kind, build):
+        floor = MIN_SIZE[kind]
+        assert build(floor).size == floor
+        with pytest.raises(ValueError, match=f">= {floor} "):
+            build(floor - 2 if kind == "loop" else floor - 1)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.zeros(3), weights=np.zeros(2),
