@@ -315,10 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (NumericError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

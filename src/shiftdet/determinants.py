@@ -8,10 +8,10 @@ split symmetrically: contour weights are complex, so sqrt(w) is ill-defined,
 and the determinant is invariant under the similarity that separates the two
 choices anyway.
 
-Every determinant is returned together with a convergence delta -- the
-relative change against an automatic half-resolution rerun -- so downstream
-identity residuals can certify that they measure mathematics rather than
-quadrature error.
+Every determinant is returned together with its value at an automatic
+half-resolution rerun; their relative change, the convergence delta, lets
+downstream identity residuals certify that they measure mathematics rather
+than quadrature error.
 """
 from __future__ import annotations
 
@@ -29,17 +29,20 @@ __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study"
 
 @dataclass(frozen=True)
 class DetResult:
-    """A determinant value plus the evidence that it has converged."""
+    """A determinant value plus its value at half resolution."""
 
     value: complex
+    half: complex                # the same determinant on rule.half()
     rule_size: int
-    convergence_delta: float     # |value - value_at_half_resolution| / |value|
 
     def __post_init__(self):
-        if not np.isfinite([self.value]).all():
+        if not np.isfinite([self.value, self.half]).all():
             raise NumericError("determinant value is not finite")
-        if not np.isfinite(self.convergence_delta):
-            raise NumericError("convergence delta is not finite")
+
+    @property
+    def convergence_delta(self) -> float:
+        """|value - half| / |value|: the evidence that value has converged."""
+        return abs(self.value - self.half) / max(abs(self.value), 1e-30)
 
 
 def collocation_matrix(K, weights) -> np.ndarray:
@@ -100,9 +103,7 @@ def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
             f"convergence delta would read 0")
     if value is None:
         value = _collocation_det(kernel, rule, dim)
-    half = _collocation_det(kernel, half_rule, dim)
-    delta = abs(value - half) / max(abs(value), 1e-30)
-    return DetResult(value=value, rule_size=rule.size, convergence_delta=delta)
+    return DetResult(value, _collocation_det(kernel, half_rule, dim), rule.size)
 
 
 def nystrom_det(kernel: Callable, rule: QuadratureRule,

@@ -21,15 +21,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .determinants import DetResult, nystrom_det, nystrom_det_matrix
-from .kernels import (ConfigError, M0_kernel, M_kernel, N_kernel,
-                      NumericError, ProblemConfig, U_minus_kernel,
-                      U_plus_kernel, W_kernel, bracket_kernel,
-                      general_kernel_V, gsk_shift_spec, gsk_vector_pair)
+from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
+                      ProblemConfig, U_minus_kernel, U_plus_kernel, W_kernel,
+                      bracket_kernel, general_kernel_V, gsk_shift_spec,
+                      gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule,
                          truncated_line_rule)
@@ -44,7 +44,7 @@ __all__ = [
 
 DET_KINDS = ("V", "Vtilde", "W", "M", "N", "M0", "Uplus", "Uminus")
 
-# default ceiling of the sweep / m-vs-m0 thread pool (SHIFTDET_THREADS overrides)
+# ceiling of the sweep / m-vs-m0 thread pool
 MAX_THREADS = 8
 
 
@@ -52,32 +52,24 @@ MAX_THREADS = 8
 # rule builders
 # --------------------------------------------------------------------------
 
-def _interval_rule(cfg: ProblemConfig, n: Optional[int] = None) -> QuadratureRule:
-    return gauss_legendre_rule(n or cfg.resolved_n(), cfg.a, cfg.b)
+def _interval_rule(cfg: ProblemConfig) -> QuadratureRule:
+    return gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b)
 
 
-def _loop_rule(cfg: ProblemConfig, m: Optional[int] = None) -> QuadratureRule:
+def _loop_rule(cfg: ProblemConfig) -> QuadratureRule:
     return stadium_loop_rule(cfg.a, cfg.b, cfg.resolved_h(),
-                             m or cfg.numerics.m_loop)
+                             cfg.numerics.m_loop)
 
 
-def _line_rule(cfg: ProblemConfig, m: Optional[int] = None) -> QuadratureRule:
-    m = m or cfg.numerics.m_line
-    if cfg.numerics.line_rule == "truncated":
-        return truncated_line_rule(m, cfg.numerics.line_truncation)
-    return compactified_line_rule(m, cfg.numerics.map_scale)
+def _line_rule(cfg: ProblemConfig) -> QuadratureRule:
+    nm = cfg.numerics
+    if nm.line_rule == "truncated":
+        return truncated_line_rule(nm.m_line, nm.line_truncation)
+    return compactified_line_rule(nm.m_line, nm.map_scale)
 
 
 def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("SHIFTDET_THREADS", "")
-    workers = min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
-    if cap.strip():
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(
-                f"SHIFTDET_THREADS must be an integer, got {cap!r}") from None
-    return max(1, workers)
+    return min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
 
 
 # --------------------------------------------------------------------------
@@ -158,8 +150,7 @@ def limit_determinants(cfg: ProblemConfig) -> Tuple[DetResult, DetResult]:
 def _sweep_row(cfg: ProblemConfig, xv: float, limit: complex,
                limit_delta: float) -> SweepRow:
     cfg_x = replace(cfg, x=xv)
-    rule = _interval_rule(cfg_x)
-    det_S, det_St = (_det(cfg_x, k, rule=rule) for k in ("V", "Vtilde"))
+    det_S, det_St = (_det(cfg_x, k) for k in ("V", "Vtilde"))
     valid = abs(det_St.value) > 1e-12
     ratio = det_S.value / det_St.value if valid else complex("nan")
     err = abs(ratio / limit - 1.0) if valid else float("nan")
@@ -182,6 +173,8 @@ def _check_xs(xs: Sequence[float]) -> List[float]:
     xs = [float(v) for v in xs]
     if not xs:
         raise ConfigError("x list is empty")
+    if not np.isfinite(xs).all():
+        raise ConfigError(f"x values must be finite, got {xs}")
     if any(v <= 0 for v in xs):
         raise ConfigError("all x values must be positive")
     if sorted(xs) != xs or len(set(xs)) != len(xs):
@@ -192,19 +185,17 @@ def _check_xs(xs: Sequence[float]) -> List[float]:
 def asymptotic_sweep(cfg: ProblemConfig, xs: Sequence[float]) -> List[SweepRow]:
     """One SweepRow per x, ascending; rows are computed concurrently.
 
-    The limit det_loop(I+U+) det_loop(I+U-) is x-independent and computed
-    once.  SHIFTDET_THREADS caps the worker count.
+    The limit det_loop(I+M0) = det_loop(I+U+) det_loop(I+U-) is
+    x-independent and computed once.
     """
     cfg.validate()
     # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
     _require_canonical_table(cfg, "the asymptotic sweep")
     xs = _check_xs(xs)
-    d_up, d_um = limit_determinants(cfg)
-    limit = d_up.value * d_um.value
-    if abs(limit) < 1e-30:
+    limit = _det(cfg, "M0")
+    if abs(limit.value) < 1e-30:
         raise NumericError("asymptotic limit determinant vanished")
-    limit_delta = max(d_up.convergence_delta, d_um.convergence_delta)
-    job = lambda xv: _sweep_row(cfg, xv, limit, limit_delta)
+    job = lambda xv: _sweep_row(cfg, xv, limit.value, limit.convergence_delta)
     with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
         return list(pool.map(job, xs))
 
@@ -245,8 +236,8 @@ def m_vs_m0(cfg: ProblemConfig,
             xs: Optional[Sequence[float]] = None) -> List[ComparisonRow]:
     """Compare det_loop(I+M) against its x-independent limit det_loop(I+M0).
 
-    M0 = diag(U-, U+) uses only alpha, so it is computed once; each row
-    solves the resolvent at its own x-scaled resolution and assembles M.
+    det(I+M0) uses only alpha, so it is computed once; each row solves the
+    resolvent at its own x-scaled resolution and assembles M.
     """
     cfg.validate()
     _require_canonical_table(cfg, "the M vs M0 comparison")
@@ -270,19 +261,18 @@ def m_vs_m0(cfg: ProblemConfig,
 # --------------------------------------------------------------------------
 
 def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
-         alpha: Optional[AlphaEvaluator] = None,
-         rule: Optional[QuadratureRule] = None) -> DetResult:
+         alpha: Optional[AlphaEvaluator] = None) -> DetResult:
     """The one binding of each of DET_KINDS to its kernel, rule and block size.
 
     A solved ``chi`` or ``alpha`` is reused; otherwise one is built only for
-    a kind that needs it (V and Vtilde need neither).  ``rule`` is the
-    interval rule of V and Vtilde, chi's rule when chi is given.
+    a kind that needs it (V and Vtilde need neither; M0 is built from the
+    ``limit_determinants`` pair).  V and Vtilde use chi's interval rule when
+    chi is given.
     """
     shift, d0, c = cfg.shift, cfg.delta0, cfg.c
     if which in ("V", "Vtilde"):
         pair = gsk_vector_pair(cfg) if chi is None else chi.pair
-        if rule is None:
-            rule = _interval_rule(cfg) if chi is None else chi.rule
+        rule = _interval_rule(cfg) if chi is None else chi.rule
         if which == "V":
             return nystrom_det(
                 lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
@@ -300,15 +290,15 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
                                       _loop_rule(cfg), shift.N)
         return nystrom_det_matrix(lambda l, m: N_kernel(l, m, chi, shift, d0),
                                   _line_rule(cfg), shift.N)
+    if which == "M0":
+        # M0 = diag(U-, U+): the Nystrom determinant of a block-diagonal
+        # kernel is the product of its blocks' determinants on the same rule
+        up, um = limit_determinants(cfg)
+        return DetResult(up.value * um.value, up.half * um.half, up.rule_size)
     if alpha is None:
         alpha = make_alpha(cfg)
-    loop = _loop_rule(cfg)
-    if which == "M0":
-        return nystrom_det_matrix(lambda l, m: M0_kernel(l, m, alpha, c),
-                                  loop, 2)
-    if which == "Uplus":
-        return nystrom_det(lambda l, m: U_plus_kernel(l, m, alpha, c), loop)
-    return nystrom_det(lambda l, m: U_minus_kernel(l, m, alpha, c), loop)
+    U = U_plus_kernel if which == "Uplus" else U_minus_kernel
+    return nystrom_det(lambda l, m: U(l, m, alpha, c), _loop_rule(cfg))
 
 
 def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:

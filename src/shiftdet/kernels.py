@@ -3,7 +3,7 @@
 Builds every kernel in the factorization chain -- the generalized sine
 kernel S~, its shifted companion S, the general V with shift table, the
 one-dimensional reduction W, the loop/line matrix kernels M and N, and the
-asymptotic kernels U+/U-/M0 -- from a small registry of admissible
+asymptotic kernels U+/U- -- from a small registry of admissible
 amplitude/phase functions.
 
 All evaluators are vectorized: scalar kernels map broadcastable complex
@@ -15,8 +15,8 @@ divided-difference forms that carry no cancellation, switched on at
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from math import ceil, pi
+from dataclasses import dataclass, field, fields
+from math import ceil, isfinite, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ __all__ = [
     "problem_config_from_json",
     "eval_e", "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
     "W_kernel", "M_kernel", "N_kernel",
-    "U_plus_kernel", "U_minus_kernel", "M0_kernel",
+    "U_plus_kernel", "U_minus_kernel",
     "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
 ]
 
@@ -221,12 +221,23 @@ class FunctionSpec:
         return out
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON int or float (not a bool) that is finite as a double."""
+    try:
+        return not isinstance(v, bool) and isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _parse_scalar(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, dict) and set(v) <= {"_re", "_im"}:
-        return complex(v.get("_re", 0.0), v.get("_im", 0.0))
-    raise ConfigError(f"{where}: expected a number or {{_re, _im}} pair, got {v!r}")
+        parts = (v.get("_re", 0.0), v.get("_im", 0.0))
+    else:
+        parts = (v, 0.0)
+    if not all(map(_is_finite_number, parts)):
+        raise ConfigError(f"{where}: expected a finite number or {{_re, _im}} "
+                          f"pair, got {v!r}")
+    return complex(*parts)
 
 
 def _emit_scalar(v: complex):
@@ -367,12 +378,11 @@ class ProblemConfig:
         grid = np.linspace(self.a, self.b, 512)
         return float(np.max(np.real(self.p.deriv(grid))))
 
-    def resolved_n(self, x: Optional[float] = None) -> int:
+    def resolved_n(self) -> int:
         """Interval resolution: >= 8 nodes per oscillation period, floor 64."""
         if self.numerics.n_interval is not None:
             return self.numerics.n_interval
-        x = self.x if x is None else x
-        return max(64, ceil(8.0 * x * self.max_phase_slope()
+        return max(64, ceil(8.0 * self.x * self.max_phase_slope()
                             * (self.b - self.a) / (2.0 * pi)))
 
     def resolved_h(self) -> float:
@@ -389,6 +399,12 @@ class ProblemConfig:
         if self.c <= 0:
             raise ConfigError(f"need c > 0, got {self.c}")
         self.shift.validate()
+        nm = self.numerics
+        for name in ("m_loop", "m_line", "h", "rho", "map_scale",
+                     "line_truncation"):
+            value = getattr(nm, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"numerics.{name} must be positive")
         h = self.resolved_h()
         half_strip = float(np.min(np.abs(self.shift.c))) / 2.0
         if h >= half_strip:
@@ -396,10 +412,6 @@ class ProblemConfig:
                 f"loop half-height h={h} violates the strip constraint "
                 f"h < min|c_a|/2 = {half_strip}: the contour must stay inside "
                 f"|Im z| < min|c_a|/2")
-        nm = self.numerics
-        for name in ("m_loop", "m_line", "rho", "map_scale", "line_truncation"):
-            if getattr(nm, name) <= 0:
-                raise ConfigError(f"numerics.{name} must be positive")
         # a rule at its kind's floor size is its own half-resolution rule,
         # so every convergence delta on it would read 0
         for name, kind in (("n_interval", "interval"), ("m_loop", "loop"),
@@ -446,7 +458,7 @@ class ProblemConfig:
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:
         nm, tl = self.numerics, self.tolerances
-        out = {
+        return {
             "interval": {"a": self.a, "b": self.b},
             "x": self.x,
             "c": self.c,
@@ -457,30 +469,47 @@ class ProblemConfig:
                 "c": [float(v) for v in self.shift.c],
                 "v": [int(v) for v in self.shift.v],
             },
-            "numerics": {
-                "m_loop": nm.m_loop, "m_line": nm.m_line, "rho": nm.rho,
-                "map_scale": nm.map_scale, "line_rule": nm.line_rule,
-                "line_truncation": nm.line_truncation,
-            },
-            "tolerances": {
-                "r1": tl.r1, "r2": tl.r2, "r3": tl.r3,
-                "slope_min": tl.slope_min, "slope_max": tl.slope_max,
-            },
+            # an unset (None) numerics field is resolved, so not echoed
+            "numerics": {f.name: getattr(nm, f.name) for f in fields(nm)
+                         if getattr(nm, f.name) is not None},
+            "tolerances": {f.name: getattr(tl, f.name) for f in fields(tl)},
         }
-        if nm.n_interval is not None:
-            out["numerics"]["n_interval"] = nm.n_interval
-        if nm.h is not None:
-            out["numerics"]["h"] = nm.h
-        return out
+
+
+# JSON type of each NumericsConfig / ToleranceConfig field; any other is a float
+_FIELD_TYPES = {"n_interval": int, "m_loop": int, "m_line": int,
+                "line_rule": str}
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise ConfigError(f"{where}: missing required field {key!r}")
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: field {key!r} must be a number, got {v!r}")
+    if not _is_finite_number(v):
+        raise ConfigError(
+            f"{where}: field {key!r} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _parse_fields(cls, raw, where: str):
+    """A NumericsConfig or ToleranceConfig from its (optional) JSON object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be an object")
+    names = [f.name for f in fields(cls)]
+    bad = set(raw) - set(names)
+    if bad:
+        raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
+    out = cls()
+    for key in (n for n in names if n in raw):
+        kind = _FIELD_TYPES.get(key, float)
+        value = raw[key]
+        if kind is float:
+            value = _require_number(raw, key, where)
+        elif kind is int and (not isinstance(value, int)
+                              or isinstance(value, bool)):
+            raise ConfigError(f"{where}.{key} must be an integer")
+        setattr(out, key, value)
+    return out
 
 
 def problem_config_from_json(obj: dict) -> ProblemConfig:
@@ -522,42 +551,13 @@ def problem_config_from_json(obj: dict) -> ProblemConfig:
                 raise
             raise ConfigError(f"config.shifts: {exc}") from exc
 
-    nm = NumericsConfig()
-    if "numerics" in obj:
-        raw = obj["numerics"]
-        if not isinstance(raw, dict):
-            raise ConfigError("config.numerics: must be an object")
-        known = {"n_interval", "m_loop", "m_line", "h", "rho", "map_scale",
-                 "line_rule", "line_truncation"}
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"config.numerics: unknown fields {sorted(bad)}")
-        for key in ("n_interval", "m_loop", "m_line"):
-            if key in raw:
-                if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-                    raise ConfigError(f"config.numerics.{key} must be an integer")
-                setattr(nm, key, raw[key])
-        for key in ("h", "rho", "map_scale", "line_truncation"):
-            if key in raw:
-                setattr(nm, key, _require_number(raw, key, "config.numerics"))
-        if "line_rule" in raw:
-            nm.line_rule = raw["line_rule"]
-
-    tl = ToleranceConfig()
-    if "tolerances" in obj:
-        raw = obj["tolerances"]
-        if not isinstance(raw, dict):
-            raise ConfigError("config.tolerances: must be an object")
-        known = {"r1", "r2", "r3", "slope_min", "slope_max"}
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"config.tolerances: unknown fields {sorted(bad)}")
-        for key in known:
-            if key in raw:
-                setattr(tl, key, _require_number(raw, key, "config.tolerances"))
-        for key in ("r1", "r2", "r3"):
-            if getattr(tl, key) <= 0:
-                raise ConfigError(f"config.tolerances.{key} must be positive")
+    nm = _parse_fields(NumericsConfig, obj.get("numerics", {}),
+                       "config.numerics")
+    tl = _parse_fields(ToleranceConfig, obj.get("tolerances", {}),
+                       "config.tolerances")
+    for key in ("r1", "r2", "r3"):
+        if getattr(tl, key) <= 0:
+            raise ConfigError(f"config.tolerances.{key} must be positive")
 
     cfg = ProblemConfig(a=a, b=b, x=x, c=c, F=F, p=p, shift=shift,
                         numerics=nm, tolerances=tl)
@@ -768,18 +768,3 @@ def U_minus_kernel(lam, mu, alpha, c: float):
     return (alpha.alpha_at(lam) / alpha.alpha_at(mu + 1j * c)
             / (2j * pi * (lam - mu - 1j * c)))
 
-
-def M0_kernel(lam, mu, alpha, c: float):
-    """Block-diagonal comparison kernel diag(U-, U+) (2x2).
-
-    The leading large-x substitute for M: replacing chi by the diagonal
-    alpha-matrix in M collapses the off-diagonal entries and leaves U- in
-    the (1,1) slot and U+ in the (2,2) slot.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    shape = np.broadcast(lam, mu).shape
-    out = np.zeros(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c)
-    out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c)
-    return out

@@ -1,17 +1,22 @@
-"""Closed forms of the sine kernel S~ and the shifted kernel S, as oracles.
+"""Closed forms of the sine kernel S~ and the shifted kernel S, and the
+block kernel M0 = diag(U-, U+), as oracles.
 
 The package builds both operators from the separable forms only:
 S~ = ``bracket_kernel(gsk_vector_pair(cfg))`` and
 S = ``general_kernel_V(gsk_vector_pair(cfg), gsk_shift_spec(cfg))``.
 The closed forms below evaluate sin/exp of the phase difference directly,
 so they are an independent check of those constructions.
+
+The package computes det(I+M0) as det(I+U-) det(I+U+); ``M0_kernel`` is
+the 2x2 block kernel whose dense 2m x 2m Nystrom determinant checks that
+product.
 """
 from math import pi
 
 import numpy as np
 
-from shiftdet.kernels import (_gsk_near, _phase_parts, _sinc,
-                              near_diagonal_eval)
+from shiftdet.kernels import (U_minus_kernel, U_plus_kernel, _gsk_near,
+                              _phase_parts, _sinc, near_diagonal_eval)
 
 
 def _phase(lam, mu, cfg):
@@ -64,3 +69,19 @@ def shift_kernel(lam, mu, cfg):
                 / (pi * (dn * dn + c * c)))
 
     return near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
+
+
+def M0_kernel(lam, mu, alpha, c):
+    """Block-diagonal comparison kernel diag(U-, U+) (2x2).
+
+    The leading large-x substitute for M: replacing chi by the diagonal
+    alpha-matrix in M collapses the off-diagonal entries and leaves U- in
+    the (1,1) slot and U+ in the (2,2) slot.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    shape = np.broadcast(lam, mu).shape
+    out = np.zeros(shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c)
+    out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c)
+    return out

@@ -141,13 +141,15 @@ class TestConfigErrors:
         assert cli.main(["verify", config, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("field,size", [("m_line", 16), ("m_loop", 8),
-                                            ("n_interval", 2), ("m_loop", 31)])
+                                            ("n_interval", 2), ("m_loop", 31),
+                                            ("h", 0.0), ("h", -0.25)])
     def test_rule_without_smaller_half_rejected(self, tmp_path, config_dir,
                                                 capsys, field, size):
         # at its floor size a rule is its own half-resolution rerun: with
         # m_line = 16 the line determinant's delta read 0 and r3 = 1.1e-5
         # was certified on an unconverged value.  An odd loop size has no
-        # rule at all.
+        # rule at all, and neither has a loop of height h <= 0 (which passes
+        # the strip check h < min|c_a|/2 and used to exit 3).
         config = write_config(tmp_path,
                               cfg_path(config_dir, "standard.json"),
                               **{"numerics." + field: size})
@@ -161,6 +163,26 @@ class TestConfigErrors:
                               cfg_path(config_dir, "standard.json"),
                               **{"F.value": 1.0})
         assert cli.main(["verify", config, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv,patch", [
+        (["verify"], {"x": float("inf")}),
+        (["verify"], {"x": float("nan")}),
+        (["verify"], {"F.value": float("nan")}),
+        (["verify"], {"numerics.rho": float("inf")}),
+        (["sweep", "--x", "25,50,100,1e400"], {}),
+        (["sweep", "--x", "25,50,100,nan"], {}),
+        (["m-vs-m0", "--x", "50,100,200,inf"], {}),
+    ], ids=["x-inf", "x-nan", "F-nan", "rho-inf", "sweep-x-overflow",
+            "sweep-x-nan", "m-vs-m0-x-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, config_dir, capsys,
+                                        argv, patch):
+        # json reads Infinity and NaN, and float() reads 1e400 as inf: an
+        # infinite x used to end in an OverflowError traceback, a NaN in exit 3
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"), **patch)
+        rc = cli.main([argv[0], config, "--out", str(tmp_path), *argv[1:]])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -4,13 +4,13 @@ import pytest
 from shiftdet.determinants import (DetResult, collocation_matrix,
                                    convergence_study, nystrom_det,
                                    nystrom_det_matrix)
-from shiftdet.kernels import (ConfigError, M0_kernel, M_kernel, NumericError,
+from shiftdet.kernels import (ConfigError, M_kernel, NumericError,
                               U_minus_kernel, U_plus_kernel, gsk_shift_spec)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha
 
-from closed_forms import gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, gsk_kernel, shift_kernel
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -212,8 +212,9 @@ class TestFailureModes:
 
     def test_non_finite_value_rejected_in_result(self):
         with pytest.raises(NumericError):
-            DetResult(value=complex("nan"), rule_size=8,
-                      convergence_delta=0.0)
+            DetResult(value=complex("nan"), half=1.0, rule_size=8)
+        with pytest.raises(NumericError):
+            DetResult(value=1.0, half=complex("inf"), rule_size=8)
 
 
 @pytest.mark.parametrize("rule,dim", [

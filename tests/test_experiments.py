@@ -5,17 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftdet.determinants import nystrom_det
+from shiftdet.determinants import nystrom_det, nystrom_det_matrix
 from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
-                                  _sweep_row, _worker_count,
+                                  _loop_rule, _sweep_row, _worker_count,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
                               ShiftSpec, problem_config_from_json)
-from shiftdet.rhp import solve_chi
+from shiftdet.rhp import make_alpha, solve_chi
 
-from closed_forms import gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, gsk_kernel, shift_kernel
 
 
 @pytest.fixture(scope="module")
@@ -233,25 +233,39 @@ class TestComputeDeterminant:
             res = compute_determinant(trivial_cfg, which)
             assert abs(res.value - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial"])
+    def test_m0_equals_dense_block_determinant(self, request, name):
+        # the package multiplies det(I+U-) and det(I+U+); the oracle factors
+        # the 2m x 2m collocation matrix of the block kernel diag(U-, U+)
+        cfg = request.getfixturevalue(name + "_cfg")
+        alpha = make_alpha(cfg)
+        dense = nystrom_det_matrix(
+            lambda l, m: M0_kernel(l, m, alpha, cfg.c), _loop_rule(cfg), 2)
+        res = compute_determinant(cfg, "M0")
+        assert res.rule_size == dense.rule_size == cfg.numerics.m_loop
+        assert abs(res.value - dense.value) <= 1e-13 * abs(dense.value)
+        assert abs(res.half - dense.half) <= 1e-13 * abs(dense.half)
+
+    @pytest.mark.parametrize("name", ["standard", "trivial"])
+    def test_limit_delta_is_the_products(self, request, name):
+        # the half-resolution change of U+ U- can exceed max(dU+, dU-)
+        cfg = request.getfixturevalue(name + "_cfg")
+        up, um = limit_determinants(cfg)
+        P, P_half = up.value * um.value, up.half * um.half
+        delta = abs(P - P_half) / abs(P)
+        assert compute_determinant(cfg, "M0").convergence_delta == delta
+        rows = asymptotic_sweep(cfg, [25.0, 50.0, 100.0, 200.0])
+        assert all(r.conv_delta >= delta for r in rows)
+        assert any(r.conv_delta == delta for r in rows)
+
 
 class TestWorkerConfiguration:
-    def test_single_thread_accepted(self, standard_cfg, monkeypatch):
-        monkeypatch.setenv("SHIFTDET_THREADS", "1")
-        rows = asymptotic_sweep(standard_cfg, [50.0, 100.0, 200.0, 400.0])
-        assert len(rows) == 4
-
-    def test_garbage_thread_count_rejected(self, standard_cfg, monkeypatch):
-        monkeypatch.setenv("SHIFTDET_THREADS", "abc")
-        with pytest.raises(ConfigError):
-            asymptotic_sweep(standard_cfg, [50.0, 100.0, 200.0, 400.0])
-
     def test_default_pool_capped_at_eight(self, monkeypatch):
-        monkeypatch.delenv("SHIFTDET_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert _worker_count(20) == 8
         assert _worker_count(3) == 3
-        monkeypatch.setenv("SHIFTDET_THREADS", "2")
-        assert _worker_count(20) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(20) == 1
 
 
 def test_invalid_config_rejected_up_front():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
-                              ShiftSpec, M0_kernel, M_kernel, N_kernel,
+                              ShiftSpec, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel, W_kernel,
                               _phase_parts, _sinc, bracket_kernel, eval_e,
                               general_kernel_V, gsk_shift_spec, gsk_vector_pair,
@@ -17,7 +17,7 @@ from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
-from closed_forms import gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, gsk_kernel, shift_kernel
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
