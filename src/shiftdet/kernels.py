@@ -281,8 +281,8 @@ class ShiftSpec:
         n = self.N
         if not (len(self.c) == n and len(self.v) == n):
             raise ConfigError("shift table lists gamma, c, v must have equal length")
-        if np.any(self.c == 0.0):
-            raise ConfigError("every shift c_a must be nonzero")
+        if np.any(self.c == 0.0) or not np.isfinite(self.c).all():
+            raise ConfigError("every shift c_a must be finite and nonzero")
         if np.any((self.v < 1) | (self.v > n)):
             raise ConfigError(f"shift indices v must lie in 1..{n}")
 

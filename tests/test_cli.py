@@ -169,10 +169,13 @@ class TestConfigErrors:
         (["verify"], {"x": float("nan")}),
         (["verify"], {"F.value": float("nan")}),
         (["verify"], {"numerics.rho": float("inf")}),
+        (["verify"], {"shifts.gamma": [1.0, 1.0], "shifts.c": [float("nan"), 1.0],
+                      "shifts.v": [1, 2]}),
         (["sweep", "--x", "25,50,100,1e400"], {}),
         (["sweep", "--x", "25,50,100,nan"], {}),
         (["m-vs-m0", "--x", "50,100,200,inf"], {}),
-    ], ids=["x-inf", "x-nan", "F-nan", "rho-inf", "sweep-x-overflow",
+    ], ids=["x-inf", "x-nan", "F-nan", "rho-inf", "shift-c-nan",
+            "sweep-x-overflow",
             "sweep-x-nan", "m-vs-m0-x-inf"])
     def test_non_finite_number_rejected(self, tmp_path, config_dir, capsys,
                                         argv, patch):
