@@ -8,8 +8,7 @@ det(I+S)/det(I+S~) -> det_loop(I+U+) det_loop(I+U-).
 
 __version__ = "0.1.0"
 
-from .determinants import (DetResult, convergence_study, nystrom_det,
-                           nystrom_det_matrix)
+from .determinants import DetResult, nystrom_det, nystrom_det_matrix
 from .experiments import (ComparisonRow, IdentityReport, SweepRow,
                           asymptotic_sweep, compute_determinant,
                           fit_decay_slope, limit_determinants, m_vs_m0,
@@ -21,7 +20,7 @@ from .kernels import (ConfigError, FunctionSpec, NumericError,
                       problem_config_from_json)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule,
-                         truncated_line_rule, winding_number)
+                         truncated_line_rule)
 from .rhp import (AlphaEvaluator, ChiSolution, NearIntervalWarning,
                   jump_residual_chi, make_alpha, solve_chi)
 
@@ -34,10 +33,10 @@ __all__ = [
     "eval_e", "general_kernel_V",
     "gsk_vector_pair", "gsk_shift_spec",
     "QuadratureRule", "gauss_legendre_rule", "stadium_loop_rule",
-    "compactified_line_rule", "truncated_line_rule", "winding_number",
+    "compactified_line_rule", "truncated_line_rule",
     "ChiSolution", "AlphaEvaluator", "NearIntervalWarning",
     "solve_chi", "make_alpha", "jump_residual_chi",
-    "DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study",
+    "DetResult", "nystrom_det", "nystrom_det_matrix",
     "IdentityReport", "SweepRow", "ComparisonRow",
     "verify_factorization", "asymptotic_sweep", "fit_decay_slope",
     "limit_determinants", "m_vs_m0", "compute_determinant",

@@ -16,14 +16,14 @@ than quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .kernels import ConfigError, NumericError
 from .quadrature import QuadratureRule
 
-__all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix", "convergence_study",
+__all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
            "collocation_matrix"]
 
 
@@ -123,17 +123,3 @@ def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,
                        dim: int) -> DetResult:
     """Fredholm determinant of a dim x dim matrix kernel over a rule."""
     return _nystrom(kernel, rule, dim, None)
-
-
-def convergence_study(kernel: Callable, rule: QuadratureRule,
-                      sizes: Sequence[int],
-                      matrix_dim: Optional[int] = None) -> List[DetResult]:
-    """Determinants of one kernel across increasing rule sizes.
-
-    Rebuilds the rule at each size from its descriptor, so the geometry
-    (interval, loop, line) is preserved while only the resolution changes.
-    """
-    if list(sizes) != sorted(set(sizes)):
-        raise ValueError("sizes must be strictly increasing")
-    return [_nystrom(kernel, rule.with_size(s), matrix_dim, None)
-            for s in sizes]

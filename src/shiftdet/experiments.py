@@ -12,6 +12,9 @@ Three layers of claims are made checkable here:
 * m_vs_m0 -- the mechanism behind that limit: det_loop(I+M) approaches
   det_loop(I+M0) at the O(1/x) rate, measured through err(x)/err(2x) ratios.
 
+The two x-ladders share one driver, and every pass/fail decision is made
+here: verify's tolerances and certification, and both ladders' summaries.
+
 Each reported determinant carries its half-resolution convergence delta, and
 a residual is only certified when every determinant feeding it has converged
 at least 10x below that residual's tolerance.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,13 +42,19 @@ __all__ = [
     "IdentityReport", "SweepRow", "ComparisonRow",
     "verify_factorization", "asymptotic_sweep", "fit_decay_slope",
     "limit_determinants", "m_vs_m0", "compute_determinant",
-    "DET_KINDS",
+    "sweep_gate", "m_vs_m0_gate", "DET_KINDS",
 ]
 
 DET_KINDS = ("V", "Vtilde", "W", "M", "N", "M0", "Uplus", "Uminus")
 
 # ceiling of the sweep / m-vs-m0 thread pool
 MAX_THREADS = 8
+# err(x)/err(2x) acceptance band of m-vs-m0 (O(1/x) decay), tested on the
+# doubling pairs (x, 2x) with x >= RATIO_GATE_X
+RATIO_BAND = (1.5, 3.0)
+RATIO_GATE_X = 100.0
+# below this, every error of a ladder counts as zero (a trivial limit, F = 0)
+TRIVIAL_ERR = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -89,7 +98,13 @@ class IdentityReport:
     r2: float                    # |det_W - det_M_loop| / |det_W|
     r3: float                    # |det_M_loop - det_N_line| / max(|det_M_loop|, tiny)
     certified: Dict[str, bool]   # residual -> all feeding deltas < 0.1 * its tol
+    passed: Dict[str, bool]      # residual -> below its tolerance
     config_echo: dict
+
+    def ok(self, strict_line: bool) -> bool:
+        """The verify gate: r1 and r2 pass, and r3 too when ``strict_line``."""
+        p = self.passed
+        return p["r1"] and p["r2"] and (p["r3"] or not strict_line)
 
 
 def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
@@ -122,11 +137,13 @@ def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
     return IdentityReport(det_V=det_V, det_Vtilde=det_Vt, det_W=det_W,
                           det_M_loop=det_M, det_N_line=det_N,
                           r1=r1, r2=r2, r3=r3, certified=certified,
+                          passed={"r1": r1 < tol.r1, "r2": r2 < tol.r2,
+                                  "r3": r3 < tol.r3},
                           config_echo=cfg.to_json())
 
 
 # --------------------------------------------------------------------------
-# large-x sweep
+# the two x-ladders: det S / det S~ (sweep) and det M (m-vs-m0) against M0
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -141,35 +158,76 @@ class SweepRow:
     valid: bool                  # det(I+S~) bounded away from 0
 
 
+@dataclass(frozen=True)
+class ComparisonRow:
+    """One x of the loop-operator comparison |det(I+M) - det(I+M0)|."""
+
+    x: float
+    det_M: DetResult
+    det_M0: DetResult
+    err: float
+    conv_delta: float
+
+
 def limit_determinants(cfg: ProblemConfig) -> Tuple[DetResult, DetResult]:
     """det_loop(I+U+) and det_loop(I+U-); depends on F and [a,b] only."""
     alpha = make_alpha(cfg)
     return _det(cfg, "Uplus", alpha=alpha), _det(cfg, "Uminus", alpha=alpha)
 
 
-def _sweep_row(cfg: ProblemConfig, xv: float, limit: complex,
-               limit_delta: float) -> SweepRow:
-    cfg_x = replace(cfg, x=xv)
+def _sweep_row(cfg_x: ProblemConfig, limit: DetResult) -> SweepRow:
+    if abs(limit.value) < 1e-30:
+        raise NumericError("asymptotic limit determinant vanished")
     det_S, det_St = (_det(cfg_x, k) for k in ("V", "Vtilde"))
     valid = abs(det_St.value) > 1e-12
     ratio = det_S.value / det_St.value if valid else complex("nan")
-    err = abs(ratio / limit - 1.0) if valid else float("nan")
-    conv = max(det_S.convergence_delta, det_St.convergence_delta, limit_delta)
-    return SweepRow(x=float(xv), ratio=ratio, limit=limit, err=err,
+    err = abs(ratio / limit.value - 1.0) if valid else float("nan")
+    conv = max(det_S.convergence_delta, det_St.convergence_delta,
+               limit.convergence_delta)
+    return SweepRow(x=cfg_x.x, ratio=ratio, limit=limit.value, err=err,
                     conv_delta=conv, valid=valid)
 
 
-def _require_canonical_table(cfg: ProblemConfig, what: str):
-    ref = gsk_shift_spec(cfg)
-    s = cfg.shift
+def _comparison_row(cfg_x: ProblemConfig, det_M0: DetResult) -> ComparisonRow:
+    det_M = _det(cfg_x, "M")
+    return ComparisonRow(x=cfg_x.x, det_M=det_M, det_M0=det_M0,
+                         err=abs(det_M.value - det_M0.value),
+                         conv_delta=max(det_M.convergence_delta,
+                                        det_M0.convergence_delta))
+
+
+def _doubles(x: float, y: float) -> bool:
+    return abs(y - 2.0 * x) < 1e-9 * x
+
+
+def _slope_grid(xs: List[float]):
+    if len(xs) < 4:
+        raise ConfigError(
+            f"insufficient points for slope: need >= 4 x values, got {len(xs)}")
+
+
+def _ratio_grid(xs: List[float]):
+    if not any(x >= RATIO_GATE_X and _doubles(x, y)
+               for x, y in zip(xs, xs[1:])):
+        raise ConfigError(f"m-vs-m0 needs at least one doubling pair (x, 2x) "
+                          f"with x >= {RATIO_GATE_X:g} to test the decay band")
+
+
+def _ladder(cfg: ProblemConfig, xs: Sequence[float], what: str,
+            grid_rule: Callable, row: Callable) -> list:
+    """``row(replace(cfg, x=xv), det_M0)`` for each x, run concurrently.
+
+    The config, shift table and x grid (with the ladder's ``grid_rule``) are
+    checked before any determinant; the limit det_loop(I+M0) is computed once.
+    """
+    cfg.validate()
+    # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
+    ref, s = gsk_shift_spec(cfg), cfg.shift
     if not (np.array_equal(s.gamma, ref.gamma) and np.array_equal(s.c, ref.c)
             and np.array_equal(s.v, ref.v)):
         raise ConfigError(
             f"{what} is defined for the canonical two-shift table "
             f"gamma=(1,1), c=(-c,c), v=(1,2); this config overrides it")
-
-
-def _check_xs(xs: Sequence[float]) -> List[float]:
     xs = [float(v) for v in xs]
     if not xs:
         raise ConfigError("x list is empty")
@@ -179,25 +237,24 @@ def _check_xs(xs: Sequence[float]) -> List[float]:
         raise ConfigError("all x values must be positive")
     if sorted(xs) != xs or len(set(xs)) != len(xs):
         raise ConfigError("x values must be strictly increasing")
-    return xs
+    grid_rule(xs)
+    det_M0 = _det(cfg, "M0")
+    with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
+        return list(pool.map(lambda xv: row(replace(cfg, x=xv), det_M0), xs))
 
 
 def asymptotic_sweep(cfg: ProblemConfig, xs: Sequence[float]) -> List[SweepRow]:
-    """One SweepRow per x, ascending; rows are computed concurrently.
+    """det(I+S)/det(I+S~) against det_loop(I+M0) = det_loop(I+U+)
+    det_loop(I+U-), one SweepRow per x (at least four)."""
+    return _ladder(cfg, xs, "the asymptotic sweep", _slope_grid, _sweep_row)
 
-    The limit det_loop(I+M0) = det_loop(I+U+) det_loop(I+U-) is
-    x-independent and computed once.
-    """
-    cfg.validate()
-    # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
-    _require_canonical_table(cfg, "the asymptotic sweep")
-    xs = _check_xs(xs)
-    limit = _det(cfg, "M0")
-    if abs(limit.value) < 1e-30:
-        raise NumericError("asymptotic limit determinant vanished")
-    job = lambda xv: _sweep_row(cfg, xv, limit.value, limit.convergence_delta)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
-        return list(pool.map(job, xs))
+
+def m_vs_m0(cfg: ProblemConfig,
+            xs: Optional[Sequence[float]] = None) -> List[ComparisonRow]:
+    """det_loop(I+M) against its x-independent limit det_loop(I+M0); the
+    grid needs a doubling pair (x, 2x) with x >= RATIO_GATE_X."""
+    return _ladder(cfg, [50.0, 100.0, 200.0, 400.0] if xs is None else xs,
+                   "the M vs M0 comparison", _ratio_grid, _comparison_row)
 
 
 def fit_decay_slope(rows: Sequence[SweepRow]) -> float:
@@ -218,42 +275,66 @@ def fit_decay_slope(rows: Sequence[SweepRow]) -> float:
 
 
 # --------------------------------------------------------------------------
-# M vs M0
+# gates of the two ladders
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One x of the loop-operator comparison |det(I+M) - det(I+M0)|."""
+def _gate(summary: dict, errs: List[float], test: str, skip_key: str,
+          decay: Callable) -> Tuple[dict, List[str]]:
+    """Complete a ladder's summary with its gate; return it and the lines
+    to print.  A trivial limit (every error below TRIVIAL_ERR, as for F = 0:
+    no decay rate to test) passes with ``test`` skipped.  Otherwise the
+    errors must strictly decrease and ``decay()`` -> (summary fields,
+    passed, lines) must pass; the last line gets the PASS/FAIL tag."""
+    if errs and all(e < TRIVIAL_ERR for e in errs):
+        summary.update({skip_key: True, "reason": "trivial limit", "ok": True})
+        return summary, [f"{test} skipped: trivial limit "
+                         f"(all errors < {TRIVIAL_ERR:g})"]
+    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
+    fields, passed, lines = decay()
+    ok = passed and decreasing
+    summary.update(fields, err_strictly_decreasing=decreasing, ok=ok)
+    return summary, [*lines[:-1], f"{lines[-1]} [{'PASS' if ok else 'FAIL'}]"]
 
-    x: float
-    det_M: DetResult
-    det_M0: DetResult
-    err: float
-    conv_delta: float
+
+def sweep_gate(cfg: ProblemConfig,
+               rows: Sequence[SweepRow]) -> Tuple[dict, List[str]]:
+    """The sweep summary and verdict: the valid rows' errors strictly
+    decrease and the decay slope lies in the config's slope band."""
+    errs = [r.err for r in rows if r.valid]
+    band = [cfg.tolerances.slope_min, cfg.tolerances.slope_max]
+
+    def decay():
+        slope = fit_decay_slope(rows)
+        return ({"slope_skipped": False, "slope": slope},
+                band[0] <= slope <= band[1],
+                [f"slope = {slope:.4f} (band [{band[0]}, {band[1]}])"])
+
+    return _gate({"n_rows": len(rows), "n_valid": len(errs),
+                  "limit_re": float(rows[0].limit.real),
+                  "limit_im": float(rows[0].limit.imag), "slope_band": band},
+                 errs, "slope test", "slope_skipped", decay)
 
 
-def m_vs_m0(cfg: ProblemConfig,
-            xs: Optional[Sequence[float]] = None) -> List[ComparisonRow]:
-    """Compare det_loop(I+M) against its x-independent limit det_loop(I+M0).
+def m_vs_m0_gate(rows: Sequence[ComparisonRow]) -> Tuple[dict, List[str]]:
+    """The m-vs-m0 summary and verdict: the errors strictly decrease and
+    err(x)/err(2x) lies in RATIO_BAND on each doubling pair from
+    RATIO_GATE_X on."""
+    errs = [r.err for r in rows]
 
-    det(I+M0) uses only alpha, so it is computed once; each row solves the
-    resolvent at its own x-scaled resolution and assembles M.
-    """
-    cfg.validate()
-    _require_canonical_table(cfg, "the M vs M0 comparison")
-    xs = _check_xs([50.0, 100.0, 200.0, 400.0] if xs is None else xs)
-    det_M0 = _det(cfg, "M0")
+    def decay():
+        ratios = [{"x": a.x,
+                   "ratio": a.err / b.err if b.err > 0 else float("inf")}
+                  for a, b in zip(rows, rows[1:]) if _doubles(a.x, b.x)]
+        gated = [r for r in ratios if r["x"] >= RATIO_GATE_X]
+        in_band = all(RATIO_BAND[0] <= r["ratio"] <= RATIO_BAND[1]
+                      for r in gated)
+        return ({"ratios": ratios, "ratios_in_band": in_band}, in_band,
+                [*(f"err({r['x']:.17g}) / err({2 * r['x']:.17g}) = "
+                   f"{r['ratio']:.3f}" for r in gated), "decay band check"])
 
-    def job(xv: float) -> ComparisonRow:
-        det_M = _det(replace(cfg, x=xv), "M")
-        return ComparisonRow(
-            x=float(xv), det_M=det_M, det_M0=det_M0,
-            err=abs(det_M.value - det_M0.value),
-            conv_delta=max(det_M.convergence_delta,
-                           det_M0.convergence_delta))
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
-        return list(pool.map(job, xs))
+    return _gate({"xs": [r.x for r in rows], "errs": errs,
+                  "ratio_band": list(RATIO_BAND)},
+                 errs, "decay band check", "decay_skipped", decay)
 
 
 # --------------------------------------------------------------------------

@@ -126,10 +126,6 @@ class FunctionSpec:
         return FunctionSpec("polynomial", {"coeffs": [complex(c) for c in coeffs]})
 
     @staticmethod
-    def identity() -> "FunctionSpec":
-        return FunctionSpec.polynomial([0.0, 1.0])
-
-    @staticmethod
     def scaled_gaussian(amplitude, center, scale) -> "FunctionSpec":
         return FunctionSpec("scaled_gaussian_entire", {
             "amplitude": complex(amplitude),
@@ -309,16 +305,6 @@ class VectorPairSpec:
         # optimize=True contracts a broadcast grid as one GEMM
         return np.einsum("...a,...a->...", self.E_L(np.asarray(lam, complex)),
                          self.E_R(np.asarray(mu, complex)), optimize=True)
-
-    def validate_regularity(self, a: float, b: float, tol: float = 1e-12,
-                            n_grid: int = 257):
-        grid = np.linspace(a, b, n_grid)
-        worst = np.max(np.abs(self.bracket(grid, grid)))
-        scale = max(np.max(np.abs(self.E_L(grid))) * np.max(np.abs(self.E_R(grid))), 1.0)
-        if worst > tol * scale:
-            raise ConfigError(
-                f"vector pair violates the regularity condition: "
-                f"max |<E_L, E_R>| = {worst:.3e} on [{a}, {b}]")
 
 
 # --------------------------------------------------------------------------
@@ -767,4 +753,3 @@ def U_minus_kernel(lam, mu, alpha, c: float):
     mu = np.asarray(mu, dtype=complex)
     return (alpha.alpha_at(lam) / alpha.alpha_at(mu + 1j * c)
             / (2j * pi * (lam - mu - 1j * c)))
-

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import pi
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "stadium_loop_rule",
     "compactified_line_rule",
     "truncated_line_rule",
-    "winding_number",
 ]
 
 # smallest rule of each domain kind; ``QuadratureRule.half`` never goes below
@@ -66,10 +64,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-        """Apply the rule to a vectorized integrand."""
-        return complex(np.sum(self.weights * f(self.nodes)))
 
     def with_size(self, size: int) -> "QuadratureRule":
         """Rebuild the same domain at a different resolution."""
@@ -264,9 +258,3 @@ def truncated_line_rule(m: int, half_length: float) -> QuadratureRule:
         domain_kind="line",
         descriptor={"m": m, "half_length": half_length, "map": "truncated"},
     )
-
-
-def winding_number(rule: QuadratureRule, z0: complex) -> float:
-    """(1/2*pi*i) * contour integral of dz/(z - z0), as a real number."""
-    val = np.sum(rule.weights / (rule.nodes - z0)) / (2j * pi)
-    return float(val.real)

@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, pi
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -253,29 +253,6 @@ class ChiSolution(_OnCut):
         Kmat = self.kernel(self.rule.nodes, mu[..., None])
         acc = np.einsum("...k,ka->...a", Kmat * self.rule.weights, self.FR_nodes)
         return self.pair.E_R(mu) - acc
-
-    def equation_residuals(self, refine: int = 2) -> Tuple[float, float]:
-        """Max relative residual of both equations at off-node probe points.
-
-        The integrals are re-evaluated on a rule ``refine`` times finer, with
-        all off-node values supplied by Nystrom interpolation, so this is a
-        genuine self-consistency check rather than a tautology.
-        """
-        fine = self.rule.with_size(refine * self.rule.size)
-        lam_f = fine.nodes
-        FL_f = self.FL_at(lam_f)
-        FR_f = self.FR_at(lam_f)
-        probes = 0.5 * (self.rule.nodes[:-1] + self.rule.nodes[1:])
-        EL_p = self.pair.E_L(probes)
-        ER_p = self.pair.E_R(probes)
-        KL = self.kernel(probes[:, None], lam_f[None, :]) * fine.weights
-        KR = self.kernel(lam_f[None, :], probes[:, None]) * fine.weights
-        res_L = self.FL_at(probes) + np.einsum("pk,ka->pa", KL, FL_f) - EL_p
-        res_R = self.FR_at(probes) + np.einsum("pk,ka->pa", KR, FR_f) - ER_p
-        scale_L = max(float(np.max(np.abs(EL_p))), 1e-300)
-        scale_R = max(float(np.max(np.abs(ER_p))), 1e-300)
-        return (float(np.max(np.abs(res_L))) / scale_L,
-                float(np.max(np.abs(res_R))) / scale_R)
 
 
 def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:

@@ -1,0 +1,77 @@
+"""Checks and conveniences that only the tests use.
+
+The package never calls these; each is built on the package's public API.
+"""
+from math import pi
+
+import numpy as np
+
+from shiftdet.determinants import nystrom_det, nystrom_det_matrix
+from shiftdet.kernels import ConfigError, FunctionSpec
+
+
+def identity():
+    """The phase p(z) = z."""
+    return FunctionSpec.polynomial([0.0, 1.0])
+
+
+def integrate(rule, f) -> complex:
+    """Apply the rule to a vectorized integrand."""
+    return complex(np.sum(rule.weights * f(rule.nodes)))
+
+
+def winding_number(rule, z0: complex) -> float:
+    """(1/2*pi*i) * contour integral of dz/(z - z0), as a real number."""
+    val = np.sum(rule.weights / (rule.nodes - z0)) / (2j * pi)
+    return float(val.real)
+
+
+def validate_regularity(pair, a: float, b: float, tol: float = 1e-12,
+                        n_grid: int = 257):
+    """Raise ConfigError unless <E_L(lam), E_R(lam)> vanishes on [a, b]."""
+    grid = np.linspace(a, b, n_grid)
+    worst = np.max(np.abs(pair.bracket(grid, grid)))
+    scale = max(np.max(np.abs(pair.E_L(grid))) * np.max(np.abs(pair.E_R(grid))), 1.0)
+    if worst > tol * scale:
+        raise ConfigError(
+            f"vector pair violates the regularity condition: "
+            f"max |<E_L, E_R>| = {worst:.3e} on [{a}, {b}]")
+
+
+def convergence_study(kernel, rule, sizes, matrix_dim=None):
+    """Determinants of one kernel across increasing rule sizes.
+
+    Rebuilds the rule at each size from its descriptor, so the geometry
+    (interval, loop, line) is preserved while only the resolution changes.
+    """
+    if list(sizes) != sorted(set(sizes)):
+        raise ValueError("sizes must be strictly increasing")
+    if matrix_dim is None:
+        return [nystrom_det(kernel, rule.with_size(s)) for s in sizes]
+    return [nystrom_det_matrix(kernel, rule.with_size(s), matrix_dim)
+            for s in sizes]
+
+
+def equation_residuals(chi, refine: int = 2):
+    """Max relative residual of both resolvent equations of ``chi`` at
+    off-node probe points.
+
+    The integrals are re-evaluated on a rule ``refine`` times finer, with
+    all off-node values supplied by Nystrom interpolation, so this is a
+    genuine self-consistency check rather than a tautology.
+    """
+    fine = chi.rule.with_size(refine * chi.rule.size)
+    lam_f = fine.nodes
+    FL_f = chi.FL_at(lam_f)
+    FR_f = chi.FR_at(lam_f)
+    probes = 0.5 * (chi.rule.nodes[:-1] + chi.rule.nodes[1:])
+    EL_p = chi.pair.E_L(probes)
+    ER_p = chi.pair.E_R(probes)
+    KL = chi.kernel(probes[:, None], lam_f[None, :]) * fine.weights
+    KR = chi.kernel(lam_f[None, :], probes[:, None]) * fine.weights
+    res_L = chi.FL_at(probes) + np.einsum("pk,ka->pa", KL, FL_f) - EL_p
+    res_R = chi.FR_at(probes) + np.einsum("pk,ka->pa", KR, FR_f) - ER_p
+    scale_L = max(float(np.max(np.abs(EL_p))), 1e-300)
+    scale_R = max(float(np.max(np.abs(ER_p))), 1e-300)
+    return (float(np.max(np.abs(res_L))) / scale_L,
+            float(np.max(np.abs(res_R))) / scale_R)

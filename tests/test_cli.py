@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from shiftdet import cli
-from shiftdet.experiments import SweepRow
+from shiftdet import cli, experiments
+from shiftdet.determinants import DetResult
+from shiftdet.experiments import ComparisonRow, SweepRow
 
 SWEEP_HEADER = "x,ratio_re,ratio_im,limit_re,limit_im,err,conv_delta"
 MVSM0_HEADER = "x,err,det_m_re,det_m_im,det_m0_re,det_m0_im,conv_delta"
@@ -24,6 +26,14 @@ def load_schema(name):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_strict_json(path):
+    # json.load accepts Infinity and NaN, which are not JSON numbers
+    def reject(token):
+        raise ValueError(f"{path} holds the non-finite number {token}")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def cfg_path(config_dir, name):
@@ -187,6 +197,22 @@ class TestConfigErrors:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,cause", [
+        (["sweep", "--x", "25,50,100"], "insufficient points for slope"),
+        (["m-vs-m0", "--x", "50,75,110,130"], "doubling pair"),
+    ], ids=["sweep-three-x", "m-vs-m0-no-doubling-pair"])
+    def test_unusable_grid_rejected_before_any_determinant(
+            self, tmp_path, config_dir, capsys, monkeypatch, argv, cause):
+        def no_det(*args, **kwargs):
+            raise AssertionError("a determinant was computed before the "
+                                 "x grid was checked")
+        monkeypatch.setattr(experiments, "_det", no_det)
+        rc = cli.main([argv[0], cfg_path(config_dir, "standard.json"),
+                       "--out", str(tmp_path), *argv[1:]])
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_standard_sweep(self, tmp_path, config_dir):
@@ -305,6 +331,38 @@ class TestMVsM0Command:
         assert rc == 2
         assert "doubling pair" in capsys.readouterr().err
 
+    def test_trivial_limit_skips_decay_test(self, tmp_path, config_dir,
+                                            capsys):
+        # F = 0: every err sits at the rounding floor, so there is no decay
+        # rate to test; the ratios used to read 1.000 (or inf) and exit 1
+        rc = cli.main(["m-vs-m0", cfg_path(config_dir, "trivial.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        summary = read_strict_json(tmp_path / "m_vs_m0_summary.json")
+        jsonschema.validate(summary,
+                            load_schema("m_vs_m0_summary.schema.json"))
+        assert summary["decay_skipped"] is True
+        assert summary["reason"] == "trivial limit"
+        assert summary["ok"] is True
+        assert capsys.readouterr().out.startswith(
+            "decay band check skipped: trivial limit")
+
+    def test_infinite_ratio_is_not_written(self, tmp_path, config_dir,
+                                           monkeypatch, capsys):
+        # err(400) = 0 on a non-trivial ladder makes err(200)/err(400)
+        # infinite, which JSON cannot hold: the command fails instead of
+        # writing Infinity into the summary
+        det = DetResult(1.0 + 0j, 1.0 + 0j, 8)
+        errs = {50.0: 0.02, 100.0: 0.01, 200.0: 0.005, 400.0: 0.0}
+        rows = [ComparisonRow(x=x, det_M=det, det_M0=det, err=e,
+                              conv_delta=0.0) for x, e in errs.items()]
+        monkeypatch.setattr(cli, "m_vs_m0", lambda cfg, xs: rows)
+        rc = cli.main(["m-vs-m0", cfg_path(config_dir, "standard.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_console_script_runs(tmp_path, config_dir):
     # the installed console script if there is one, else the module itself
@@ -326,3 +384,24 @@ def test_console_script_runs(tmp_path, config_dir):
     assert proc.returncode == 0, proc.stderr
     assert "[PASS] certified" in proc.stdout
     assert (tmp_path / "identity_report.json").exists()
+
+
+def test_run_all_passes_every_gate(tmp_path):
+    # the shipped suite end to end: every run exits 0 and every JSON report
+    # it writes validates against its schema
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "run_all.py")
+    proc = subprocess.run([sys.executable, script, "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    exits = dict(re.findall(r"^== (\S+): exit (\d+)$", proc.stdout, re.M))
+    assert exits and set(exits.values()) == {"0"}
+    assert sorted(exits) == sorted(os.listdir(tmp_path))
+    for run in exits:
+        manifest = read_strict_json(tmp_path / run / "run_manifest.json")
+        assert manifest["outputs"] == sorted(os.listdir(tmp_path / run))
+        reports = [n for n in manifest["outputs"] if n.endswith(".json")]
+        assert len(reports) == 2   # the run's report or summary, manifest
+        for name in reports:
+            jsonschema.validate(read_strict_json(tmp_path / run / name),
+                                load_schema(name[:-5] + ".schema.json"))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from shiftdet.determinants import (DetResult, collocation_matrix,
-                                   convergence_study, nystrom_det,
-                                   nystrom_det_matrix)
+                                   nystrom_det, nystrom_det_matrix)
 from shiftdet.kernels import (ConfigError, M_kernel, NumericError,
                               U_minus_kernel, U_plus_kernel, gsk_shift_spec)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
@@ -11,6 +10,7 @@ from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
 from shiftdet.rhp import make_alpha
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from helpers import convergence_study
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftdet.determinants import nystrom_det, nystrom_det_matrix
+from shiftdet import experiments
+from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   _loop_rule, _sweep_row, _worker_count,
                                   asymptotic_sweep, compute_determinant,
@@ -16,6 +17,7 @@ from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
 from shiftdet.rhp import make_alpha, solve_chi
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from helpers import identity
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +139,8 @@ class TestAsymptoticSweep:
         # the row is built from the separable forms; the closed forms give
         # the same determinants up to the phase rounding of the factors
         cfg = replace(request.getfixturevalue(name + "_cfg"), x=100.0)
-        row = _sweep_row(cfg, cfg.x, 1.0, 0.0)
+        # against a limit of exactly 1 with zero convergence delta
+        row = _sweep_row(cfg, DetResult(1.0 + 0j, 1.0 + 0j, 1))
         rule = _interval_rule(cfg)
         det_S = nystrom_det(lambda l, m: shift_kernel(l, m, cfg), rule)
         det_St = nystrom_det(lambda l, m: gsk_kernel(l, m, cfg), rule)
@@ -267,10 +270,21 @@ class TestWorkerConfiguration:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(20) == 1
 
+    @pytest.mark.parametrize("workers", ["one", "one per x"])
+    def test_rows_do_not_depend_on_the_thread_count(
+            self, monkeypatch, standard_cfg, sweep_rows, comparison_rows,
+            workers):
+        # the default rows ran on min(#x, cpu count, 8) threads
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda n_jobs: 1 if workers == "one" else n_jobs)
+        xs = [r.x for r in sweep_rows]
+        assert asymptotic_sweep(standard_cfg, xs) == sweep_rows
+        assert m_vs_m0(standard_cfg) == comparison_rows
+
 
 def test_invalid_config_rejected_up_front():
     cfg_kwargs = dict(a=-1.0, b=1.0, x=50.0, c=1.0,
-                      F=FunctionSpec.constant(0.5), p=FunctionSpec.identity())
+                      F=FunctionSpec.constant(0.5), p=identity())
     from shiftdet.kernels import ProblemConfig
     bad = ProblemConfig(numerics=NumericsConfig(h=0.9), **cfg_kwargs)
     with pytest.raises(ConfigError, match="strip"):

@@ -18,6 +18,7 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from helpers import identity, validate_regularity
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -25,7 +26,7 @@ finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
 
 def make_cfg(**kw):
     base = dict(a=-1.0, b=1.0, x=50.0, c=1.0,
-                F=FunctionSpec.constant(0.5), p=FunctionSpec.identity())
+                F=FunctionSpec.constant(0.5), p=identity())
     base.update(kw)
     return ProblemConfig(**base)
 
@@ -35,7 +36,7 @@ class TestFunctionSpec:
         (FunctionSpec.constant(0.5), 2.0, 0.5),
         (FunctionSpec.constant(0.3 - 0.2j), 1.0, 0.3 - 0.2j),
         (FunctionSpec.polynomial([1.0, 2.0, 3.0]), 2.0, 1 + 4 + 12),
-        (FunctionSpec.identity(), -0.7, -0.7),
+        (identity(), -0.7, -0.7),
         (FunctionSpec.scaled_gaussian(2.0, 0.5, 1.0), 0.5, 2.0),
     ])
     def test_value(self, spec, z, want):
@@ -307,7 +308,7 @@ class TestVectorPair:
 
     def test_regularity_check_passes(self):
         pair = gsk_vector_pair(make_cfg(x=25.0))
-        pair.validate_regularity(-1.0, 1.0)
+        validate_regularity(pair, -1.0, 1.0)
 
     def test_bracket_ratio_is_base_kernel(self):
         cfg = make_cfg(x=25.0)
@@ -325,7 +326,7 @@ class TestVectorPair:
                              bracket_dd=lambda lam, mu: np.zeros(
                                  np.broadcast(lam, mu).shape, complex))
         with pytest.raises((ConfigError, ValueError)):
-            bad.validate_regularity(-1.0, 1.0)
+            validate_regularity(bad, -1.0, 1.0)
 
 
 class TestGeneralV:
