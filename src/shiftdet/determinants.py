@@ -12,11 +12,16 @@ Every determinant is returned together with its value at an automatic
 half-resolution rerun; their relative change, the convergence delta, lets
 downstream identity residuals certify that they measure mathematics rather
 than quadrature error.
+
+An operator given as factors X, Y (n x R) of its collocation product
+K diag(w) = X Y^T skips the n x n matrix when R < n: Sylvester's identity
+det(I_n + X Y^T) = det(I_R + Y^T X) takes the determinant on the smaller
+side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .kernels import ConfigError, NumericError
 from .quadrature import QuadratureRule
 
 __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
-           "collocation_matrix"]
+           "factored_det", "collocation_matrix", "require_memory"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,31 @@ def collocation_matrix(K, weights) -> np.ndarray:
     return K
 
 
+def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
+    """MemAvailable of ``path`` in bytes; None where it is not known."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def require_memory(order: int, what: str):
+    """ConfigError (exit 2) when a dense factorization of the given order
+    would not fit in available memory.  Three complex order x order arrays
+    are alive at once: the kernel values, the collocation matrix and the LU
+    copy."""
+    need = 3 * order * order * 16
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ConfigError(
+            f"{what}: a dense factorization of order {order} needs about "
+            f"{need} bytes, more than the {avail} bytes of memory available")
+
+
 def _det(D: np.ndarray) -> complex:
     try:
         det = complex(np.linalg.det(D))
@@ -78,6 +108,8 @@ def _collocation_det(kernel: Callable, rule: QuadratureRule,
     m, z = rule.size, rule.nodes
     shape = (m, m) if dim is None else (m, m, dim, dim)
     what = "scalar" if dim is None else "matrix"
+    require_memory(m * (dim or 1), f"{what} kernel on the "
+                   f"{rule.domain_kind} rule of {m} nodes")
     K = kernel(z[:, None], z[None, :])
     if np.shape(K) != shape:
         raise NumericError(
@@ -93,14 +125,19 @@ def _collocation_det(kernel: Callable, rule: QuadratureRule,
     return _det(collocation_matrix(K, np.repeat(rule.weights, dim or 1)))
 
 
-def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
-             value: Optional[complex]) -> DetResult:
+def _half(rule: QuadratureRule) -> QuadratureRule:
     half_rule = rule.half()
     if half_rule.size >= rule.size:
         raise ConfigError(
             f"a {rule.domain_kind} rule of {rule.size} nodes is at its floor "
             f"size: its half-resolution rerun is the same rule, so the "
             f"convergence delta would read 0")
+    return half_rule
+
+
+def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
+             value: Optional[complex]) -> DetResult:
+    half_rule = _half(rule)
     if value is None:
         value = _collocation_det(kernel, rule, dim)
     return DetResult(value, _collocation_det(kernel, half_rule, dim), rule.size)
@@ -123,3 +160,24 @@ def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,
                        dim: int) -> DetResult:
     """Fredholm determinant of a dim x dim matrix kernel over a rule."""
     return _nystrom(kernel, rule, dim, None)
+
+
+def _sylvester_det(X: np.ndarray, Y: np.ndarray) -> complex:
+    """det(I_n + X Y^T) for X, Y of shape (n, R), as det(I_R + Y^T X)
+    when R < n."""
+    D = Y.T @ X if X.shape[1] < X.shape[0] else X @ Y.T
+    idx = np.arange(D.shape[0])
+    D[idx, idx] += 1.0
+    return _det(D)
+
+
+def factored_det(factors: Callable[[QuadratureRule],
+                                   Tuple[np.ndarray, np.ndarray]],
+                 rule: QuadratureRule) -> DetResult:
+    """Fredholm determinant of an operator given by its collocation factors.
+
+    ``factors(r)`` returns X, Y of shape (r.size, R) with X Y^T = K diag(w)
+    on the rule r; it is called on ``rule`` and on its half-resolution rule.
+    """
+    return DetResult(_sylvester_det(*factors(rule)),
+                     _sylvester_det(*factors(_half(rule))), rule.size)

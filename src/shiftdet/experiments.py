@@ -28,9 +28,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .determinants import DetResult, nystrom_det, nystrom_det_matrix
+from .determinants import (DetResult, factored_det, nystrom_det,
+                           nystrom_det_matrix)
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
-                      ProblemConfig, U_minus_kernel, U_plus_kernel, W_kernel,
+                      ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
                       gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
@@ -364,8 +365,8 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
         if chi is None:
             chi = solve_chi(cfg)
         if which == "W":
-            return nystrom_det(
-                lambda l, m: W_kernel(l, m, chi, chi.pair, shift), chi.rule)
+            # W diag(w) has low x-independent rank: factored, not assembled
+            return factored_det(lambda r: W_factors(r, chi, shift), chi.rule)
         if which == "M":
             return nystrom_det_matrix(lambda l, m: M_kernel(l, m, chi, shift),
                                       _loop_rule(cfg), shift.N)

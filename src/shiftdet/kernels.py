@@ -2,8 +2,8 @@
 
 Builds every kernel in the factorization chain -- the generalized sine
 kernel S~, its shifted companion S, the general V with shift table, the
-one-dimensional reduction W, the loop/line matrix kernels M and N, and the
-asymptotic kernels U+/U- -- from a small registry of admissible
+low-rank factors of the one-dimensional reduction W, the loop/line matrix
+kernels M and N, and the asymptotic kernels U+/U- -- from a small registry of admissible
 amplitude/phase functions.
 
 All evaluators are vectorized: scalar kernels map broadcastable complex
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from math import ceil, isfinite, pi
+from math import asinh, ceil, isfinite, log, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ __all__ = [
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
     "eval_e", "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
-    "W_kernel", "M_kernel", "N_kernel",
+    "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
     "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
 ]
@@ -649,24 +649,73 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
 # `chi` below is a ChiSolution (rhp module); only its evaluation surface is
 # used, so there is no import cycle.
 
-def W_kernel(lam, mu, chi, pair: VectorPairSpec, shift: ShiftSpec):
-    """Residual one-dimensional kernel of the factorization det(I+V) = det(I+V~) det(I+W).
+# relative accuracy to which the Cauchy factor 1/(lam - mu + ic) of W is
+# interpolated: double precision with two digits of headroom for the
+# interpolant's Lebesgue constant and the Bernstein bound's prefactor
+CAUCHY_RANK_TOL = 1e-18
+
+
+def cauchy_rank(c: float, a: float, b: float) -> int:
+    """Chebyshev points that interpolate 1/(lam - mu + ic) on [a, b] to
+    CAUCHY_RANK_TOL, in each variable.
+
+    The pole sits |c| off the interval; mapped to [-1, 1] that is
+    delta = |c| / ((b - a)/2), the largest Bernstein ellipse free of it has
+    rho = delta + sqrt(1 + delta^2) = exp(asinh(delta)), and the
+    interpolation error falls like rho^-r (48 points at |c| = 1 on [-1, 1]).
+    """
+    delta = abs(c) / (0.5 * (b - a))
+    return max(2, ceil(log(1.0 / CAUCHY_RANK_TOL) / asinh(delta)))
+
+
+def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
+    """r Chebyshev points t of [a, b] and the (n, r) barycentric matrix P
+    with P @ f(t) ~ f(nodes) for f analytic near [a, b]."""
+    t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(pi * np.arange(r) / (r - 1))
+    bw = (-1.0) ** np.arange(r)
+    bw[[0, -1]] *= 0.5
+    d = nodes.real[:, None] - t[None, :]
+    hit = d == 0.0
+    d[hit] = 1.0
+    P = bw / d
+    P /= P.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    P[rows] = hit[rows]
+    return t, P
+
+
+def W_factors(rule, chi, shift: ShiftSpec):
+    """Factors X, Y (n x R) with X Y^T = W diag(w) on the interval ``rule``.
 
     W(lam,mu) = -sum_n gamma_n <F_L(lam), chi(mu - i c_n) e_n>
-                               <e_{v_n}, E_R(mu)> / (lam - mu + i c_n)
-    for real lam, mu in [a, b].
+                               <e_{v_n}, E_R(mu)> / (lam - mu + i c_n),
+    so W diag(w) = sum_{n,a} diag(-gamma_n F_L,a) C_n diag(g_{a,n}) with
+    C_n(lam, mu) = 1/(lam - mu + i c_n) and
+    g_{a,n}(mu) = chi_{a,n}(mu - i c_n) E_R,v_n(mu) w(mu).  C_n is
+    interpolated in both variables through the r = cauchy_rank(c_n)
+    Chebyshev points t: C_n ~ P T_n P^T with T_n = C_n(t, t), which leaves
+    R = N_shift N r columns.  When r >= n the rule's own nodes serve as
+    the points (P = I, exact).
     """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    FL = chi.FL_at(lam)                       # (..., N)
-    ER = pair.E_R(mu)
-    out = np.zeros(np.broadcast(lam, mu).shape, dtype=complex)
-    for n_idx in range(shift.N):
-        Cn = chi.chi_at(mu - 1j * shift.c[n_idx])     # (..., N, N)
-        g = np.einsum("...a,...a->...", FL, Cn[..., :, n_idx], optimize=True)
-        out = out - (shift.gamma[n_idx] * g * ER[..., shift.v0[n_idx]]
-                     / (lam - mu + 1j * shift.c[n_idx]))
-    return out
+    lam, n = rule.nodes, rule.size
+    a, b = rule.descriptor["a"], rule.descriptor["b"]
+    FL = chi.FL_at(lam)                                 # (n, N)
+    ER = chi.pair.E_R(lam)                              # (n, N)
+    X, Y = [], []
+    for k in range(shift.N):
+        c = shift.c[k]
+        r = cauchy_rank(c, a, b)
+        if r >= n:
+            t, P = lam.real, np.eye(n)
+        else:
+            t, P = _chebyshev_interpolant(lam, r, a, b)
+        PT = P @ (1.0 / (t[:, None] - t[None, :] + 1j * c))
+        g = (chi.chi_at(lam - 1j * c)[:, :, k]
+             * (ER[:, shift.v0[k]] * rule.weights)[:, None])  # (n, N)
+        X.append((-shift.gamma[k] * FL[:, :, None] * PT[:, None, :])
+                 .reshape(n, -1))
+        Y.append((g[:, :, None] * P[:, None, :]).reshape(n, -1))
+    return np.hstack(X), np.hstack(Y)
 
 
 def M_kernel(lam, mu, chi, shift: ShiftSpec):

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .determinants import collocation_matrix
+from .determinants import collocation_matrix, require_memory
 from .kernels import (ConfigError, NumericError, ProblemConfig,
                       VectorPairSpec, bracket_kernel, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
@@ -268,11 +268,13 @@ def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
 
     Raises NumericError if the Nystrom matrix is numerically singular
     (det(I + V~) ~ 0, the unique-solvability condition) or if the node
-    residuals of the solved systems exceed 1e-10 relative.
+    residuals of the solved systems exceed 1e-10 relative, and ConfigError
+    if the dense n x n system would not fit in available memory.
     """
     if pair is None:
         pair = gsk_vector_pair(cfg)
     n = cfg.resolved_n() if n is None else n
+    require_memory(n, f"resolvent solve on an interval rule of {n} nodes")
     rule = gauss_legendre_rule(n, cfg.a, cfg.b)
     kernel = _base_kernel(pair, cfg.delta0)
     lam = rule.nodes

@@ -10,6 +10,10 @@ so they are an independent check of those constructions.
 The package computes det(I+M0) as det(I+U-) det(I+U+); ``M0_kernel`` is
 the 2x2 block kernel whose dense 2m x 2m Nystrom determinant checks that
 product.
+
+The package computes det(I+W) from low-rank factors (``W_factors``);
+``W_kernel`` evaluates W entry by entry, and its dense n x n Nystrom
+determinant checks the factored one.
 """
 from math import pi
 
@@ -69,6 +73,26 @@ def shift_kernel(lam, mu, cfg):
                 / (pi * (dn * dn + c * c)))
 
     return near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
+
+
+def W_kernel(lam, mu, chi, pair, shift):
+    """Residual one-dimensional kernel of det(I+V) = det(I+V~) det(I+W).
+
+    W(lam,mu) = -sum_n gamma_n <F_L(lam), chi(mu - i c_n) e_n>
+                               <e_{v_n}, E_R(mu)> / (lam - mu + i c_n)
+    for real lam, mu in [a, b].
+    """
+    lam = np.asarray(lam, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    FL = chi.FL_at(lam)                       # (..., N)
+    ER = pair.E_R(mu)
+    out = np.zeros(np.broadcast(lam, mu).shape, dtype=complex)
+    for n_idx in range(shift.N):
+        Cn = chi.chi_at(mu - 1j * shift.c[n_idx])     # (..., N, N)
+        g = np.einsum("...a,...a->...", FL, Cn[..., :, n_idx], optimize=True)
+        out = out - (shift.gamma[n_idx] * g * ER[..., shift.v0[n_idx]]
+                     / (lam - mu + 1j * shift.c[n_idx]))
+    return out
 
 
 def M0_kernel(lam, mu, alpha, c):

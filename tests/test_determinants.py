@@ -1,15 +1,22 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from shiftdet import cli, determinants
 from shiftdet.determinants import (DetResult, collocation_matrix,
-                                   nystrom_det, nystrom_det_matrix)
-from shiftdet.kernels import (ConfigError, M_kernel, NumericError,
-                              U_minus_kernel, U_plus_kernel, gsk_shift_spec)
+                                   factored_det, nystrom_det,
+                                   nystrom_det_matrix)
+from shiftdet.experiments import compute_determinant, verify_factorization
+from shiftdet.kernels import (ConfigError, M_kernel, NumericError, ShiftSpec,
+                              U_minus_kernel, U_plus_kernel, W_factors,
+                              cauchy_rank, gsk_shift_spec)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
-from shiftdet.rhp import make_alpha
+from shiftdet.rhp import make_alpha, solve_chi
 
-from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
 from helpers import convergence_study
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
@@ -232,3 +239,132 @@ def test_rule_at_floor_size_refused(rule, dim):
         else:
             nystrom_det_matrix(lambda l, m: np.zeros(
                 np.broadcast(l, m).shape + (dim, dim), complex), rule, dim)
+
+
+def _dense_det(X, Y):
+    return np.linalg.det(np.eye(X.shape[0]) + X @ Y.T)
+
+
+class TestFactoredDet:
+    @pytest.mark.parametrize("R", [5, 100], ids=["R<n", "R>=n"])
+    def test_each_sylvester_side_matches_dense(self, R):
+        # n = 64 (half 32): R = 5 takes det(I_R + Y^T X) on both rules,
+        # R = 100 takes det(I_n + X Y^T) on both
+        rule = gauss_legendre_rule(64, -1.0, 1.0)
+
+        def factors(r):
+            rng = np.random.default_rng(r.size)
+            shape = (2, r.size, R)
+            X, Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return X / (4 * R), Y / r.size
+
+        got = factored_det(factors, rule)
+        want = [_dense_det(*factors(r)) for r in (rule, rule.half())]
+        assert got.rule_size == 64
+        assert abs(got.value - want[0]) < 1e-13 * abs(want[0])
+        assert abs(got.half - want[1]) < 1e-13 * abs(want[1])
+
+    def test_rule_at_floor_size_refused(self):
+        rule = gauss_legendre_rule(2, -1.0, 1.0)
+        with pytest.raises(ConfigError, match="floor size"):
+            factored_det(lambda r: (np.zeros((r.size, 1)),) * 2, rule)
+
+
+class TestMemoryGuard:
+    def test_collocation_refused_beyond_available_memory(self, monkeypatch):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
+        rule = gauss_legendre_rule(200, -1.0, 1.0)   # 3 * 200^2 * 16 B > 1 MB
+        with pytest.raises(ConfigError, match=r"200 nodes.*1920000 bytes"):
+            nystrom_det(zero_kernel, rule)
+
+    def test_matrix_kernel_counts_blocks(self, monkeypatch):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
+        rule = stadium_loop_rule(-1.0, 1.0, 0.25, 128)  # order 256 > 200
+        with pytest.raises(ConfigError, match=r"128 nodes.*3145728 bytes"):
+            nystrom_det_matrix(lambda l, m: np.zeros(
+                np.broadcast(l, m).shape + (2, 2), complex), rule, 2)
+
+    def test_resolvent_solve_refused(self, monkeypatch, standard_cfg):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
+        with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
+            solve_chi(standard_cfg)
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: None)
+        assert nystrom_det(zero_kernel,
+                           gauss_legendre_rule(64, -1.0, 1.0)).value == 1.0
+
+    def test_reader(self, tmp_path):
+        info = tmp_path / "meminfo"
+        info.write_text("MemTotal:  8000 kB\nMemAvailable:    2048 kB\n")
+        assert determinants._mem_available(str(info)) == 2048 * 1024
+        info.write_text("MemTotal:  8000 kB\n")
+        assert determinants._mem_available(str(info)) is None
+        assert determinants._mem_available(str(tmp_path / "absent")) is None
+
+    def test_cli_exits_2(self, monkeypatch, config_dir, capsys):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
+        config = os.path.join(config_dir, "standard.json")
+        assert cli.main(["det", config, "--which", "V"]) == 2
+        assert "bytes" in capsys.readouterr().err
+
+
+def _W_oracle(chi, shift):
+    return nystrom_det(lambda l, m: W_kernel(l, m, chi, chi.pair, shift),
+                       chi.rule)
+
+
+def _W_factored(chi, shift):
+    return factored_det(lambda r: W_factors(r, chi, shift), chi.rule)
+
+
+def _assert_agrees(got, want, rtol=1e-12):
+    assert got.rule_size == want.rule_size
+    assert abs(got.value - want.value) <= rtol * abs(want.value)
+    assert abs(got.half - want.half) <= rtol * abs(want.half)
+
+
+class TestFactoredW:
+    """det(I+W) from W_factors against the dense entrywise W_kernel."""
+
+    @pytest.mark.parametrize("x", [50.0, 400.0])
+    @pytest.mark.parametrize("name", ["standard", "nonintegrable", "general",
+                                      "trivial"])
+    def test_matches_dense_oracle(self, request, name, x):
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        chi = solve_chi(cfg)
+        _assert_agrees(_W_factored(chi, cfg.shift), _W_oracle(chi, cfg.shift))
+
+    def test_both_sylvester_sides_are_taken(self, standard_cfg):
+        # R = 2 shifts * N = 2 * r columns; n = 128 at x = 50, 1019 at x = 400
+        R = 4 * cauchy_rank(standard_cfg.c, standard_cfg.a, standard_cfg.b)
+        for x, smaller in ((50.0, "n"), (400.0, "R")):
+            chi = solve_chi(replace(standard_cfg, x=x))
+            X, Y = W_factors(chi.rule, chi, standard_cfg.shift)
+            assert X.shape == Y.shape == (chi.rule.size, R)
+            assert ("R" if R < chi.rule.size else "n") == smaller
+
+    def test_narrow_shift(self, standard_cfg):
+        cfg = replace(standard_cfg, c=0.3, x=400.0, shift=None)
+        chi = solve_chi(cfg)
+        assert cauchy_rank(0.3, cfg.a, cfg.b) < chi.rule.size // 2
+        _assert_agrees(_W_factored(chi, cfg.shift), _W_oracle(chi, cfg.shift))
+
+    @pytest.mark.filterwarnings("ignore::shiftdet.rhp.NearIntervalWarning")
+    def test_rank_beyond_rule_uses_the_nodes(self, standard_cfg):
+        cfg = replace(standard_cfg, c=0.1, shift=None)
+        chi = solve_chi(cfg)
+        assert cauchy_rank(0.1, cfg.a, cfg.b) >= chi.rule.size     # P = I
+        X, _ = W_factors(chi.rule, chi, cfg.shift)
+        assert X.shape == (chi.rule.size, 4 * chi.rule.size)
+        _assert_agrees(_W_factored(chi, cfg.shift), _W_oracle(chi, cfg.shift))
+
+    def test_zero_gamma_gives_exactly_one(self, standard_cfg, standard_chi):
+        table = ShiftSpec.make([0.0, 0.0], [-standard_cfg.c, standard_cfg.c],
+                               [1, 2])
+        res = _W_factored(standard_chi, table)
+        assert res.value == 1.0 and res.half == 1.0
+
+    def test_det_command_binding_equals_verify(self, standard_cfg):
+        rep = verify_factorization(standard_cfg)
+        assert compute_determinant(standard_cfg, "W") == rep.det_W

@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
                               ShiftSpec, M_kernel, N_kernel,
-                              U_minus_kernel, U_plus_kernel, W_kernel,
-                              _phase_parts, _sinc, bracket_kernel, eval_e,
-                              general_kernel_V, gsk_shift_spec, gsk_vector_pair,
-                              near_diagonal_eval, near_diagonal_mask,
-                              problem_config_from_json)
+                              U_minus_kernel, U_plus_kernel,
+                              _chebyshev_interpolant, _phase_parts, _sinc,
+                              bracket_kernel, cauchy_rank, eval_e,
+                              general_kernel_V, gsk_shift_spec,
+                              gsk_vector_pair, near_diagonal_eval,
+                              near_diagonal_mask, problem_config_from_json)
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
-from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
 from helpers import identity, validate_regularity
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
@@ -354,6 +355,24 @@ class TestGeneralV:
 
 
 class TestDressedKernels:
+    def test_cauchy_rank_follows_the_bernstein_ellipse(self):
+        # rho = 1 + sqrt(2) at |c| = half-width: ceil(ln 1e18 / ln rho)
+        assert cauchy_rank(1.0, -1.0, 1.0) == cauchy_rank(-2.0, 0.0, 4.0) == 48
+        ranks = [cauchy_rank(c, -1.0, 1.0) for c in (2.0, 1.0, 0.3, 0.1)]
+        assert ranks == sorted(ranks) and ranks[-1] > 400
+
+    @pytest.mark.parametrize("c", [1.0, -0.3])
+    def test_chebyshev_interpolant_reproduces_cauchy_factor(self, c):
+        r = cauchy_rank(c, -1.0, 1.0)
+        pts = np.concatenate([np.random.default_rng(1).uniform(-1, 1, 300),
+                              [1.0, -1.0]]).astype(complex)
+        t, P = _chebyshev_interpolant(pts, r, -1.0, 1.0)
+        assert P.shape == (302, r)
+        assert P[-2, 0] == 1.0 and P[-1, -1] == 1.0     # exact node hits
+        approx = P @ (1.0 / (t[:, None] - t[None, :] + 1j * c)) @ P.T
+        exact = 1.0 / (pts[:, None] - pts[None, :] + 1j * c)
+        assert np.max(np.abs(approx - exact)) < 1e-14 / abs(c)
+
     def test_W_zero_gamma_vanishes(self, standard_cfg, standard_chi):
         pair = gsk_vector_pair(standard_cfg)
         table = ShiftSpec.make(gamma=[0.0, 0.0],
