@@ -17,6 +17,11 @@ An operator given as factors X, Y (n x R) of its collocation product
 K diag(w) = X Y^T skips the n x n matrix when R < n: Sylvester's identity
 det(I_n + X Y^T) = det(I_R + Y^T X) takes the determinant on the smaller
 side.
+
+Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
+kernel values, so a kernel's own temporaries stay bounded however large the
+rule: the only order x order arrays are the collocation matrix and the copy
+LAPACK factors.
 """
 from __future__ import annotations
 
@@ -29,7 +34,13 @@ from .kernels import ConfigError, NumericError
 from .quadrature import QuadratureRule
 
 __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
-           "factored_det", "collocation_matrix", "require_memory"]
+           "factored_det", "collocation_matrix", "assemble_collocation",
+           "row_blocks", "require_memory"]
+
+# bytes of kernel values evaluated per block of rows.  The shipped loop and
+# line kernels (400 nodes at N = 2: 10.24 MB) stay one block; smaller blocks
+# would make N_kernel re-evaluate its column-side chi once per block
+_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -102,27 +113,61 @@ def _det(D: np.ndarray) -> complex:
     return det
 
 
+def row_blocks(rows: int, row_bytes: int):
+    """(i0, i1) ranges covering ``rows`` rows of ``row_bytes`` bytes each,
+    at most _BLOCK_BYTES per range (and at least one row)."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return [(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
+
+
+def assemble_collocation(kernel: Callable, rule: QuadratureRule,
+                         dim: Optional[int] = None) -> np.ndarray:
+    """I + K diag(w) on the rule; dim None for a scalar kernel.
+
+    ``kernel(z[i0:i1, None], z[None, :])`` is evaluated per row block and
+    written, weighted (for a matrix kernel with block (j, k) = w_k K(z_j, z_k)
+    in the row-major (node, component) layout), into one preallocated matrix.
+    A scalar kernel evaluated in a single block becomes the collocation
+    matrix itself (see ``collocation_matrix``).
+    """
+    m, z = rule.size, rule.nodes
+    w = np.repeat(rule.weights, dim or 1)          # weight of each column
+    what = "scalar" if dim is None else "matrix"
+    cell = () if dim is None else (dim, dim)
+    blocks = row_blocks(m, 16 * m * (dim or 1) ** 2)
+    D = None
+    for i0, i1 in blocks:
+        K = kernel(z[i0:i1, None], z[None, :])
+        shape = (i1 - i0, m) + cell
+        if np.shape(K) != shape:
+            raise NumericError(
+                f"{what} kernel returned shape {np.shape(K)}, expected {shape}")
+        if not np.isfinite(K).all():
+            raise NumericError(f"{what} kernel produced non-finite values at "
+                               f"node pairs")
+        if dim is None and len(blocks) == 1:
+            return collocation_matrix(K, w)
+        if D is None:
+            D = np.empty((m * (dim or 1),) * 2, dtype=complex)
+        if dim is None:
+            np.multiply(K, w, out=D[i0:i1])
+        else:
+            # a plain transposed copy, then a contiguous product: faster than
+            # one product that reads K transposed
+            D.reshape(m, dim, m, dim)[i0:i1] = np.transpose(K, (0, 2, 1, 3))
+            D[i0 * dim:i1 * dim] *= w
+    idx = np.arange(D.shape[0])
+    D[idx, idx] += 1.0
+    return D
+
+
 def _collocation_det(kernel: Callable, rule: QuadratureRule,
                      dim: Optional[int]) -> complex:
     """det(I + K diag(w)) on the rule; dim None for a scalar kernel."""
-    m, z = rule.size, rule.nodes
-    shape = (m, m) if dim is None else (m, m, dim, dim)
     what = "scalar" if dim is None else "matrix"
-    require_memory(m * (dim or 1), f"{what} kernel on the "
-                   f"{rule.domain_kind} rule of {m} nodes")
-    K = kernel(z[:, None], z[None, :])
-    if np.shape(K) != shape:
-        raise NumericError(
-            f"{what} kernel returned shape {np.shape(K)}, expected {shape}")
-    if not np.isfinite(K).all():
-        raise NumericError(f"{what} kernel produced non-finite values at "
-                           f"node pairs")
-    if dim is not None:
-        # block (j,k) = w_k * K(z_j, z_k); row-major interleave (node, component)
-        D = np.empty((m * dim, m * dim), dtype=complex)
-        D.reshape(m, dim, m, dim)[...] = np.transpose(K, (0, 2, 1, 3))
-        K = D
-    return _det(collocation_matrix(K, np.repeat(rule.weights, dim or 1)))
+    require_memory(rule.size * (dim or 1), f"{what} kernel on the "
+                   f"{rule.domain_kind} rule of {rule.size} nodes")
+    return _det(assemble_collocation(kernel, rule, dim))
 
 
 def _half(rule: QuadratureRule) -> QuadratureRule:

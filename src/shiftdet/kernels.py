@@ -670,18 +670,46 @@ def cauchy_rank(c: float, a: float, b: float) -> int:
 
 def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
     """r Chebyshev points t of [a, b] and the (n, r) barycentric matrix P
-    with P @ f(t) ~ f(nodes) for f analytic near [a, b]."""
+    with P @ f(t) ~ f(nodes) for f analytic near [a, b].  P is real, stored
+    complex: it only ever multiplies complex arrays."""
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(pi * np.arange(r) / (r - 1))
     bw = (-1.0) ** np.arange(r)
     bw[[0, -1]] *= 0.5
-    d = nodes.real[:, None] - t[None, :]
-    hit = d == 0.0
-    d[hit] = 1.0
-    P = bw / d
+    P = nodes.real[:, None] - t[None, :]
+    hit = P == 0.0
+    P[hit] = 1.0
+    np.divide(bw, P, out=P)
     P /= P.sum(axis=1, keepdims=True)
     rows = hit.any(axis=1)
     P[rows] = hit[rows]
-    return t, P
+    return t, P.astype(complex)
+
+
+def _shifted_chi_column(rule, chi, k: int, c: float, t: np.ndarray,
+                        T: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """chi(lam - i c)[:, k] at the nodes lam of ``rule``, shape (n, N).
+
+    chi(z) = I - sum_j w_j F_R(lam_j) E_L(lam_j)^T / (lam_j - z) over chi's
+    rule, and 1/(lam_j - lam_i + i c) = C(lam_j, lam_i) ~ [P_chi T P^T]_ji
+    through the Chebyshev points t of W's factor (T = C(t, t), P onto the
+    rule, P_chi onto chi's rule; one matrix on the full rule), so column k is
+    e_k - P T^T P_chi^T (w F_R E_L,k): O(n r N), no n x n Cauchy matrix.
+    That form is taken where chi_at would sum the same quadrature directly
+    (the far zone |c| >= chi.near_threshold) and the points are fewer than
+    both rules' nodes; elsewhere chi_at evaluates the column.
+    """
+    lam, cr = rule.nodes, chi.rule
+    if not (t.size < min(rule.size, cr.size) and abs(c) >= chi.near_threshold):
+        return chi.chi_at(lam - 1j * c)[:, :, k]
+    if cr.size == rule.size and np.array_equal(cr.nodes, lam):
+        P_chi = P
+    else:
+        P_chi = _chebyshev_interpolant(cr.nodes, t.size, rule.descriptor["a"],
+                                       rule.descriptor["b"])[1]
+    v = chi.FR_nodes * (cr.weights * chi.pair.E_L(cr.nodes)[:, k])[:, None]
+    out = -(P @ (T.T @ (P_chi.T @ v)))
+    out[:, k] += 1.0
+    return out
 
 
 def W_factors(rule, chi, shift: ShiftSpec):
@@ -695,27 +723,34 @@ def W_factors(rule, chi, shift: ShiftSpec):
     interpolated in both variables through the r = cauchy_rank(c_n)
     Chebyshev points t: C_n ~ P T_n P^T with T_n = C_n(t, t), which leaves
     R = N_shift N r columns.  When r >= n the rule's own nodes serve as
-    the points (P = I, exact).
+    the points (P = I, exact).  The same factor gives chi(mu - i c_n)
+    (see ``_shifted_chi_column``).
     """
-    lam, n = rule.nodes, rule.size
+    lam, n, N = rule.nodes, rule.size, chi.N
     a, b = rule.descriptor["a"], rule.descriptor["b"]
     FL = chi.FL_at(lam)                                 # (n, N)
     ER = chi.pair.E_R(lam)                              # (n, N)
-    X, Y = [], []
-    for k in range(shift.N):
+    ranks = [min(cauchy_rank(c, a, b), n) for c in shift.c]
+    X = np.empty((n, N * sum(ranks)), dtype=complex)
+    Y = np.empty_like(X)
+    col, t = 0, None
+    for k, r in enumerate(ranks):
         c = shift.c[k]
-        r = cauchy_rank(c, a, b)
-        if r >= n:
-            t, P = lam.real, np.eye(n)
-        else:
-            t, P = _chebyshev_interpolant(lam, r, a, b)
-        PT = P @ (1.0 / (t[:, None] - t[None, :] + 1j * c))
-        g = (chi.chi_at(lam - 1j * c)[:, :, k]
+        if t is None or t.size != r:          # shifts of equal |c| share P
+            if r == n:
+                t, P = lam.real, np.eye(n, dtype=complex)
+            else:
+                t, P = _chebyshev_interpolant(lam, r, a, b)
+        T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
+        g = (_shifted_chi_column(rule, chi, k, c, t, T, P)
              * (ER[:, shift.v0[k]] * rule.weights)[:, None])  # (n, N)
-        X.append((-shift.gamma[k] * FL[:, :, None] * PT[:, None, :])
-                 .reshape(n, -1))
-        Y.append((g[:, :, None] * P[:, None, :]).reshape(n, -1))
-    return np.hstack(X), np.hstack(Y)
+        for a_idx in range(N):                 # column block (k, a) of r
+            cols = slice(col, col + r)
+            np.matmul(P, T, out=X[:, cols])
+            X[:, cols] *= -shift.gamma[k] * FL[:, a_idx, None]
+            np.multiply(g[:, a_idx, None], P, out=Y[:, cols])
+            col += r
+    return X, Y
 
 
 def M_kernel(lam, mu, chi, shift: ShiftSpec):
@@ -739,7 +774,10 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec):
     if np.min(np.abs(den)) < 1e-10:
         raise ValueError("loop kernel denominator vanished: contour violates "
                          "the strip |Im z| < min|c_l|/2")
-    return (shift.gamma[:, None] * numer / (2j * pi * den))
+    # gamma numer / (2 i pi den), in the einsum's and den's own memory
+    np.multiply(shift.gamma[:, None], numer, out=numer)
+    np.multiply(2j * pi, den, out=den)
+    return np.divide(numer, den, out=numer)
 
 
 def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float = 1e-4):

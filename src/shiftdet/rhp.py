@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .determinants import collocation_matrix, require_memory
+from .determinants import assemble_collocation, require_memory, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
                       VectorPairSpec, bracket_kernel, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
@@ -112,20 +112,24 @@ def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
     flat = z.reshape(-1)
     dens = densities.reshape(rule.size, -1)
     out = np.empty((flat.size, dens.shape[1]), dtype=complex)
-    dist = _segment_distance(flat, near.a, near.b)
-    close = dist < threshold
-    if np.any(~close):
-        zf = flat[~close]
-        ker = rule.weights[None, :] / (rule.nodes[None, :] - zf[:, None])
-        out[~close] = ker @ dens
+    close = _segment_distance(flat, near.a, near.b) < threshold
+    far = np.flatnonzero(~close)
+    for i0, i1 in row_blocks(far.size, 16 * rule.size):
+        rows = far[i0:i1]
+        ker = rule.weights[None, :] / (rule.nodes[None, :] - flat[rows, None])
+        out[rows] = ker @ dens
     if np.any(close):
         if warn:
-            warnings.warn(
-                f"evaluating within {threshold:.3g} of [{near.a}, {near.b}] "
-                f"(10 node spacings): accuracy is degraded this close to the "
-                f"cut", NearIntervalWarning, stacklevel=3)
+            _warn_near(threshold, near.a, near.b, stacklevel=4)
         out[close] = near.eval(flat[close])
     return out.reshape(z.shape + (dens.shape[1],))
+
+
+def _warn_near(threshold: float, a: float, b: float, stacklevel: int):
+    warnings.warn(
+        f"evaluating within {threshold:.3g} of [{a}, {b}] (10 node spacings): "
+        f"accuracy is degraded this close to the cut", NearIntervalWarning,
+        stacklevel=stacklevel)
 
 
 class _OnCut:
@@ -222,15 +226,34 @@ class ChiSolution(_OnCut):
     def delta_chi(self, z1, z2) -> np.ndarray:
         """[chi(z1) - chi(z2)] / (z1 - z2), exact divided difference.
 
-        Finite at z1 = z2 (where it equals chi'(z1)).  Both points must be
-        in the far zone; the summand has only the quadrature-node poles.
+        Finite at z1 = z2 (where it equals chi'(z1)).  The summand has only
+        the quadrature-node poles, so its accuracy degrades like chi_at's
+        near [a, b]: a point within ``near_threshold`` of the interval emits
+        ``NearIntervalWarning``.
         """
         z1 = np.asarray(z1, dtype=complex)
         z2 = np.asarray(z2, dtype=complex)
+        if any(np.any(_segment_distance(z, self.a, self.b)
+                      < self.near_threshold) for z in (z1, z2)):
+            _warn_near(self.near_threshold, self.a, self.b, stacklevel=3)
         lam = self.rule.nodes
         ker = (self.rule.weights[None, :]
                / ((lam[None, :] - z1[..., None]) * (lam[None, :] - z2[..., None])))
         return -np.einsum("...j,jpq->...pq", ker, self._rho_R, optimize=True)
+
+    def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
+                     left: bool) -> np.ndarray:
+        """E(z) - sum_k K w_k F_nodes[k] with K = kernel(z, node_k) (left)
+        or kernel(node_k, z), one GEMM per row block of points."""
+        z = np.asarray(z, dtype=complex)
+        flat, nodes = z.reshape(-1), self.rule.nodes
+        wF = self.rule.weights[:, None] * F_nodes
+        acc = np.empty((flat.size, wF.shape[1]), dtype=complex)
+        for i0, i1 in row_blocks(flat.size, 16 * nodes.size):
+            pts = flat[i0:i1, None]
+            K = self.kernel(pts, nodes) if left else self.kernel(nodes, pts)
+            np.matmul(K, wF, out=acc[i0:i1])
+        return (E(flat) - acc).reshape(z.shape + (-1,))
 
     def FL_at(self, lam) -> np.ndarray:
         """Nystrom interpolation of F_L; FL_nodes itself at the nodes.
@@ -243,16 +266,11 @@ class ChiSolution(_OnCut):
         nodes = self.rule.nodes
         if lam.size == nodes.size and np.array_equal(lam.reshape(-1), nodes):
             return self.FL_nodes.reshape(lam.shape + (-1,)).copy()
-        Kmat = self.kernel(lam[..., None], nodes)
-        acc = np.einsum("...k,ka->...a", Kmat * self.rule.weights, self.FL_nodes)
-        return self.pair.E_L(lam) - acc
+        return self._interpolant(lam, self.FL_nodes, self.pair.E_L, left=True)
 
     def FR_at(self, mu) -> np.ndarray:
         """Nystrom interpolation of F_R (transpose-kernel equation)."""
-        mu = np.asarray(mu, dtype=complex)
-        Kmat = self.kernel(self.rule.nodes, mu[..., None])
-        acc = np.einsum("...k,ka->...a", Kmat * self.rule.weights, self.FR_nodes)
-        return self.pair.E_R(mu) - acc
+        return self._interpolant(mu, self.FR_nodes, self.pair.E_R, left=False)
 
 
 def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
@@ -281,7 +299,7 @@ def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
     w = rule.weights[:, None]
     # D = I + K diag(w).  The right equation's matrix I + K^T diag(w) is
     # diag(w)^-1 D^T diag(w), so it is solved as D^T (w F_R) = w E_R on D
-    D = collocation_matrix(kernel(lam[:, None], lam[None, :]), rule.weights)
+    D = assemble_collocation(kernel, rule)
     EL = pair.E_L(lam)
     ER = pair.E_R(lam)
     try:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,14 @@ from shiftdet import cli, determinants
 from shiftdet.determinants import (DetResult, collocation_matrix,
                                    factored_det, nystrom_det,
                                    nystrom_det_matrix)
-from shiftdet.experiments import compute_determinant, verify_factorization
-from shiftdet.kernels import (ConfigError, M_kernel, NumericError, ShiftSpec,
-                              U_minus_kernel, U_plus_kernel, W_factors,
-                              cauchy_rank, gsk_shift_spec)
+from shiftdet.experiments import (_det, _line_rule, compute_determinant,
+                                  verify_factorization)
+from shiftdet.kernels import (ConfigError, M_kernel, N_kernel, NumericError,
+                              ShiftSpec, U_minus_kernel, U_plus_kernel,
+                              W_factors, _chebyshev_interpolant,
+                              _shifted_chi_column, cauchy_rank,
+                              general_kernel_V, gsk_shift_spec,
+                              gsk_vector_pair, near_diagonal_mask)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
@@ -368,3 +373,132 @@ class TestFactoredW:
     def test_det_command_binding_equals_verify(self, standard_cfg):
         rep = verify_factorization(standard_cfg)
         assert compute_determinant(standard_cfg, "W") == rep.det_W
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestStreamedAssembly:
+    """Collocation matrices filled in row blocks equal the one-block build."""
+
+    @staticmethod
+    def _rows(monkeypatch, rows, cols, dim=1):
+        # a block budget of ``rows`` rows of ``cols`` nodes
+        monkeypatch.setattr(determinants, "_BLOCK_BYTES",
+                            rows * cols * dim * dim * 16)
+
+    def test_scalar_kernel_and_resolvent(self, monkeypatch, standard_cfg):
+        cfg = replace(standard_cfg, x=400.0)
+        rule = gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b)
+        pair = gsk_vector_pair(cfg)
+        # rows 0..6, 7..13, ...: a boundary splits an off-diagonal near pair
+        near = near_diagonal_mask(rule.nodes[:, None], rule.nodes[None, :],
+                                  cfg.delta0)
+        assert any(near[i - 1, i] for i in range(7, rule.size, 7))
+        kernel = lambda l, m: general_kernel_V(l, m, pair, cfg.shift,
+                                               cfg.delta0)
+        results = []
+        for rows in (rule.size, 7):
+            self._rows(monkeypatch, rows, rule.size)
+            assert len(determinants.row_blocks(rule.size, 16 * rule.size)) \
+                == -(-rule.size // rows)
+            results.append((nystrom_det(kernel, rule), solve_chi(cfg)))
+        (det1, chi1), (det2, chi2) = results
+        for a, b in ((det1.value, det2.value), (det1.half, det2.half),
+                     (chi1.det_tilde, chi2.det_tilde)):
+            assert abs(b - a) <= 1e-14 * abs(a)
+        assert _rel(chi2.FL_nodes, chi1.FL_nodes) <= 1e-14
+        assert _rel(chi2.FR_nodes, chi1.FR_nodes) <= 1e-14
+        half = rule.half().nodes
+        assert _rel(chi2.FL_at(half), chi1.FL_at(half)) <= 1e-14
+        assert _rel(chi2.FR_at(half), chi1.FR_at(half)) <= 1e-14
+
+    def test_matrix_kernel(self, monkeypatch, standard_cfg, standard_chi):
+        line = _line_rule(standard_cfg)
+        kernel = lambda l, m: N_kernel(l, m, standard_chi, standard_cfg.shift,
+                                       standard_cfg.delta0)
+        dets = []
+        for rows in (line.size, 9):
+            self._rows(monkeypatch, rows, line.size, 2)
+            dets.append(nystrom_det_matrix(kernel, line, 2))
+        assert abs(dets[1].value - dets[0].value) <= 1e-14 * abs(dets[0].value)
+        assert abs(dets[1].half - dets[0].half) <= 1e-14 * abs(dets[0].half)
+
+    @pytest.mark.parametrize("dim", [None, 2])
+    @pytest.mark.parametrize("fault", ["shape", "non-finite"])
+    def test_fault_in_a_later_block(self, monkeypatch, dim, fault):
+        rule = gauss_legendre_rule(32, -1.0, 1.0)
+        self._rows(monkeypatch, 5, rule.size, dim or 1)
+        cell = () if dim is None else (dim, dim)
+
+        def kernel(l, m):
+            out = np.zeros(np.broadcast(l, m).shape + cell, dtype=complex)
+            if l[0, 0] != rule.nodes[0]:                 # not the first block
+                if fault == "shape":
+                    return out[:, :-1]
+                out[-1, 0] = np.nan
+            return out
+        det = nystrom_det if dim is None else (
+            lambda k, r: nystrom_det_matrix(k, r, dim))
+        match = "shape" if fault == "shape" else "non-finite"
+        with pytest.raises(NumericError, match=match):
+            det(kernel, rule)
+
+
+class TestFactorChi:
+    """W's chi(lam - i c_k)[:, k] from its Chebyshev factor against chi_at."""
+
+    @pytest.mark.parametrize("x", [50.0, 400.0])
+    def test_matches_chi_at_on_full_and_half_rules(self, standard_cfg, x):
+        chi = solve_chi(replace(standard_cfg, x=x))
+        a, b = chi.a, chi.b
+        for rule in (chi.rule, chi.rule.half()):
+            for k, c in enumerate(standard_cfg.shift.c):
+                r = cauchy_rank(c, a, b)
+                assert r < rule.size and abs(c) >= chi.near_threshold
+                t, P = _chebyshev_interpolant(rule.nodes, r, a, b)
+                T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
+                got = _shifted_chi_column(rule, chi, k, c, t, T, P)
+                want = chi.chi_at(rule.nodes - 1j * c)[:, :, k]
+                assert _rel(got, want) <= 1e-13
+
+
+class TestStreamedMemory:
+    """The collocation matrix is the only n x n array the determinants of V
+    and V~ and the resolvent solve hold (LAPACK's own copy is allocated
+    outside tracemalloc's view), and W holds none.
+
+    The block budget is cut to 1/16 of the matrix so that the bounds tell
+    the streamed temporaries apart from one more n x n array."""
+
+    @pytest.fixture
+    def cfg(self, monkeypatch, standard_cfg):
+        cfg = replace(standard_cfg, x=400.0)
+        n = cfg.resolved_n()
+        assert 900 < n < 1100
+        monkeypatch.setattr(determinants, "_BLOCK_BYTES", n * n)
+        return cfg
+
+    @staticmethod
+    def _peak(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_peaks(self, cfg):
+        unit = cfg.resolved_n() ** 2 * 16
+        _, peak_V = self._peak(lambda: _det(cfg, "V"))
+        chi, peak_solve = self._peak(lambda: solve_chi(cfg))
+        _, peak_W = self._peak(lambda: _det(cfg, "W", chi=chi))
+        assert peak_V <= 1.5 * unit
+        assert peak_solve <= 1.5 * unit
+        assert peak_W < 0.5 * unit

@@ -95,11 +95,13 @@ class TestOneMatrixSolve:
                rule.nodes[:-1],                           # a subset
                0.5 * (rule.nodes[1:] + rule.nodes[:-1]),  # off the nodes
                rule.half().nodes[:, None]]                # W's half rerun
+        wF = rule.weights[:, None] * chi_1019.FL_nodes
         for lam in pts:
-            K = chi_1019.kernel(lam[..., None], rule.nodes)
-            want = chi_1019.pair.E_L(lam) - np.einsum(
-                "...k,ka->...a", K * rule.weights, chi_1019.FL_nodes)
-            assert np.array_equal(chi_1019.FL_at(lam), want)
+            flat = lam.reshape(-1)
+            K = chi_1019.kernel(flat[:, None], rule.nodes)
+            want = chi_1019.pair.E_L(flat) - K @ wF
+            assert np.array_equal(chi_1019.FL_at(lam),
+                                  want.reshape(lam.shape + (-1,)))
 
     def test_exactly_singular_system_is_numeric_error(self, standard_cfg,
                                                       monkeypatch):
@@ -153,6 +155,22 @@ class TestChiProperties:
         got = standard_chi.delta_chi(np.array([z1]), np.array([z2]))[0]
         want = (standard_chi.chi_at(z1) - standard_chi.chi_at(z2)) / (z1 - z2)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_divided_chi_warns_in_the_near_zone(self, standard_cfg):
+        # c = 0.4 at n = 64: the line points lam +- 0.2i lie within the
+        # near threshold 10 (b - a)/n = 0.3125 of [a, b]
+        from dataclasses import replace
+        cfg = replace(standard_cfg, c=0.4, x=25.0, shift=None)
+        chi = solve_chi(cfg)
+        assert chi.rule.size == 64 and 0.2 < chi.near_threshold
+        lam = chi.rule.nodes[:8]
+        with pytest.warns(NearIntervalWarning, match="degraded"):
+            chi.delta_chi(lam + 0.2j, lam - 0.2j)
+        with pytest.warns(NearIntervalWarning):
+            chi.delta_chi(lam + 1.0j, lam - 0.2j)          # one side near
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearIntervalWarning)
+            chi.delta_chi(lam + 0.5j, lam - 0.5j)
 
     def test_divided_chi_confluent_limit(self, standard_chi):
         z = 0.4 + 0.5j
