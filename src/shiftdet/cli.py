@@ -37,6 +37,15 @@ from .kernels import (ConfigError, NumericError, ProblemConfig,
 __all__ = ["main"]
 
 
+def _make_out_dir(path: str):
+    # made before any determinant, so an unusable --out costs no computation
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be used as a directory: "
+                          f"{exc}") from exc
+
+
 def _load_config(path: str) -> Tuple[ProblemConfig, str]:
     try:
         with open(path, "rb") as fh:
@@ -98,10 +107,10 @@ def _write_manifest(args, config_hash: str, outputs: Sequence[str],
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     cfg, cfg_hash = _load_config(args.config)
+    _make_out_dir(args.out)
     report = verify_factorization(cfg)
     ok = report.ok(args.strict_line)
     tol = cfg.tolerances
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "identity_report.json")
     _write_json(report_path, {
         "config": report.config_echo,
@@ -150,9 +159,9 @@ def _ladder_command(args, run, gate, stem: str, header: str, fields) -> int:
     """Run one x-ladder; write <stem>.csv, <stem>_summary.json, manifest."""
     t0 = time.perf_counter()
     cfg, cfg_hash = _load_config(args.config)
+    _make_out_dir(args.out)
     rows = run(cfg, _parse_xs(args.x))
     summary, verdict = gate(cfg, rows)
-    os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, stem + "_summary.json")
     _write_json(summary_path, summary)
     csv_path = os.path.join(args.out, stem + ".csv")

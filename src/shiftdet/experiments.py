@@ -35,8 +35,7 @@ from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
                       gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
-                         gauss_legendre_rule, stadium_loop_rule,
-                         truncated_line_rule)
+                         gauss_legendre_rule, stadium_loop_rule)
 from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
 
 __all__ = [
@@ -72,10 +71,7 @@ def _loop_rule(cfg: ProblemConfig) -> QuadratureRule:
 
 
 def _line_rule(cfg: ProblemConfig) -> QuadratureRule:
-    nm = cfg.numerics
-    if nm.line_rule == "truncated":
-        return truncated_line_rule(nm.m_line, nm.line_truncation)
-    return compactified_line_rule(nm.m_line, nm.map_scale)
+    return compactified_line_rule(cfg.numerics.m_line, cfg.numerics.map_scale)
 
 
 def _worker_count(n_jobs: int) -> int:

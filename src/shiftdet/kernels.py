@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from math import asinh, ceil, isfinite, log, pi
+from math import asinh, ceil, log, pi
+from sys import float_info
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,7 +96,10 @@ def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
 # function registry
 # --------------------------------------------------------------------------
 
-_KINDS = ("constant", "polynomial", "scaled_gaussian_entire")
+# each registered kind and its parameter names; "coeffs" is a list of
+# scalars, every other parameter one scalar
+_KINDS = {"constant": ("value",), "polynomial": ("coeffs",),
+          "scaled_gaussian_entire": ("amplitude", "center", "scale")}
 
 
 @dataclass(frozen=True)
@@ -183,29 +187,16 @@ class FunctionSpec:
 
     # -- serialization -----------------------------------------------------
     @staticmethod
-    def from_json(obj: dict, where: str = "function") -> "FunctionSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError(f"{where}: expected an object with a 'kind' field")
-        kind = obj["kind"]
-        if kind == "constant":
-            if "value" not in obj:
-                raise ConfigError(f"{where}: constant needs 'value'")
-            return FunctionSpec.constant(_parse_scalar(obj["value"], where))
-        if kind == "polynomial":
-            if "coeffs" not in obj:
-                raise ConfigError(f"{where}: polynomial needs 'coeffs'")
-            return FunctionSpec.polynomial(
-                [_parse_scalar(c, where) for c in obj["coeffs"]])
-        if kind == "scaled_gaussian_entire":
-            missing = {"amplitude", "center", "scale"} - set(obj)
-            if missing:
-                raise ConfigError(f"{where}: scaled_gaussian_entire needs "
-                                  f"{sorted(missing)}")
-            return FunctionSpec.scaled_gaussian(
-                _parse_scalar(obj["amplitude"], where),
-                _parse_scalar(obj["center"], where),
-                _parse_scalar(obj["scale"], where))
-        raise ConfigError(f"{where}: unknown function kind {kind!r}")
+    def from_json(obj, where: str = "function") -> "FunctionSpec":
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"{where}: expected an object whose 'kind' is "
+                              f"one of {', '.join(_KINDS)}, got {obj!r}")
+        raw = _fields(obj, where, ("kind", *_KINDS[kind]))
+        return FunctionSpec(kind, {
+            k: (_list(raw[k], f"{where}.{k}", _scalar) if k == "coeffs"
+                else _scalar(raw[k], f"{where}.{k}"))
+            for k in _KINDS[kind]})
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -217,23 +208,51 @@ class FunctionSpec:
         return out
 
 
-def _is_finite_number(v) -> bool:
+# --------------------------------------------------------------------------
+# typed JSON readers: every config value is read by one of these, and every
+# error names the value's dotted path
+# --------------------------------------------------------------------------
+
+def _fields(obj, where: str, required=(), optional=()) -> dict:
+    """A JSON object with every ``required`` key and no unknown one."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    unknown = set(obj) - {*required, *optional}
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing required fields {missing}")
+    return obj
+
+
+def _real(v, where: str) -> float:
     """A JSON int or float (not a bool) that is finite as a double."""
-    try:
-        return not isinstance(v, bool) and isfinite(v)
-    except (TypeError, OverflowError):
-        return False
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= float_info.max):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return float(v)
 
 
-def _parse_scalar(v, where: str) -> complex:
-    if isinstance(v, dict) and set(v) <= {"_re", "_im"}:
-        parts = (v.get("_re", 0.0), v.get("_im", 0.0))
-    else:
-        parts = (v, 0.0)
-    if not all(map(_is_finite_number, parts)):
-        raise ConfigError(f"{where}: expected a finite number or {{_re, _im}} "
-                          f"pair, got {v!r}")
-    return complex(*parts)
+def _integer(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
+def _scalar(v, where: str) -> complex:
+    """A real, or a complex {_re, _im} pair whose missing part reads 0."""
+    if not isinstance(v, dict):
+        return complex(_real(v, where))
+    pair = _fields(v, where, optional=("_re", "_im"))
+    return complex(_real(pair.get("_re", 0.0), where + "._re"),
+                   _real(pair.get("_im", 0.0), where + "._im"))
+
+
+def _list(v, where: str, item) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected a nonempty list, got {v!r}")
+    return [item(e, f"{where}[{i}]") for i, e in enumerate(v)]
 
 
 def _emit_scalar(v: complex):
@@ -275,8 +294,11 @@ class ShiftSpec:
 
     def validate(self):
         n = self.N
+        if n == 0:
+            raise ConfigError("shifts: the table must hold at least one shift")
         if not (len(self.c) == n and len(self.v) == n):
-            raise ConfigError("shift table lists gamma, c, v must have equal length")
+            raise ConfigError("shifts.gamma, shifts.c and shifts.v must have "
+                              "equal length")
         if np.any(self.c == 0.0) or not np.isfinite(self.c).all():
             raise ConfigError("every shift c_a must be finite and nonzero")
         if np.any((self.v < 1) | (self.v > n)):
@@ -316,11 +338,8 @@ class NumericsConfig:
     n_interval: Optional[int] = None     # None: resolved from x (8 pts/period)
     m_loop: int = 256
     m_line: int = 400
-    h: Optional[float] = None            # None: min(c/2, rho)/2
-    rho: float = 1.0                     # analyticity margin for F and p
+    h: Optional[float] = None            # None: min(c/2, 1)/2
     map_scale: float = 1.0
-    line_rule: str = "tan"               # or "truncated" (cross-check only)
-    line_truncation: float = 100.0
 
 
 @dataclass
@@ -374,7 +393,7 @@ class ProblemConfig:
     def resolved_h(self) -> float:
         if self.numerics.h is not None:
             return self.numerics.h
-        return min(self.c / 2.0, self.numerics.rho) / 2.0
+        return min(self.c / 2.0, 1.0) / 2.0
 
     # -- validation ----------------------------------------------------------
     def validate(self):
@@ -386,8 +405,7 @@ class ProblemConfig:
             raise ConfigError(f"need c > 0, got {self.c}")
         self.shift.validate()
         nm = self.numerics
-        for name in ("m_loop", "m_line", "h", "rho", "map_scale",
-                     "line_truncation"):
+        for name in ("m_loop", "m_line", "h", "map_scale"):
             value = getattr(nm, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"numerics.{name} must be positive")
@@ -411,8 +429,15 @@ class ProblemConfig:
                     f"convergence against")
         if nm.m_loop % 2:
             raise ConfigError(f"numerics.m_loop = {nm.m_loop} must be even")
-        if nm.line_rule not in ("tan", "truncated"):
-            raise ConfigError("numerics.line_rule must be 'tan' or 'truncated'")
+        tl = self.tolerances
+        for name in ("r1", "r2", "r3"):
+            if not getattr(tl, name) > 0:
+                raise ConfigError(f"tolerances.{name} must be positive")
+        if not tl.slope_min < tl.slope_max:
+            raise ConfigError(
+                f"tolerances.slope_min = {tl.slope_min} must be below "
+                f"tolerances.slope_max = {tl.slope_max}: no slope can pass "
+                f"an empty band")
         self._validate_amplitude(h)
         self._validate_phase()
 
@@ -462,91 +487,40 @@ class ProblemConfig:
         }
 
 
-# JSON type of each NumericsConfig / ToleranceConfig field; any other is a float
-_FIELD_TYPES = {"n_interval": int, "m_loop": int, "m_line": int,
-                "line_rule": str}
+def _config_fields(cls, raw, where: str):
+    """A NumericsConfig or ToleranceConfig; int fields read as integers."""
+    obj = _fields(raw, where, optional=[f.name for f in fields(cls)])
+    return cls(**{f.name: (_integer if "int" in f.type else _real)(
+        obj[f.name], f"{where}.{f.name}") for f in fields(cls)
+        if f.name in obj})
 
 
-def _require_number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    v = obj[key]
-    if not _is_finite_number(v):
-        raise ConfigError(
-            f"{where}: field {key!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _parse_fields(cls, raw, where: str):
-    """A NumericsConfig or ToleranceConfig from its (optional) JSON object."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be an object")
-    names = [f.name for f in fields(cls)]
-    bad = set(raw) - set(names)
-    if bad:
-        raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
-    out = cls()
-    for key in (n for n in names if n in raw):
-        kind = _FIELD_TYPES.get(key, float)
-        value = raw[key]
-        if kind is float:
-            value = _require_number(raw, key, where)
-        elif kind is int and (not isinstance(value, int)
-                              or isinstance(value, bool)):
-            raise ConfigError(f"{where}.{key} must be an integer")
-        setattr(out, key, value)
-    return out
-
-
-def problem_config_from_json(obj: dict) -> ProblemConfig:
+def problem_config_from_json(obj) -> ProblemConfig:
     """Parse and validate the config-file layout into a ProblemConfig.
 
     Layout: {interval: {a, b}, x, c, F, p, shifts?, numerics?, tolerances?}.
     Raises ConfigError with a field-specific message on any violation.
     """
-    if not isinstance(obj, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    unknown = set(obj) - {"interval", "x", "c", "F", "p", "shifts",
-                          "numerics", "tolerances"}
-    if unknown:
-        raise ConfigError(f"config: unknown top-level fields {sorted(unknown)}")
-    if "interval" not in obj or not isinstance(obj["interval"], dict):
-        raise ConfigError("config: missing 'interval' object with fields a, b")
-    a = _require_number(obj["interval"], "a", "config.interval")
-    b = _require_number(obj["interval"], "b", "config.interval")
-    x = _require_number(obj, "x", "config")
-    c = _require_number(obj, "c", "config")
-    if "F" not in obj:
-        raise ConfigError("config: missing amplitude function 'F'")
-    if "p" not in obj:
-        raise ConfigError("config: missing phase function 'p'")
-    F = FunctionSpec.from_json(obj["F"], "config.F")
-    p = FunctionSpec.from_json(obj["p"], "config.p")
-
+    top = _fields(obj, "config", ("interval", "x", "c", "F", "p"),
+                  ("shifts", "numerics", "tolerances"))
+    interval = _fields(top["interval"], "config.interval", ("a", "b"))
     shift = None
-    if "shifts" in obj:
-        sh = obj["shifts"]
-        if not isinstance(sh, dict) or {"gamma", "c", "v"} - set(sh):
-            raise ConfigError("config.shifts: needs lists 'gamma', 'c', 'v'")
-        try:
-            shift = ShiftSpec.make(
-                [_parse_scalar(g, "config.shifts.gamma") for g in sh["gamma"]],
-                sh["c"], sh["v"])
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"config.shifts: {exc}") from exc
-
-    nm = _parse_fields(NumericsConfig, obj.get("numerics", {}),
-                       "config.numerics")
-    tl = _parse_fields(ToleranceConfig, obj.get("tolerances", {}),
-                       "config.tolerances")
-    for key in ("r1", "r2", "r3"):
-        if getattr(tl, key) <= 0:
-            raise ConfigError(f"config.tolerances.{key} must be positive")
-
-    cfg = ProblemConfig(a=a, b=b, x=x, c=c, F=F, p=p, shift=shift,
-                        numerics=nm, tolerances=tl)
+    if "shifts" in top:
+        sh = _fields(top["shifts"], "config.shifts", ("gamma", "c", "v"))
+        shift = ShiftSpec.make(
+            _list(sh["gamma"], "config.shifts.gamma", _scalar),
+            _list(sh["c"], "config.shifts.c", _real),
+            _list(sh["v"], "config.shifts.v", _integer))
+    cfg = ProblemConfig(
+        a=_real(interval["a"], "config.interval.a"),
+        b=_real(interval["b"], "config.interval.b"),
+        x=_real(top["x"], "config.x"), c=_real(top["c"], "config.c"),
+        F=FunctionSpec.from_json(top["F"], "config.F"),
+        p=FunctionSpec.from_json(top["p"], "config.p"), shift=shift,
+        numerics=_config_fields(NumericsConfig, top.get("numerics", {}),
+                                "config.numerics"),
+        tolerances=_config_fields(ToleranceConfig, top.get("tolerances", {}),
+                                  "config.tolerances"))
     cfg.validate()
     return cfg
 

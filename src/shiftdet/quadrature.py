@@ -244,8 +244,9 @@ def compactified_line_rule(m: int, map_scale: float) -> QuadratureRule:
 def truncated_line_rule(m: int, half_length: float) -> QuadratureRule:
     """Gauss-Legendre on [-T, T] as a cross-check for the compactified rule.
 
-    Carries an O(1/T) truncation error for slowly decaying kernels; kept
-    behind a config switch, never the default.
+    Carries an O(1/T) truncation error for slowly decaying kernels, so it
+    is a test reference only; the line determinants use the compactified
+    rule.
     """
     if m < MIN_SIZE["line"]:
         raise ValueError(f"need m >= {MIN_SIZE['line']} line nodes, got {m}")

@@ -178,13 +178,13 @@ class TestConfigErrors:
         (["verify"], {"x": float("inf")}),
         (["verify"], {"x": float("nan")}),
         (["verify"], {"F.value": float("nan")}),
-        (["verify"], {"numerics.rho": float("inf")}),
+        (["verify"], {"numerics.h": float("inf")}),
         (["verify"], {"shifts.gamma": [1.0, 1.0], "shifts.c": [float("nan"), 1.0],
                       "shifts.v": [1, 2]}),
         (["sweep", "--x", "25,50,100,1e400"], {}),
         (["sweep", "--x", "25,50,100,nan"], {}),
         (["m-vs-m0", "--x", "50,100,200,inf"], {}),
-    ], ids=["x-inf", "x-nan", "F-nan", "rho-inf", "shift-c-nan",
+    ], ids=["x-inf", "x-nan", "F-nan", "h-inf", "shift-c-nan",
             "sweep-x-overflow",
             "sweep-x-nan", "m-vs-m0-x-inf"])
     def test_non_finite_number_rejected(self, tmp_path, config_dir, capsys,
@@ -213,6 +213,68 @@ class TestConfigErrors:
         assert cause in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("patch,path", [
+        ({"shifts.v": [1.7, 1]}, "config.shifts.v[0]: expected an integer"),
+        ({"shifts.v": [True, 1]}, "config.shifts.v[0]: expected an integer"),
+        ({"shifts.c": [True, 1.0]}, "config.shifts.c[0]"),
+        ({"shifts.c": ["-1", 1.0]}, "config.shifts.c[0]"),
+        ({"shifts.c": [[-1.0], [1.0]]}, "config.shifts.c[0]"),
+        ({"shifts.w": [1, 2]}, "config.shifts: unknown fields ['w']"),
+        ({"interval.c": 0.5}, "config.interval: unknown fields ['c']"),
+        ({"F.scale": 1.0}, "config.F: unknown fields ['scale']"),
+        ({"p.coeffs": 3}, "config.p.coeffs: expected a nonempty list"),
+        ({"p.coeffs": []}, "config.p.coeffs: expected a nonempty list"),
+        ({"shifts": {"gamma": [], "c": [], "v": []}},
+         "config.shifts.gamma: expected a nonempty list"),
+        ({"x": True}, "config.x: expected a finite number"),
+        ({"c": "1.0"}, "config.c: expected a finite number"),
+        ({"numerics.m_loop": 256.0},
+         "config.numerics.m_loop: expected an integer"),
+        ({"shifts.gamma": [[0.7, 0.0], 0.4]}, "config.shifts.gamma[0]"),
+        ({"F.value": {"_re": 0.5, "_imag": 0.1}},
+         "config.F.value: unknown fields ['_imag']"),
+        ({"numerics.rho": 1.0}, "config.numerics: unknown fields ['rho']"),
+        ({"tolerances.r4": 1e-3}, "config.tolerances: unknown fields ['r4']"),
+        ({"tolerances.r1": 0}, "tolerances.r1 must be positive"),
+    ], ids=["v-float", "v-bool", "c-bool", "c-string", "c-nested",
+            "shifts-unknown", "interval-unknown", "F-unknown",
+            "coeffs-not-list", "coeffs-empty", "shifts-empty", "x-bool",
+            "c-string-top", "m_loop-float", "gamma-list-pair", "pair-unknown",
+            "numerics-unknown", "tolerances-unknown", "r1-zero"])
+    def test_malformed_input_rejected(self, tmp_path, config_dir, capsys,
+                                      monkeypatch, patch, path):
+        def no_run(cfg):
+            raise AssertionError("the chain ran on a malformed config")
+        monkeypatch.setattr(cli, "verify_factorization", no_run)
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "nonintegrable.json"),
+                              **patch)
+        rc = cli.main(["verify", config, "--out", str(tmp_path)])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "identity_report.json").exists()
+
+    @pytest.mark.parametrize("argv,run", [
+        (["verify"], "verify_factorization"),
+        (["sweep"], "asymptotic_sweep"),
+        (["m-vs-m0"], "m_vs_m0"),
+    ], ids=["verify", "sweep", "m-vs-m0"])
+    def test_out_that_is_a_file_rejected(self, tmp_path, config_dir, capsys,
+                                         monkeypatch, argv, run):
+        # used to end in a FileExistsError traceback (exit 1, "a gate
+        # failed") after the whole computation
+        def no_run(*args):
+            raise AssertionError("computed before --out was checked")
+        monkeypatch.setattr(cli, run, no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        rc = cli.main([argv[0], cfg_path(config_dir, "standard.json"),
+                       "--out", str(taken)])
+        assert rc == 2
+        assert str(taken) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text(encoding="utf-8") == "a file\n"
+
 
 class TestSweepCommand:
     def test_standard_sweep(self, tmp_path, config_dir):
@@ -235,6 +297,25 @@ class TestSweepCommand:
         jsonschema.validate(summary, load_schema("sweep_summary.schema.json"))
         assert summary["slope_skipped"] is True
         assert summary["reason"] == "trivial limit"
+
+    def test_inverted_slope_band_rejected(self, tmp_path, config_dir, capsys,
+                                          monkeypatch):
+        # no slope lies in [-0.7, -1.3]: the ladder used to run and then
+        # exit 1 with [FAIL]
+        def no_det(*args, **kwargs):
+            raise AssertionError("a determinant was computed on an empty "
+                                 "slope band")
+        monkeypatch.setattr(experiments, "_det", no_det)
+        config = write_config(tmp_path, cfg_path(config_dir, "standard.json"),
+                              **{"tolerances.slope_min": -0.7,
+                                 "tolerances.slope_max": -1.3})
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", config, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "tolerances.slope_min" in err
+        assert "tolerances.slope_max" in err
+        assert not out.exists()
 
     def test_single_x_rejected(self, tmp_path, config_dir, capsys):
         rc = cli.main(["sweep", cfg_path(config_dir, "standard.json"),

@@ -12,8 +12,10 @@ from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
-from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
-                              ShiftSpec, problem_config_from_json)
+from shiftdet.kernels import (ConfigError, FunctionSpec, N_kernel,
+                              NumericsConfig, ShiftSpec,
+                              problem_config_from_json)
+from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
@@ -79,13 +81,17 @@ class TestVerifyFactorization:
         assert rep.r1 < 1e-12
         assert rep.r2 < 1e-12
 
-    def test_truncated_line_rule_cross_check(self, standard_cfg):
-        alt = replace(standard_cfg, numerics=NumericsConfig(
-            line_rule="truncated", line_truncation=100.0))
-        rep = verify_factorization(alt)
-        assert rep.r1 < 1e-8
-        assert rep.r2 < 1e-8
-        assert rep.r3 < 1e-2   # O(1/T) truncation tail dominates here
+    def test_truncated_line_rule_cross_check(self, standard_cfg,
+                                             standard_chi, standard_report):
+        # the line determinant on the truncated rule [-100, 100]: its O(1/T)
+        # tail leaves it ~2e-3 from the loop value
+        det_N = nystrom_det_matrix(
+            lambda l, m: N_kernel(l, m, standard_chi, standard_cfg.shift,
+                                  standard_cfg.delta0),
+            truncated_line_rule(standard_cfg.numerics.m_line, 100.0),
+            standard_cfg.N)
+        det_M = standard_report.det_M_loop.value
+        assert abs(det_N.value - det_M) / abs(det_M) < 1e-2
 
 
 @pytest.fixture(scope="module")

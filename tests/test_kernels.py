@@ -1,14 +1,15 @@
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftdet.kernels import (ConfigError, FunctionSpec, ProblemConfig,
-                              ShiftSpec, M_kernel, N_kernel,
+from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
+                              ProblemConfig, ShiftSpec, ToleranceConfig,
+                              M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel,
                               _chebyshev_interpolant, _phase_parts, _sinc,
                               bracket_kernel, cauchy_rank, eval_e,
@@ -139,6 +140,7 @@ class TestShiftSpec:
         dict(gamma=[1.0, 1.0], c=[1.0], v=[1, 2]),
         dict(gamma=[1.0], c=[1.0], v=[3]),
         dict(gamma=[1.0], c=[1.0], v=[0]),
+        dict(gamma=[], c=[], v=[]),
     ])
     def test_invalid_tables(self, kw):
         with pytest.raises((ConfigError, ValueError)):
@@ -199,6 +201,20 @@ class TestProblemConfig:
         cfg = problem_config_from_json(json.loads(blocks[0]))
         assert (cfg.a, cfg.b, cfg.x) == (-1.0, 1.0, 50.0)
         cfg.validate()
+
+    @pytest.mark.parametrize("group,cls", [("numerics", NumericsConfig),
+                                           ("tolerances", ToleranceConfig)])
+    def test_readme_lists_every_config_field(self, group, cls):
+        # the README's "Config format" section is the contract: a field
+        # added or removed without it fails here
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Config format", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        items = section.split(f"\n- `{group}`", 1)[1].split("\n- ", 1)[0]
+        listed = [name for item in items.split("\n  - ")[1:]
+                  for name in re.findall(r"`(\w+)`", item.split(":", 1)[0])]
+        assert sorted(listed) == sorted(f.name for f in fields(cls))
 
     def test_block_size_is_the_shift_tables(self, nonintegrable_cfg):
         for cfg in (make_cfg(), nonintegrable_cfg):
