@@ -21,7 +21,9 @@ side.
 Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
 kernel values, so a kernel's own temporaries stay bounded however large the
 rule: the only order x order arrays are the collocation matrix and the copy
-LAPACK factors.
+LAPACK factors.  A kernel that is real on the rule by symmetry (the caller
+knows, see ``kernels.real_on_axis``) is written as its real part into a
+float64 matrix and factored in real arithmetic.
 """
 from __future__ import annotations
 
@@ -90,12 +92,12 @@ def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
     return None
 
 
-def require_memory(order: int, what: str):
+def require_memory(order: int, what: str, itemsize: int = 16):
     """ConfigError (exit 2) when a dense factorization of the given order
-    would not fit in available memory.  Three complex order x order arrays
-    are alive at once: the kernel values, the collocation matrix and the LU
-    copy."""
-    need = 3 * order * order * 16
+    would not fit in available memory.  Three order x order arrays of the
+    factored matrix's ``itemsize`` (16 complex, 8 real) are charged: the
+    kernel values, the collocation matrix and the LU copy."""
+    need = 3 * order * order * itemsize
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ConfigError(
@@ -121,20 +123,26 @@ def row_blocks(rows: int, row_bytes: int):
 
 
 def assemble_collocation(kernel: Callable, rule: QuadratureRule,
-                         dim: Optional[int] = None) -> np.ndarray:
+                         dim: Optional[int] = None,
+                         real: bool = False) -> np.ndarray:
     """I + K diag(w) on the rule; dim None for a scalar kernel.
 
     ``kernel(z[i0:i1, None], z[None, :])`` is evaluated per row block and
     written, weighted (for a matrix kernel with block (j, k) = w_k K(z_j, z_k)
     in the row-major (node, component) layout), into one preallocated matrix.
-    A scalar kernel evaluated in a single block becomes the collocation
-    matrix itself (see ``collocation_matrix``).
+    A complex scalar kernel evaluated in a single block becomes the
+    collocation matrix itself (see ``collocation_matrix``).  With ``real``
+    the matrix is float64 and each block's real part is written into it;
+    the imaginary part, rounding noise for a kernel real by symmetry, is
+    dropped.
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
     what = "scalar" if dim is None else "matrix"
     cell = () if dim is None else (dim, dim)
-    blocks = row_blocks(m, 16 * m * (dim or 1) ** 2)
+    # a real matrix takes half the rows per block: its float64 D is alive
+    # next to each block's complex kernel values and their temporaries
+    blocks = row_blocks(m, 16 * m * (dim or 1) ** 2 * (2 if real else 1))
     D = None
     for i0, i1 in blocks:
         K = kernel(z[i0:i1, None], z[None, :])
@@ -145,10 +153,12 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
         if not np.isfinite(K).all():
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
-        if dim is None and len(blocks) == 1:
+        if real:
+            K = K.real
+        elif dim is None and len(blocks) == 1:
             return collocation_matrix(K, w)
         if D is None:
-            D = np.empty((m * (dim or 1),) * 2, dtype=complex)
+            D = np.empty((m * (dim or 1),) * 2, dtype=float if real else complex)
         if dim is None:
             np.multiply(K, w, out=D[i0:i1])
         else:
@@ -162,12 +172,13 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
 
 
 def _collocation_det(kernel: Callable, rule: QuadratureRule,
-                     dim: Optional[int]) -> complex:
+                     dim: Optional[int], real: bool = False) -> complex:
     """det(I + K diag(w)) on the rule; dim None for a scalar kernel."""
     what = "scalar" if dim is None else "matrix"
     require_memory(rule.size * (dim or 1), f"{what} kernel on the "
-                   f"{rule.domain_kind} rule of {rule.size} nodes")
-    return _det(assemble_collocation(kernel, rule, dim))
+                   f"{rule.domain_kind} rule of {rule.size} nodes",
+                   8 if real else 16)
+    return _det(assemble_collocation(kernel, rule, dim, real))
 
 
 def _half(rule: QuadratureRule) -> QuadratureRule:
@@ -181,24 +192,28 @@ def _half(rule: QuadratureRule) -> QuadratureRule:
 
 
 def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
-             value: Optional[complex]) -> DetResult:
+             value: Optional[complex], real: bool = False) -> DetResult:
     half_rule = _half(rule)
     if value is None:
-        value = _collocation_det(kernel, rule, dim)
-    return DetResult(value, _collocation_det(kernel, half_rule, dim), rule.size)
+        value = _collocation_det(kernel, rule, dim, real)
+    return DetResult(value, _collocation_det(kernel, half_rule, dim, real),
+                     rule.size)
 
 
 def nystrom_det(kernel: Callable, rule: QuadratureRule,
-                value: Optional[complex] = None) -> DetResult:
+                value: Optional[complex] = None,
+                real: bool = False) -> DetResult:
     """Fredholm determinant of a scalar kernel over a quadrature rule.
 
     The kernel must accept broadcast complex arrays (lam, mu) and be finite
     at every node pair (diagonal limits are the kernel's responsibility).
     A caller that has already factored the collocation matrix of ``kernel``
     on ``rule`` passes its determinant as ``value``; only the
-    half-resolution rerun is computed then.
+    half-resolution rerun is computed then.  ``real`` declares the kernel
+    real on the rule: both matrices are then float64 and factored in real
+    arithmetic (see ``assemble_collocation``).
     """
-    return _nystrom(kernel, rule, None, value)
+    return _nystrom(kernel, rule, None, value, real)
 
 
 def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,

@@ -33,7 +33,7 @@ from .determinants import (DetResult, factored_det, nystrom_det,
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
-                      gsk_vector_pair)
+                      gsk_vector_pair, real_on_axis)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule)
 from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
@@ -345,18 +345,21 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
     A solved ``chi`` or ``alpha`` is reused; otherwise one is built only for
     a kind that needs it (V and Vtilde need neither; M0 is built from the
     ``limit_determinants`` pair).  V and Vtilde use chi's interval rule when
-    chi is given.
+    chi is given, and real arithmetic where ``real_on_axis`` allows it.
     """
     shift, d0, c = cfg.shift, cfg.delta0, cfg.c
     if which in ("V", "Vtilde"):
         pair = gsk_vector_pair(cfg) if chi is None else chi.pair
         rule = _interval_rule(cfg) if chi is None else chi.rule
+        real = real_on_axis(cfg, which)
         if which == "V":
             return nystrom_det(
-                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
+                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule,
+                real=real)
         # solve_chi factored this same I + V~ matrix on chi.rule already
         return nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule,
-                           value=None if chi is None else chi.det_tilde)
+                           value=None if chi is None else chi.det_tilde,
+                           real=real)
     if which in ("W", "M", "N"):
         if chi is None:
             chi = solve_chi(cfg)

@@ -29,7 +29,8 @@ __all__ = [
     "FunctionSpec", "ShiftSpec", "VectorPairSpec",
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
-    "eval_e", "gsk_vector_pair", "gsk_shift_spec", "general_kernel_V",
+    "eval_e", "gsk_vector_pair", "gsk_shift_spec", "real_on_axis",
+    "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
     "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
@@ -185,6 +186,11 @@ class FunctionSpec:
         return (-A * s * (al + be) * np.exp(-0.5 * s * (al * al + be * be))
                 * _sinhc(0.5 * s * (al + be) * (al - be)))
 
+    @property
+    def real(self) -> bool:
+        """Real on the real axis: every parameter has zero imaginary part."""
+        return all(np.all(np.isreal(v)) for v in self.params.values())
+
     # -- serialization -----------------------------------------------------
     @staticmethod
     def from_json(obj, where: str = "function") -> "FunctionSpec":
@@ -293,16 +299,21 @@ class ShiftSpec:
         return self.v - 1
 
     def validate(self):
-        n = self.N
+        """Each error names the dotted path of the offending entry."""
+        n, where = self.N, "config.shifts"
         if n == 0:
-            raise ConfigError("shifts: the table must hold at least one shift")
+            raise ConfigError(f"{where}: the table must hold at least one shift")
         if not (len(self.c) == n and len(self.v) == n):
-            raise ConfigError("shifts.gamma, shifts.c and shifts.v must have "
-                              "equal length")
-        if np.any(self.c == 0.0) or not np.isfinite(self.c).all():
-            raise ConfigError("every shift c_a must be finite and nonzero")
-        if np.any((self.v < 1) | (self.v > n)):
-            raise ConfigError(f"shift indices v must lie in 1..{n}")
+            raise ConfigError(f"{where}: gamma, c and v must have equal "
+                              f"length, got {n}, {len(self.c)} and {len(self.v)}")
+        for i, c in enumerate(self.c):
+            if c == 0.0 or not np.isfinite(c):
+                raise ConfigError(f"{where}.c[{i}]: every shift c_a must be "
+                                  f"finite and nonzero, got {float(c)!r}")
+        for i, v in enumerate(self.v):
+            if not 1 <= v <= n:
+                raise ConfigError(f"{where}.v[{i}]: shift indices must lie in "
+                                  f"1..{n}, got {int(v)}")
 
 
 @dataclass(frozen=True)
@@ -578,6 +589,28 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
         return _gsk_near(lam, mu, cfg)
 
     return VectorPairSpec(N=2, E_L=E_L, E_R=E_R, bracket_dd=exact_dd)
+
+
+def real_on_axis(cfg: ProblemConfig, which: str) -> bool:
+    """Whether the kernel ``which`` ("Vtilde" or "V") of ``cfg`` is real for
+    real lam, mu, decided from the config's symmetry, never from values.
+
+    V~ = F(lam) sin(x (p(lam) - p(mu))/2) / (pi (lam - mu)) is real when F
+    and p are.  V subtracts the shift terms
+    gamma_a E_L,a(lam) E_R,v_a(mu) / (lam - mu + i c_a); on the real axis
+    conj E_L,k = E_L,sk and conj E_R,k = E_R,sk, with s the swap of the
+    GSK pair's two components, so the conjugate of term a is term s(a) when
+    c_s(a) = -c_a, gamma_s(a) = conj gamma_a and v_s(a) = s(v_a).  Then the
+    terms come in conjugate pairs and V is real too.
+    """
+    if not (cfg.F.real and cfg.p.real):
+        return False
+    if which == "Vtilde":
+        return True
+    s = cfg.shift
+    return s.N == 2 and all(
+        s.c[1 - k] == -s.c[k] and s.gamma[1 - k] == s.gamma[k].conjugate()
+        and s.v0[1 - k] == 1 - s.v0[k] for k in range(2))
 
 
 def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):

@@ -38,7 +38,8 @@ import numpy as np
 
 from .determinants import assemble_collocation, require_memory, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
-                      VectorPairSpec, bracket_kernel, gsk_vector_pair)
+                      VectorPairSpec, bracket_kernel, gsk_vector_pair,
+                      real_on_axis)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -102,17 +103,20 @@ class _NearCutCauchy:
 
 
 def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
-                      near: _NearCutCauchy, threshold: float, z,
+                      near: Callable[[], _NearCutCauchy], threshold: float, z,
                       warn: bool = True) -> np.ndarray:
     """C(z) = int_a^b dens(mu)/(mu - z) dmu with near/far dispatch.
 
     densities has shape (n, D); the result has shape z.shape + (D,).
+    ``near()`` returns the near-cut evaluator; it is asked for only when a
+    point lies within ``threshold`` of the cut.
     """
+    a, b = rule.descriptor["a"], rule.descriptor["b"]
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     dens = densities.reshape(rule.size, -1)
     out = np.empty((flat.size, dens.shape[1]), dtype=complex)
-    close = _segment_distance(flat, near.a, near.b) < threshold
+    close = _segment_distance(flat, a, b) < threshold
     far = np.flatnonzero(~close)
     for i0, i1 in row_blocks(far.size, 16 * rule.size):
         rows = far[i0:i1]
@@ -120,8 +124,8 @@ def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
         out[rows] = ker @ dens
     if np.any(close):
         if warn:
-            _warn_near(threshold, near.a, near.b, stacklevel=4)
-        out[close] = near.eval(flat[close])
+            _warn_near(threshold, a, b, stacklevel=4)
+        out[close] = near().eval(flat[close])
     return out.reshape(z.shape + (dens.shape[1],))
 
 
@@ -205,7 +209,8 @@ class ChiSolution(_OnCut):
         """chi(z), shape z.shape + (N, N); z must avoid [a, b] itself."""
         N = self.N
         C = _cauchy_transform(self.rule, self._rho_R.reshape(self.rule.size, -1),
-                              self._near_R, self.near_threshold, z, warn=warn)
+                              lambda: self._near_R, self.near_threshold, z,
+                              warn=warn)
         z = np.asarray(z, dtype=complex)
         out = -C.reshape(z.shape + (N, N))
         idx = np.arange(N)
@@ -216,7 +221,8 @@ class ChiSolution(_OnCut):
         """chi(z)^-1 via the left-density reconstruction (no matrix inverse)."""
         N = self.N
         C = _cauchy_transform(self.rule, self._rho_L.reshape(self.rule.size, -1),
-                              self._near_L, self.near_threshold, z, warn=warn)
+                              lambda: self._near_L, self.near_threshold, z,
+                              warn=warn)
         z = np.asarray(z, dtype=complex)
         out = C.reshape(z.shape + (N, N))
         idx = np.arange(N)
@@ -280,31 +286,42 @@ def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
     return kernel
 
 
-def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
-              n: Optional[int] = None) -> ChiSolution:
+def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """op(D, B) for a complex (n, k) B in D's own arithmetic: a float64 D is
+    not cast to complex, B's real and imaginary parts go through it as 2k
+    real columns."""
+    if np.iscomplexobj(D):
+        return op(D, B)
+    return op(D, B.view(float)).view(complex)
+
+
+def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
     """Solve both resolvent equations on a Gauss-Legendre rule.
 
-    Raises NumericError if the Nystrom matrix is numerically singular
-    (det(I + V~) ~ 0, the unique-solvability condition) or if the node
-    residuals of the solved systems exceed 1e-10 relative, and ConfigError
-    if the dense n x n system would not fit in available memory.
+    The collocation matrix is float64 and factored in real arithmetic when
+    V~ is real by symmetry (``real_on_axis``).  Raises NumericError if the
+    Nystrom matrix is numerically singular (det(I + V~) ~ 0, the
+    unique-solvability condition) or if the node residuals of the solved
+    systems exceed 1e-10 relative, and ConfigError if the dense n x n
+    system would not fit in available memory.
     """
-    if pair is None:
-        pair = gsk_vector_pair(cfg)
+    pair = gsk_vector_pair(cfg)
+    real = real_on_axis(cfg, "Vtilde")
     n = cfg.resolved_n() if n is None else n
-    require_memory(n, f"resolvent solve on an interval rule of {n} nodes")
+    require_memory(n, f"resolvent solve on an interval rule of {n} nodes",
+                   8 if real else 16)
     rule = gauss_legendre_rule(n, cfg.a, cfg.b)
     kernel = _base_kernel(pair, cfg.delta0)
     lam = rule.nodes
     w = rule.weights[:, None]
     # D = I + K diag(w).  The right equation's matrix I + K^T diag(w) is
     # diag(w)^-1 D^T diag(w), so it is solved as D^T (w F_R) = w E_R on D
-    D = assemble_collocation(kernel, rule)
+    D = assemble_collocation(kernel, rule, real=real)
     EL = pair.E_L(lam)
     ER = pair.E_R(lam)
     try:
-        FL = np.linalg.solve(D, EL)
-        FR = np.linalg.solve(D.T, w * ER) / w
+        FL = _columns(np.linalg.solve, D, EL)
+        FR = _columns(np.linalg.solve, D.T, w * ER) / w
         det_tilde = complex(np.linalg.det(D))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent system is singular at n={n}: {exc}") from exc
@@ -315,8 +332,10 @@ def solve_chi(cfg: ProblemConfig, pair: Optional[VectorPairSpec] = None,
         raise NumericError(
             f"det(I + V~) = {det_tilde:.3e} at n={n}: the unique-solvability "
             f"condition det(I + V~) != 0 fails at this discretization")
-    res_L = np.max(np.abs(D @ FL - EL)) / max(np.max(np.abs(EL)), 1e-300)
-    res_R = np.max(np.abs((D.T @ (w * FR)) / w - ER)) / max(np.max(np.abs(ER)), 1e-300)
+    res_L = (np.max(np.abs(_columns(np.matmul, D, FL) - EL))
+             / max(np.max(np.abs(EL)), 1e-300))
+    res_R = (np.max(np.abs(_columns(np.matmul, D.T, w * FR) / w - ER))
+             / max(np.max(np.abs(ER)), 1e-300))
     if max(res_L, res_R) > 1e-10:
         raise NumericError(
             f"node residuals of the resolvent systems are {res_L:.2e}/{res_R:.2e} "
@@ -382,7 +401,7 @@ class AlphaEvaluator(_OnCut):
 
     def alpha_at(self, z, warn: bool = True) -> np.ndarray:
         """alpha(z) = exp{int_a^b ln(1+F(mu))/(z-mu) dmu / 2 i pi}."""
-        C = _cauchy_transform(self.rule, self._density, self._near,
+        C = _cauchy_transform(self.rule, self._density, lambda: self._near,
                               self.near_threshold, z, warn=warn)
         z = np.asarray(z, dtype=complex)
         # C integrates against 1/(mu - z); the exponent uses 1/(z - mu)

@@ -14,9 +14,15 @@ product.
 The package computes det(I+W) from low-rank factors (``W_factors``);
 ``W_kernel`` evaluates W entry by entry, and its dense n x n Nystrom
 determinant checks the factored one.
+
+``mp_nystrom_det`` is the high-precision reference: the Nystrom
+determinant of V~ or V on a given float64 rule, with the kernel from its
+closed form and the determinant from Gaussian elimination, all in mpmath
+at the working precision.
 """
 from math import pi
 
+import mpmath as mp
 import numpy as np
 
 from shiftdet.kernels import (U_minus_kernel, U_plus_kernel, _gsk_near,
@@ -109,3 +115,79 @@ def M0_kernel(lam, mu, alpha, c):
     out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c)
     out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c)
     return out
+
+
+def _mp_function(spec):
+    """An mpmath evaluator of a FunctionSpec and of its derivative."""
+    P = spec.params
+    if spec.kind == "constant":
+        value = mp.mpc(P["value"])
+        return (lambda z: value), (lambda z: 0)
+    if spec.kind == "polynomial":
+        c = [mp.mpc(v) for v in P["coeffs"]]
+        dc = [k * c[k] for k in range(1, len(c))] or [0]
+        return (lambda z: mp.polyval(c[::-1], z),
+                lambda z: mp.polyval(dc[::-1], z))
+    A, z0, s = (mp.mpc(P[k]) for k in ("amplitude", "center", "scale"))
+
+    def f(z):
+        return A * mp.exp(-s * (z - z0) ** 2)
+    return f, (lambda z: -2 * s * (z - z0) * f(z))
+
+
+def _mp_det(rows):
+    """det of a square list of mpmath rows by Gaussian elimination with
+    partial pivoting (mp.det's matrix class is several times slower)."""
+    rows = [r[:] for r in rows]
+    n, det = len(rows), mp.mpf(1)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        pivot, rk = rows[k][k], rows[k]
+        det *= pivot
+        for ri in rows[k + 1:]:
+            f = ri[k] / pivot
+            for j in range(k + 1, n):
+                ri[j] -= f * rk[j]
+    return det
+
+
+def mp_nystrom_det(cfg, rule, shifted: bool):
+    """det(I + K diag(w)) at mpmath's working precision on the float64 nodes
+    and weights of ``rule`` (taken exactly), K = V~ or, if ``shifted``, V.
+
+    V~(lam, mu) = F(lam) sin(x (p(lam) - p(mu))/2) / (pi (lam - mu)), with
+    the diagonal F(lam) x p'(lam) / (2 pi).  V subtracts, for each shift a,
+    gamma_a E_L,a(lam) E_R,v_a(mu) / (lam - mu + i c_a), where the product
+    of the GSK pair's components is F(lam)/(2 i pi) s_a exp(i x (l_a p(lam)
+    + r_v p(mu)) / 2) with s = l = (-1, 1) and r = (1, -1).  A real
+    kernel is evaluated in real arithmetic, a shifted one in complex.
+    """
+    F, _ = _mp_function(cfg.F)
+    p, dp = _mp_function(cfg.p)
+    real = not shifted and cfg.F.real and cfg.p.real
+    part = (lambda v: mp.re(v)) if real else (lambda v: v)
+    x = mp.mpf(cfg.x)
+    z = [mp.mpf(float(t)) for t in rule.nodes.real]
+    w = [mp.mpf(float(t)) for t in rule.weights.real]
+    Fz = [F(t) for t in z]
+    pz = [p(t) for t in z]
+    sh = cfg.shift
+    left, right = (-1, 1), (1, -1)
+    rows = []
+    for j, lam in enumerate(z):
+        row = []
+        for k, mu in enumerate(z):
+            if j == k:
+                K = Fz[j] * x * dp(lam) / (2 * mp.pi)
+            else:
+                K = Fz[j] * mp.sin(x * (pz[j] - pz[k]) / 2) / (mp.pi * (lam - mu))
+            for a in range(sh.N if shifted else 0):
+                phase = left[a] * pz[j] + right[int(sh.v0[a])] * pz[k]
+                K -= (mp.mpc(sh.gamma[a]) * Fz[j] * left[a] / (2j * mp.pi)
+                      * mp.exp(0.5j * x * phase)
+                      / (lam - mu + 1j * mp.mpf(float(sh.c[a]))))
+            row.append(part(K) * w[k] + (1 if j == k else 0))
+        rows.append(row)
+    return _mp_det(rows)

@@ -6,7 +6,7 @@ from math import pi
 
 import numpy as np
 
-from shiftdet.determinants import nystrom_det, nystrom_det_matrix
+from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.kernels import ConfigError, FunctionSpec
 
 
@@ -75,3 +75,28 @@ def equation_residuals(chi, refine: int = 2):
     scale_R = max(float(np.max(np.abs(ER_p))), 1e-300)
     return (float(np.max(np.abs(res_L))) / scale_L,
             float(np.max(np.abs(res_R))) / scale_R)
+
+
+def complex_collocation(kernel, rule) -> np.ndarray:
+    """I + K diag(w) on the rule, assembled in one piece in complex
+    arithmetic."""
+    lam = rule.nodes
+    return np.eye(rule.size) + kernel(lam[:, None], lam[None, :]) * rule.weights
+
+
+def complex_det(kernel, rule) -> DetResult:
+    """The Nystrom determinant on ``rule`` and its half rule from complex
+    assembly and complex LU: the oracle of the real-arithmetic path."""
+    return DetResult(*(complex(np.linalg.det(complex_collocation(kernel, r)))
+                       for r in (rule, rule.half())), rule.size)
+
+
+def complex_resolvent(chi):
+    """F_L, F_R at the nodes and det(I + V~) of chi's equations, solved on
+    the complex collocation matrix of chi's kernel."""
+    rule = chi.rule
+    w = rule.weights[:, None]
+    D = complex_collocation(chi.kernel, rule)
+    FL = np.linalg.solve(D, chi.pair.E_L(rule.nodes))
+    FR = np.linalg.solve(D.T, w * chi.pair.E_R(rule.nodes)) / w
+    return FL, FR, complex(np.linalg.det(D))

@@ -236,11 +236,16 @@ class TestConfigErrors:
         ({"numerics.rho": 1.0}, "config.numerics: unknown fields ['rho']"),
         ({"tolerances.r4": 1e-3}, "config.tolerances: unknown fields ['r4']"),
         ({"tolerances.r1": 0}, "tolerances.r1 must be positive"),
+        ({"shifts.c": [0.0, 1.0]},
+         "config.shifts.c[0]: every shift c_a must be finite and nonzero"),
+        ({"shifts.v": [3, 1]},
+         "config.shifts.v[0]: shift indices must lie in 1..2, got 3"),
     ], ids=["v-float", "v-bool", "c-bool", "c-string", "c-nested",
             "shifts-unknown", "interval-unknown", "F-unknown",
             "coeffs-not-list", "coeffs-empty", "shifts-empty", "x-bool",
             "c-string-top", "m_loop-float", "gamma-list-pair", "pair-unknown",
-            "numerics-unknown", "tolerances-unknown", "r1-zero"])
+            "numerics-unknown", "tolerances-unknown", "r1-zero", "c-zero",
+            "v-out-of-range"])
     def test_malformed_input_rejected(self, tmp_path, config_dir, capsys,
                                       monkeypatch, patch, path):
         def no_run(cfg):

@@ -9,20 +9,24 @@ from shiftdet import cli, determinants
 from shiftdet.determinants import (DetResult, collocation_matrix,
                                    factored_det, nystrom_det,
                                    nystrom_det_matrix)
-from shiftdet.experiments import (_det, _line_rule, compute_determinant,
-                                  verify_factorization)
-from shiftdet.kernels import (ConfigError, M_kernel, N_kernel, NumericError,
-                              ShiftSpec, U_minus_kernel, U_plus_kernel,
-                              W_factors, _chebyshev_interpolant,
-                              _shifted_chi_column, cauchy_rank,
-                              general_kernel_V, gsk_shift_spec,
-                              gsk_vector_pair, near_diagonal_mask)
+from shiftdet import experiments
+from shiftdet.experiments import (_det, _interval_rule, _line_rule,
+                                  compute_determinant, verify_factorization)
+from shiftdet.kernels import (ConfigError, FunctionSpec, M_kernel, N_kernel,
+                              NumericError, ShiftSpec,
+                              U_minus_kernel, U_plus_kernel, W_factors,
+                              _chebyshev_interpolant, _shifted_chi_column,
+                              bracket_kernel, cauchy_rank, general_kernel_V,
+                              gsk_shift_spec, gsk_vector_pair,
+                              near_diagonal_mask, real_on_axis)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
 
-from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
-from helpers import convergence_study
+from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
+                          shift_kernel)
+from helpers import (complex_collocation, complex_det, complex_resolvent,
+                     convergence_study)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -291,7 +295,8 @@ class TestMemoryGuard:
 
     def test_resolvent_solve_refused(self, monkeypatch, standard_cfg):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
-        with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
+        # V~ is real on standard: 3 * 128^2 entries of 8 bytes
+        with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
             solve_chi(standard_cfg)
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
@@ -306,6 +311,29 @@ class TestMemoryGuard:
         info.write_text("MemTotal:  8000 kB\n")
         assert determinants._mem_available(str(info)) is None
         assert determinants._mem_available(str(tmp_path / "absent")) is None
+
+    def test_itemsize_sets_the_charge(self, monkeypatch):
+        # 3 * 100^2 entries: 240000 bytes real, 480000 complex
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 300000)
+        determinants.require_memory(100, "real", itemsize=8)
+        with pytest.raises(ConfigError, match=r"480000 bytes"):
+            determinants.require_memory(100, "complex")
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 200000)
+        with pytest.raises(ConfigError, match=r"240000 bytes"):
+            determinants.require_memory(100, "real", itemsize=8)
+
+    def test_real_collocation_is_charged_8_bytes(self, monkeypatch):
+        # 3 * 200^2 * 8 = 960000 B fits in 1 MB; complex (above) does not
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
+        rule = gauss_legendre_rule(200, -1.0, 1.0)
+        assert nystrom_det(zero_kernel, rule, real=True).value == 1.0
+
+    def test_complex_resolvent_is_charged_16_bytes(self, monkeypatch,
+                                                  standard_cfg):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
+        cfg = replace(standard_cfg, F=FunctionSpec.constant(0.4 + 0.2j))
+        with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
+            solve_chi(cfg)
 
     def test_cli_exits_2(self, monkeypatch, config_dir, capsys):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
@@ -376,7 +404,7 @@ class TestFactoredW:
 
 
 def _rel(got, want):
-    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
 class TestStreamedAssembly:
@@ -502,3 +530,130 @@ class TestStreamedMemory:
         assert peak_V <= 1.5 * unit
         assert peak_solve <= 1.5 * unit
         assert peak_W < 0.5 * unit
+
+
+def _complex_F(cfg):
+    return replace(cfg, F=FunctionSpec.constant(0.4 + 0.2j))
+
+
+def _kernel(cfg, which):
+    """V~ or V of ``cfg`` as the package evaluates it."""
+    pair = gsk_vector_pair(cfg)
+    if which == "V":
+        return lambda l, m: general_kernel_V(l, m, pair, cfg.shift, cfg.delta0)
+    return lambda l, m: bracket_kernel(l, m, pair, cfg.delta0)
+
+
+def _on_grid(cfg, which):
+    lam = _interval_rule(cfg).nodes
+    return _kernel(cfg, which)(lam[:, None], lam[None, :])
+
+
+class TestRealArithmetic:
+    """V~ and V factored in float64 where the config makes them real."""
+
+    @pytest.mark.parametrize("name,real_V", [
+        ("standard", True), ("general", True), ("trivial", True),
+        ("nonintegrable", False)])
+    def test_shipped_predicates(self, request, name, real_V):
+        cfg = request.getfixturevalue(name + "_cfg")
+        assert real_on_axis(cfg, "Vtilde")
+        assert real_on_axis(cfg, "V") == real_V
+
+    def test_predicate_follows_the_symmetry(self, standard_cfg):
+        c = standard_cfg.c
+
+        def table(gamma, v=(1, 2), cs=(-c, c)):
+            return replace(standard_cfg, shift=ShiftSpec.make(gamma, cs, v))
+
+        assert real_on_axis(table([1 + 0.3j, 1 - 0.3j]), "V")
+        assert real_on_axis(table([0.7, 0.7], v=(2, 1)), "V")
+        assert not real_on_axis(table([1 + 0.3j, 1 + 0.3j]), "V")
+        assert not real_on_axis(table([1.0, 1.0], v=(1, 1)), "V")
+        assert not real_on_axis(table([1.0, 1.0], cs=(-c, 2 * c)), "V")
+        for cfg in (_complex_F(standard_cfg),
+                    replace(standard_cfg, p=FunctionSpec.polynomial(
+                        [0.0, 1.0, 0.1j]))):
+            assert not real_on_axis(cfg, "Vtilde")
+            assert not real_on_axis(cfg, "V")
+
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial",
+                                      "nonintegrable"])
+    def test_imaginary_part_is_rounding_noise_where_real(self, request, name):
+        cfg = request.getfixturevalue(name + "_cfg")
+        for which in ("Vtilde", "V"):
+            K = _on_grid(cfg, which)
+            if real_on_axis(cfg, which):
+                assert np.max(np.abs(K.imag)) <= 1e-13 * np.max(np.abs(K))
+
+    def test_imaginary_part_is_order_one_where_not(self, nonintegrable_cfg,
+                                                   standard_cfg):
+        for cfg, which in ((nonintegrable_cfg, "V"),
+                           (_complex_F(standard_cfg), "Vtilde"),
+                           (_complex_F(standard_cfg), "V")):
+            # nonintegrable's defect is gamma_1 - gamma_2 = 0.3 in the shift
+            # terms: 0.6 % of max|K| (the diagonal), ten orders above noise
+            K = _on_grid(cfg, which)
+            assert np.max(np.abs(K.imag)) > 1e-3 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("x", [50.0, 400.0])
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial"])
+    def test_matches_complex_oracle(self, request, name, x):
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        chi = solve_chi(cfg)
+        FL, FR, det_tilde = complex_resolvent(chi)
+        assert _rel(chi.FL_nodes, FL) <= 1e-12
+        assert _rel(chi.FR_nodes, FR) <= 1e-12
+        assert abs(chi.det_tilde - det_tilde) <= 1e-12 * abs(det_tilde)
+        for which in ("Vtilde", "V"):
+            got = _det(cfg, which)
+            assert got.value.imag == got.half.imag == 0.0   # the real path
+            _assert_agrees(got, complex_det(_kernel(cfg, which), chi.rule))
+
+    def test_only_real_matrices_are_factored_in_float64(self, monkeypatch,
+                                                        nonintegrable_cfg):
+        factored = []
+        det = determinants._det
+        monkeypatch.setattr(determinants, "_det",
+                            lambda D: factored.append(D.dtype) or det(D))
+        for which in ("Vtilde", "V"):
+            _det(nonintegrable_cfg, which)
+        assert factored == [np.float64] * 2 + [np.complex128] * 2
+
+    def test_forced_real_path_fails_r1(self, monkeypatch, nonintegrable_cfg):
+        # r1 = |det V - det V~ det W| / |det V| guards the realness decision:
+        # dropping the O(1) imaginary part of nonintegrable's V breaks it
+        assert verify_factorization(nonintegrable_cfg).passed["r1"]
+        monkeypatch.setattr(experiments, "real_on_axis", lambda cfg, which: True)
+        rep = verify_factorization(nonintegrable_cfg)
+        assert not rep.passed["r1"]
+        assert rep.det_V.value.imag == 0.0
+
+
+class TestMpmathOracle:
+    """40-digit Nystrom determinants of V and V~ on the package's own
+    float64 rule of 48 nodes (and its 24-node half), kernels from the
+    closed forms.
+
+    The float64 value may differ by first-order perturbation of det(D):
+    |d det / det| = |tr(D^-1 dD)| <= n cond(D) |dD| / |D|, and the matrix
+    carries about 10 eps of relative rounding per entry (the phase x p / 2
+    rounded in the separable factors, at x = 10) plus the LU's backward
+    error, so the bound is 10 n cond(D) eps."""
+
+    @pytest.mark.parametrize("name,which", [
+        ("standard", "Vtilde"), ("standard", "V"), ("nonintegrable", "V")])
+    def test_matches_40_digit_determinant(self, request, name, which):
+        base = request.getfixturevalue(name + "_cfg")
+        cfg = replace(base, x=10.0, numerics=replace(base.numerics,
+                                                     n_interval=48))
+        got = compute_determinant(cfg, which)
+        assert (got.value.imag == 0.0) == real_on_axis(cfg, which)
+        rule = _interval_rule(cfg)
+        kernel = _kernel(cfg, which)
+        with mp.workdps(40):
+            for r, value in ((rule, got.value), (rule.half(), got.half)):
+                want = complex(mp_nystrom_det(cfg, r, which == "V"))
+                cond = np.linalg.cond(complex_collocation(kernel, r))
+                bound = 10 * r.size * cond * np.finfo(float).eps
+                assert abs(value - want) <= bound * abs(want)

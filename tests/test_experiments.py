@@ -14,7 +14,7 @@ from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   m_vs_m0, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, N_kernel,
                               NumericsConfig, ShiftSpec,
-                              problem_config_from_json)
+                              problem_config_from_json, real_on_axis)
 from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
@@ -65,9 +65,11 @@ class TestVerifyFactorization:
     def test_vtilde_reuses_resolvent_determinant(self, standard_cfg,
                                                  standard_report):
         # one factorization of I + V~ per verify: the full-resolution value
-        # comes from solve_chi, bit-equal to a fresh Nystrom determinant
+        # comes from solve_chi, bit-equal to a fresh Nystrom determinant of
+        # the same real matrix
         chi = solve_chi(standard_cfg)
-        fresh = nystrom_det(chi.kernel, chi.rule)
+        assert real_on_axis(standard_cfg, "Vtilde")
+        fresh = nystrom_det(chi.kernel, chi.rule, real=True)
         assert standard_report.det_Vtilde.value == chi.det_tilde
         assert standard_report.det_Vtilde.value == fresh.value
         assert (standard_report.det_Vtilde.convergence_delta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftdet import rhp
+from shiftdet.determinants import assemble_collocation
 from shiftdet.kernels import FunctionSpec, NumericError, gsk_vector_pair
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
@@ -71,12 +72,17 @@ class TestOneMatrixSolve:
         assert err < 1e-13
 
     def test_left_solve_and_determinant_use_the_same_matrix(self, chi_1019):
+        # V~ is real on both configs, so the factored D is float64: the
+        # real part of I + V~ diag(w), assembled in row blocks, and E_L's
+        # real and imaginary parts are solved as columns
         rule = chi_1019.rule
         lam = rule.nodes
-        A = chi_1019.kernel(lam[:, None], lam[None, :]) * rule.weights[None, :]
-        D = np.eye(rule.size) + A
-        FL = np.linalg.solve(D, chi_1019.pair.E_L(lam))
-        assert np.array_equal(chi_1019.FL_nodes, FL)
+        D = assemble_collocation(chi_1019.kernel, rule, real=True)
+        K = chi_1019.kernel(lam[:, None], lam[None, :])
+        assert D.dtype == np.float64
+        assert np.max(np.abs(D - np.eye(rule.size) - K.real * rule.weights)) < 1e-15
+        FL = np.linalg.solve(D, chi_1019.pair.E_L(lam).view(float))
+        assert np.array_equal(chi_1019.FL_nodes, FL.view(complex))
         assert chi_1019.det_tilde == complex(np.linalg.det(D))
 
     def test_FL_at_the_nodes_is_FL_nodes(self, chi_1019):
@@ -179,6 +185,21 @@ class TestChiProperties:
         num = (standard_chi.chi_at(z + step)
                - standard_chi.chi_at(z - step)) / (2 * step)
         np.testing.assert_allclose(got, num, atol=1e-9)
+
+    def test_far_points_build_no_near_cut_evaluator(self, standard_cfg):
+        # the K x n Legendre table is built on the first near point only
+        chi, alpha = solve_chi(standard_cfg), make_alpha(standard_cfg)
+        far = np.array([3.0 + 2.0j, -0.2 + 1.5j])
+        chi.chi_at(far)
+        chi.chi_inv_at(far)
+        alpha.alpha_at(far)
+        assert not {"_near_R", "_near_L"} & set(vars(chi))
+        assert "_near" not in vars(alpha)
+        near = 0.2 + 1j * chi.near_threshold / 10
+        chi.chi_at(near, warn=False)
+        alpha.alpha_at(near, warn=False)
+        assert "_near_R" in vars(chi) and "_near_L" not in vars(chi)
+        assert "_near" in vars(alpha)
 
     def test_near_interval_warning(self, standard_chi):
         close = 0.2 + 1j * standard_chi.near_threshold / 10
