@@ -22,8 +22,8 @@ Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
 kernel values, so a kernel's own temporaries stay bounded however large the
 rule: the only order x order arrays are the collocation matrix and the copy
 LAPACK factors.  A kernel that is real on the rule by symmetry (the caller
-knows, see ``kernels.real_on_axis``) is written as its real part into a
-float64 matrix and factored in real arithmetic.
+knows, see ``kernels.real_kernel``) returns float64 blocks, written
+straight into a float64 matrix and factored in real arithmetic.
 """
 from __future__ import annotations
 
@@ -132,17 +132,19 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     in the row-major (node, component) layout), into one preallocated matrix.
     A complex scalar kernel evaluated in a single block becomes the
     collocation matrix itself (see ``collocation_matrix``).  With ``real``
-    the matrix is float64 and each block's real part is written into it;
-    the imaginary part, rounding noise for a kernel real by symmetry, is
-    dropped.
+    the matrix is float64: the kernel's float64 blocks are written in as
+    they are; a complex block must have a zero imaginary part
+    (NumericError otherwise, so a kernel that is not real is never cut to
+    its real part).
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
     what = "scalar" if dim is None else "matrix"
     cell = () if dim is None else (dim, dim)
-    # a real matrix takes half the rows per block: its float64 D is alive
-    # next to each block's complex kernel values and their temporaries
-    blocks = row_blocks(m, 16 * m * (dim or 1) ** 2 * (2 if real else 1))
+    # a real kernel is charged 32 bytes an entry: its float64 values and
+    # the temporaries of its evaluation (general_kernel_V's real path holds
+    # at most four float64 arrays of the block's size at once)
+    blocks = row_blocks(m, m * (dim or 1) ** 2 * (32 if real else 16))
     D = None
     for i0, i1 in blocks:
         K = kernel(z[i0:i1, None], z[None, :])
@@ -154,7 +156,11 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
         if real:
-            K = K.real
+            if np.iscomplexobj(K):
+                if np.any(K.imag):
+                    raise NumericError(f"{what} kernel returned complex "
+                                       f"values for a real collocation matrix")
+                K = K.real
         elif dim is None and len(blocks) == 1:
             return collocation_matrix(K, w)
         if D is None:

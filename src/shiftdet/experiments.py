@@ -33,7 +33,7 @@ from .determinants import (DetResult, factored_det, nystrom_det,
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
-                      gsk_vector_pair, real_on_axis)
+                      gsk_vector_pair, real_kernel)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule)
 from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
@@ -345,13 +345,14 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
     A solved ``chi`` or ``alpha`` is reused; otherwise one is built only for
     a kind that needs it (V and Vtilde need neither; M0 is built from the
     ``limit_determinants`` pair).  V and Vtilde use chi's interval rule when
-    chi is given, and real arithmetic where ``real_on_axis`` allows it.
+    chi is given, and real arithmetic where the kernel is float64
+    (``real_kernel``, that is ``real_on_axis``).
     """
     shift, d0, c = cfg.shift, cfg.delta0, cfg.c
     if which in ("V", "Vtilde"):
         pair = gsk_vector_pair(cfg) if chi is None else chi.pair
         rule = _interval_rule(cfg) if chi is None else chi.rule
-        real = real_on_axis(cfg, which)
+        real = real_kernel(pair, shift if which == "V" else None)
         if which == "V":
             return nystrom_det(
                 lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule,

@@ -8,9 +8,11 @@ amplitude/phase functions.
 
 All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
-(N, N) axis.  Near-diagonal removable singularities are evaluated through
-divided-difference forms that carry no cancellation, switched on at
-|lam - mu| < delta0 = 1e-4 * (b - a) and evaluated on those entries only.
+(N, N) axis.  V~ and V map real arrays to float64 where the config makes
+them real (``real_on_axis``, read through ``real_kernel``).  Near-diagonal
+removable singularities are evaluated through divided-difference forms
+that carry no cancellation, switched on at |lam - mu| < delta0 =
+1e-4 * (b - a) and evaluated on those entries only.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ __all__ = [
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
     "eval_e", "gsk_vector_pair", "gsk_shift_spec", "real_on_axis",
+    "real_kernel",
     "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
@@ -38,6 +41,9 @@ __all__ = [
 
 # fraction of (b - a) below which the divided-difference branch takes over
 DIAG_SWITCH_FRACTION = 1e-4
+
+# components of the generalized-sine-kernel vector pair
+GSK_N = 2
 
 
 class ConfigError(ValueError):
@@ -64,6 +70,21 @@ def _sinhc(w):
     return np.where(small, 1.0 + w * w / 6.0, np.sinh(wd) / wd)
 
 
+def _rank2(a0, a1, b0, b1):
+    """a0 b0 + a1 b1 over the broadcast grid of the lam-side a's and the
+    mu-side b's, as one GEMM of inner dimension 2 (einsum's optimize=True
+    contracts it so).  The mu side goes first: the GEMM then writes a
+    (lam rows, mu columns) grid C-contiguous, the layout of the difference
+    lam - mu it is combined with."""
+    return np.einsum("...a,...a->...", np.stack([b0, b1], axis=-1),
+                     np.stack([a0, a1], axis=-1), optimize=True)
+
+
+def _real_points(lam, mu) -> bool:
+    """Both arguments are real arrays (a dtype check, not a value check)."""
+    return not (np.iscomplexobj(lam) or np.iscomplexobj(mu))
+
+
 def near_diagonal_mask(lam, mu, delta0: float):
     """Boolean mask selecting pairs handled by the divided-difference branch."""
     return np.abs(np.asarray(lam) - np.asarray(mu)) < delta0
@@ -74,22 +95,27 @@ def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
     """A kernel with a removable lam = mu singularity, branch by branch.
 
     ``direct(lam, mu, d)`` receives the unbroadcast inputs and the broadcast
-    difference d = lam - mu, set to 1 on the near-diagonal entries
-    |lam - mu| < delta0 so that the quotient stays finite there.
+    difference d = lam - mu, in the inputs' own dtype (float64 for real
+    points), set to 1 on the near-diagonal entries |lam - mu| < delta0 so
+    that the quotient stays finite there; it may overwrite d.
     ``near(lam, mu)`` receives only those entries, as 1-D arrays, and its
     cancellation-free values replace them: the series costs O(#near), not
-    one evaluation per entry of the broadcast grid.
+    one evaluation per entry of the broadcast grid.  The result has the
+    common dtype of both branches: a complex ``near`` makes a float
+    ``direct`` result complex, so no imaginary part is dropped.
     """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
+    lam = np.asarray(lam)
+    mu = np.asarray(mu)
     d = np.asarray(lam - mu)
     mask = np.abs(d) < delta0
     if not mask.any():
         return direct(lam, mu, d)
     d[mask] = 1.0
     out = np.asarray(direct(lam, mu, d))
-    out[mask] = near(np.broadcast_to(lam, mask.shape)[mask],
-                     np.broadcast_to(mu, mask.shape)[mask])
+    vals = near(np.broadcast_to(lam, mask.shape)[mask],
+                np.broadcast_to(mu, mask.shape)[mask])
+    out = out.astype(np.result_type(out, vals), copy=False)
+    out[mask] = vals
     return out
 
 
@@ -326,18 +352,32 @@ class VectorPairSpec:
     on the diagonal.  ``bracket_dd(lam, mu)`` is that quotient written
     without cancellation, finite on the diagonal; it is evaluated only on
     the near-diagonal entries.
+
+    ``real`` marks an N = 2 pair whose components are swapped by
+    conjugation on the real axis, conj E_L,k = E_L,1-k and
+    conj E_R,k = E_R,1-k, so that the bracket of real points is
+    2 Re(E_L,0(lam) E_R,0(mu)); kernels built on such a pair evaluate real
+    points in float64 (see ``bracket_kernel``).
     """
 
     N: int
     E_L: Callable[[np.ndarray], np.ndarray]
     E_R: Callable[[np.ndarray], np.ndarray]
     bracket_dd: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    real: bool = False
 
     def bracket(self, lam, mu):
         """<E_L(lam), E_R(mu)> (plain bilinear pairing, no conjugation)."""
         # optimize=True contracts a broadcast grid as one GEMM
         return np.einsum("...a,...a->...", self.E_L(np.asarray(lam, complex)),
                          self.E_R(np.asarray(mu, complex)), optimize=True)
+
+    def real_bracket(self, lam, mu):
+        """The bracket of a ``real`` pair at real points as a float64 rank-2
+        product: 2 Re(E_L,0 E_R,0) = 2 (Re E_L,0 Re E_R,0 - Im E_L,0 Im E_R,0)."""
+        left = self.E_L(lam)[..., 0]
+        right = self.E_R(mu)[..., 0]
+        return _rank2(2.0 * left.real, -2.0 * left.imag, right.real, right.imag)
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +455,13 @@ class ProblemConfig:
         if self.c <= 0:
             raise ConfigError(f"need c > 0, got {self.c}")
         self.shift.validate()
+        # shift a dresses component a of E_L: the table can be no longer
+        # than the GSK pair
+        if self.shift.N > GSK_N:
+            raise ConfigError(
+                f"config.shifts: the table has {self.shift.N} entries, but "
+                f"shift a pairs with component a of the GSK vector pair, "
+                f"which has {GSK_N}")
         nm = self.numerics
         for name in ("m_loop", "m_line", "h", "map_scale"):
             value = getattr(nm, name)
@@ -571,7 +618,9 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
 
     E_L = (F/2i pi) (-1/e, e),  E_R = (e, 1/e); the bracket
     <E_L(lam), E_R(mu)> = F(lam) [e(lam)/e(mu) - e(mu)/e(lam)] / (2i pi)
-    vanishes identically at mu = lam.
+    vanishes identically at mu = lam.  The pair is marked ``real`` (float64
+    evaluation on real points) where ``real_on_axis(cfg, "Vtilde")`` holds:
+    for real F and p, conj e = 1/e on the real axis swaps the components.
     """
     def E_L(z):
         z = np.asarray(z, dtype=complex)
@@ -588,7 +637,8 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
         # bracket/(lam - mu) = F(lam) (x/2) dd_p sinc(phi) / pi, exactly
         return _gsk_near(lam, mu, cfg)
 
-    return VectorPairSpec(N=2, E_L=E_L, E_R=E_R, bracket_dd=exact_dd)
+    return VectorPairSpec(N=GSK_N, E_L=E_L, E_R=E_R, bracket_dd=exact_dd,
+                          real=real_on_axis(cfg, "Vtilde"))
 
 
 def real_on_axis(cfg: ProblemConfig, which: str) -> bool:
@@ -605,17 +655,41 @@ def real_on_axis(cfg: ProblemConfig, which: str) -> bool:
     """
     if not (cfg.F.real and cfg.p.real):
         return False
-    if which == "Vtilde":
-        return True
-    s = cfg.shift
+    return which == "Vtilde" or _swap_closed(cfg.shift)
+
+
+def _swap_closed(s: ShiftSpec) -> bool:
+    """The table is closed under the swap of the pair's two components."""
     return s.N == 2 and all(
         s.c[1 - k] == -s.c[k] and s.gamma[1 - k] == s.gamma[k].conjugate()
         and s.v0[1 - k] == 1 - s.v0[k] for k in range(2))
 
 
+def real_kernel(pair: VectorPairSpec,
+                shift: Optional[ShiftSpec] = None) -> bool:
+    """Whether ``bracket_kernel`` (shift None) or ``general_kernel_V`` with
+    ``shift`` evaluates real points of ``pair`` in float64: the one place
+    the kernels and their callers read that decision from.  On the pair of
+    ``gsk_vector_pair(cfg)`` and ``cfg.shift`` it is ``real_on_axis``."""
+    return pair.real and (shift is None or _swap_closed(shift))
+
+
 def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
-    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu), diagonal made removable."""
-    return near_diagonal_eval(lam, mu, delta0,
+    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu), diagonal made removable.
+
+    A ``real`` pair evaluates real points in float64: the bracket is the
+    pair's real rank-2 product, divided by the real difference in its own
+    memory, and the near-diagonal entries are the real part of
+    ``bracket_dd``.  Complex points, or any pair not marked real, take the
+    complex bracket.
+    """
+    if real_kernel(pair) and _real_points(lam, mu):
+        return near_diagonal_eval(
+            lam, mu, delta0,
+            lambda l, m, d: np.divide(pair.real_bracket(l, m), d, out=d),
+            lambda l, m: pair.bracket_dd(l, m).real)
+    return near_diagonal_eval(np.asarray(lam, dtype=complex),
+                              np.asarray(mu, dtype=complex), delta0,
                               lambda l, m, d: pair.bracket(l, m) / d,
                               pair.bracket_dd)
 
@@ -626,8 +700,12 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
 
     Only the lam = mu singularity of the leading term is removable (via the
     regularity condition); the shifted denominators must stay away from
-    their poles.
+    their poles.  Where ``real_kernel(pair, shift)`` holds (a ``real`` pair
+    and a table closed under the swap of its components), real points are
+    evaluated in float64 (``_real_V``).
     """
+    if real_kernel(pair, shift) and _real_points(lam, mu):
+        return _real_V(lam, mu, pair, shift, delta0)
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     # on real lam, mu every |lam - mu + ic_a| >= |c_a|: the pole guard's
@@ -647,6 +725,38 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
         term = shift.gamma[a_idx] * EL[..., a_idx] * ER[..., shift.v0[a_idx]]
         term /= den
         out -= term
+    return out
+
+
+def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float):
+    """V at real points in float64, for a table closed under the swap of the
+    pair's components (``real_on_axis``): shift 1 is the conjugate of
+    shift 0, so the two terms are 2 Re(N / (d + i c)) with d = lam - mu,
+    N = gamma_0 E_L,0(lam) E_R,v_0(mu) and c = c_0, that is
+    2 (Re N d + Im N c) / (d^2 + c^2), Re N and Im N real rank-2 products.
+    At most four float64 arrays of the grid's size are alive at once.
+    """
+    out = bracket_kernel(lam, mu, pair, delta0)
+    f = 2.0 * shift.gamma[0] * pair.E_L(lam)[..., 0]
+    g = pair.E_R(mu)[..., shift.v0[0]]
+    c = shift.c[0]
+    d = np.asarray(lam - mu)
+    num = _rank2(f.real, -f.imag, g.real, g.imag)          # Re N
+    num *= d
+    im = _rank2(f.real, f.imag, g.imag, g.real)            # Im N
+    im *= c
+    num += im
+    del im
+    d *= d                                                 # |d + ic|^2
+    d += c * c
+    # |d + ic| >= |c| on real points: only a |c| below the complex path's
+    # pole guard can reach it
+    guard = 1e-12 * (abs(c) + 1.0)
+    if abs(c) < guard and np.min(d) < guard * guard:
+        raise ValueError("general_kernel_V evaluated at the shifted pole "
+                         "lam - mu = -i c_1")
+    num /= d
+    out -= num
     return out
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .determinants import assemble_collocation, require_memory, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
                       VectorPairSpec, bracket_kernel, gsk_vector_pair,
-                      real_on_axis)
+                      real_kernel)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -250,15 +250,17 @@ class ChiSolution(_OnCut):
     def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
                      left: bool) -> np.ndarray:
         """E(z) - sum_k K w_k F_nodes[k] with K = kernel(z, node_k) (left)
-        or kernel(node_k, z), one GEMM per row block of points."""
-        z = np.asarray(z, dtype=complex)
+        or kernel(node_k, z), one GEMM per row block of points.  Real points
+        keep their dtype, so a real kernel's float64 K multiplies the
+        complex w F as real columns (``_columns``)."""
+        z = np.asarray(z)
         flat, nodes = z.reshape(-1), self.rule.nodes
         wF = self.rule.weights[:, None] * F_nodes
         acc = np.empty((flat.size, wF.shape[1]), dtype=complex)
         for i0, i1 in row_blocks(flat.size, 16 * nodes.size):
             pts = flat[i0:i1, None]
             K = self.kernel(pts, nodes) if left else self.kernel(nodes, pts)
-            np.matmul(K, wF, out=acc[i0:i1])
+            acc[i0:i1] = _columns(np.matmul, K, wF)
         return (E(flat) - acc).reshape(z.shape + (-1,))
 
     def FL_at(self, lam) -> np.ndarray:
@@ -268,7 +270,7 @@ class ChiSolution(_OnCut):
         solved values without re-assembling V~ on the nodes; interpolation
         would reproduce them up to the solve residual only.
         """
-        lam = np.asarray(lam, dtype=complex)
+        lam = np.asarray(lam)
         nodes = self.rule.nodes
         if lam.size == nodes.size and np.array_equal(lam.reshape(-1), nodes):
             return self.FL_nodes.reshape(lam.shape + (-1,)).copy()
@@ -287,9 +289,9 @@ def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
 
 
 def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """op(D, B) for a complex (n, k) B in D's own arithmetic: a float64 D is
-    not cast to complex, B's real and imaginary parts go through it as 2k
-    real columns."""
+    """op(D, B) for a C-contiguous complex (n, k) B in D's own arithmetic: a
+    float64 D is not cast to complex, B's real and imaginary parts go
+    through it as 2k real columns."""
     if np.iscomplexobj(D):
         return op(D, B)
     return op(D, B.view(float)).view(complex)
@@ -298,15 +300,16 @@ def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:
 def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
     """Solve both resolvent equations on a Gauss-Legendre rule.
 
-    The collocation matrix is float64 and factored in real arithmetic when
-    V~ is real by symmetry (``real_on_axis``).  Raises NumericError if the
+    When V~ is real by symmetry (``real_on_axis``) the pair is marked
+    ``real``: V~ is evaluated in float64, and the collocation matrix is
+    float64 and factored in real arithmetic.  Raises NumericError if the
     Nystrom matrix is numerically singular (det(I + V~) ~ 0, the
     unique-solvability condition) or if the node residuals of the solved
     systems exceed 1e-10 relative, and ConfigError if the dense n x n
     system would not fit in available memory.
     """
     pair = gsk_vector_pair(cfg)
-    real = real_on_axis(cfg, "Vtilde")
+    real = real_kernel(pair)
     n = cfg.resolved_n() if n is None else n
     require_memory(n, f"resolvent solve on an interval rule of {n} nodes",
                    8 if real else 16)

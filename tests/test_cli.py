@@ -280,6 +280,40 @@ class TestConfigErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text(encoding="utf-8") == "a file\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--which", "V"], ["verify", "--out", "out"]],
+        ids=["det-V", "verify"])
+    def test_shift_table_longer_than_the_pair_rejected(
+            self, tmp_path, config_dir, capsys, monkeypatch, argv):
+        # shift a pairs with component a of the two-component GSK pair: a
+        # third shift used to end in an IndexError traceback (exit 1)
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "nonintegrable.json"),
+                              **{"shifts.gamma": [0.7, 0.4, 0.3],
+                                 "shifts.c": [-1.0, 1.0, 2.0],
+                                 "shifts.v": [2, 1, 3]})
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main([argv[0], config, *argv[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config.shifts: the table has 3 entries" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_top_level_surface():
+    # the package top level holds what the tests and the benchmark import
+    # from it; everything else is reached through its submodule
+    import shiftdet
+    from shiftdet import determinants, kernels, quadrature, rhp
+    assert shiftdet.__all__ == ["__version__", "problem_config_from_json",
+                                "solve_chi"]
+    assert shiftdet.solve_chi is rhp.solve_chi
+    assert shiftdet.problem_config_from_json is kernels.problem_config_from_json
+    for module in (cli, determinants, experiments, kernels, quadrature, rhp):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
 
 class TestSweepCommand:
     def test_standard_sweep(self, tmp_path, config_dir):

@@ -9,7 +9,7 @@ from shiftdet import cli, determinants
 from shiftdet.determinants import (DetResult, collocation_matrix,
                                    factored_det, nystrom_det,
                                    nystrom_det_matrix)
-from shiftdet import experiments
+from shiftdet import experiments, kernels
 from shiftdet.experiments import (_det, _interval_rule, _line_rule,
                                   compute_determinant, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, M_kernel, N_kernel,
@@ -219,6 +219,15 @@ class TestFailureModes:
         bad = lambda l, m: np.full(np.broadcast(l, m).shape, np.nan)
         with pytest.raises(NumericError):
             nystrom_det(bad, rule)
+
+    def test_complex_kernel_rejected_for_a_real_matrix(self):
+        # a real collocation matrix takes float64 blocks (or complex ones
+        # with a zero imaginary part): a genuine imaginary part is an error,
+        # never cut off
+        rule = gauss_legendre_rule(8, 0.0, 1.0)
+        tilted = lambda l, m: np.full(np.broadcast(l, m).shape, 0.1 + 1e-3j)
+        with pytest.raises(NumericError, match="complex values"):
+            nystrom_det(tilted, rule, real=True)
 
     def test_wrong_block_shape_rejected(self):
         rule = gauss_legendre_rule(8, 0.0, 1.0)
@@ -522,6 +531,17 @@ class TestStreamedMemory:
             if started:
                 tracemalloc.stop()
 
+    def test_real_V_peak_at_large_n(self, standard_cfg):
+        # the default block budget at x = 800 (n = 2038): the float64 matrix
+        # (8 n^2 bytes) and one block of the real kernel's values and
+        # temporaries, 1.64 x 8 n^2 measured; with complex kernel values
+        # (their real part written into the same float64 matrix) it was 2.28
+        cfg = replace(standard_cfg, x=800.0)
+        unit = 8 * cfg.resolved_n() ** 2
+        assert real_on_axis(cfg, "V")
+        _, peak = self._peak(lambda: _det(cfg, "V"))
+        assert peak <= 1.75 * unit
+
     def test_peaks(self, cfg):
         unit = cfg.resolved_n() ** 2 * 16
         _, peak_V = self._peak(lambda: _det(cfg, "V"))
@@ -536,12 +556,17 @@ def _complex_F(cfg):
     return replace(cfg, F=FunctionSpec.constant(0.4 + 0.2j))
 
 
-def _kernel(cfg, which):
-    """V~ or V of ``cfg`` as the package evaluates it."""
+def _kernel(cfg, which, points=complex):
+    """V~ or V of ``cfg`` at points cast to ``points``: complex points take
+    the complex path (the oracle), real ones the package's float64 path
+    where ``real_on_axis`` holds."""
     pair = gsk_vector_pair(cfg)
     if which == "V":
-        return lambda l, m: general_kernel_V(l, m, pair, cfg.shift, cfg.delta0)
-    return lambda l, m: bracket_kernel(l, m, pair, cfg.delta0)
+        kernel = lambda l, m: general_kernel_V(l, m, pair, cfg.shift,
+                                               cfg.delta0)
+    else:
+        kernel = lambda l, m: bracket_kernel(l, m, pair, cfg.delta0)
+    return lambda l, m: kernel(np.asarray(l, points), np.asarray(m, points))
 
 
 def _on_grid(cfg, which):
@@ -610,6 +635,65 @@ class TestRealArithmetic:
             assert got.value.imag == got.half.imag == 0.0   # the real path
             _assert_agrees(got, complex_det(_kernel(cfg, which), chi.rule))
 
+    @pytest.mark.parametrize("x", [50.0, 400.0])
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial"])
+    def test_real_kernels_match_the_complex_path(self, request, name, x):
+        # float64 evaluation against the complex kernels on the full and
+        # half rules; at x = 400 the grids hold off-diagonal near pairs
+        # |lam - mu| < delta0 at the endpoints (standard: 152 and 24), which
+        # come from the real part of bracket_dd.  Measured: at most
+        # 9.6e-15 max|K| (standard, x = 50); the separable forms' own
+        # rounding near the diagonal, the same in both arithmetics
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        rule = _interval_rule(cfg)
+        near_pairs = 0
+        for r in (rule, rule.half()):
+            lam, mu = r.nodes[:, None], r.nodes[None, :]
+            near = near_diagonal_mask(lam, mu, cfg.delta0)
+            near_pairs += int(near.sum()) - r.size
+            for which in ("Vtilde", "V"):
+                got = _kernel(cfg, which, points=float)(lam, mu)
+                want = _kernel(cfg, which)(lam, mu)
+                assert got.dtype == np.float64
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+                assert np.max(np.abs(got - want)[near]) <= 1e-14 * scale
+        assert (near_pairs > 0) == (x == 400.0)
+
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial",
+                                      "nonintegrable", "complex-F"])
+    def test_kernel_blocks_are_float64_where_real(self, request, monkeypatch,
+                                                  name):
+        # the blocks each determinant binding assembles, solve_chi's kernel
+        # (and so FL_at's blocks on W's half rule): float64 exactly where
+        # real_on_axis holds, complex128 for nonintegrable's V and complex F
+        cfg = (_complex_F(request.getfixturevalue("standard_cfg"))
+               if name == "complex-F" else
+               request.getfixturevalue(name + "_cfg"))
+        seen = []
+        nystrom = experiments.nystrom_det
+
+        def spy(kernel, rule, **kwargs):
+            def watched(lam, mu):
+                K = kernel(lam, mu)
+                seen.append(K.dtype)
+                return K
+            return nystrom(watched, rule, **kwargs)
+
+        monkeypatch.setattr(experiments, "nystrom_det", spy)
+        for which in ("Vtilde", "V"):
+            seen.clear()
+            _det(cfg, which)
+            want = np.float64 if real_on_axis(cfg, which) else np.complex128
+            assert seen and set(seen) == {np.dtype(want)}
+        chi = solve_chi(cfg)
+        want = np.float64 if real_on_axis(cfg, "Vtilde") else np.complex128
+        half = chi.rule.half().nodes
+        assert chi.kernel(half[:, None], chi.rule.nodes).dtype == want
+        # complex points are never evaluated in float64
+        off = half[:, None] + 0.5j
+        assert chi.kernel(off, chi.rule.nodes).dtype == np.complex128
+
     def test_only_real_matrices_are_factored_in_float64(self, monkeypatch,
                                                         nonintegrable_cfg):
         factored = []
@@ -624,7 +708,7 @@ class TestRealArithmetic:
         # r1 = |det V - det V~ det W| / |det V| guards the realness decision:
         # dropping the O(1) imaginary part of nonintegrable's V breaks it
         assert verify_factorization(nonintegrable_cfg).passed["r1"]
-        monkeypatch.setattr(experiments, "real_on_axis", lambda cfg, which: True)
+        monkeypatch.setattr(kernels, "_swap_closed", lambda shift: True)
         rep = verify_factorization(nonintegrable_cfg)
         assert not rep.passed["r1"]
         assert rep.det_V.value.imag == 0.0

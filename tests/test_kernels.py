@@ -504,9 +504,11 @@ class TestMaskedAssembly:
     @pytest.fixture(scope="class", params=["standard", "general"])
     def large_n(self, request):
         # n = 1019 is the smallest standard-config size with off-diagonal
-        # near pairs (152, all near the endpoints); at n = 64 there are none
+        # near pairs (152, all near the endpoints); at n = 64 there are none.
+        # Complex nodes: the complex path, which real nodes of a pair marked
+        # real would bypass (TestRealArithmetic checks the float64 one)
         cfg = replace(request.getfixturevalue(request.param + "_cfg"), x=400.0)
-        nodes = gauss_legendre_rule(1019, cfg.a, cfg.b).nodes
+        nodes = gauss_legendre_rule(1019, cfg.a, cfg.b).nodes.astype(complex)
         return cfg, gsk_vector_pair(cfg), nodes
 
     @staticmethod
@@ -553,6 +555,20 @@ class TestMaskedAssembly:
                                  lambda l, m, d: 1.0 / d, near)
         assert seen == [3]
         np.testing.assert_array_equal(np.diag(out), 0.0)
+        assert out[0, 1] == 1.0 / (0.0 - 0.5)
+
+    def test_complex_series_makes_a_real_grid_complex(self):
+        # real points keep float64 unless the series is complex: then the
+        # grid is complex and no imaginary part is dropped
+        lam = np.array([0.0, 0.5, 1.0])[:, None]
+        direct = lambda l, m, d: 1.0 / d
+        out = near_diagonal_eval(lam, lam.T, 1e-4, direct,
+                                 lambda l, m: np.zeros(l.shape))
+        assert out.dtype == np.float64
+        out = near_diagonal_eval(lam, lam.T, 1e-4, direct,
+                                 lambda l, m: np.full(l.shape, 2j))
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(np.diag(out), 2j)
         assert out[0, 1] == 1.0 / (0.0 - 0.5)
 
 

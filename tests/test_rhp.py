@@ -104,8 +104,11 @@ class TestOneMatrixSolve:
         wF = rule.weights[:, None] * chi_1019.FL_nodes
         for lam in pts:
             flat = lam.reshape(-1)
+            # V~ is real on both configs: K is float64 at real points, and
+            # w F goes through it as real and imaginary columns
             K = chi_1019.kernel(flat[:, None], rule.nodes)
-            want = chi_1019.pair.E_L(flat) - K @ wF
+            assert K.dtype == np.float64
+            want = chi_1019.pair.E_L(flat) - (K @ wF.view(float)).view(complex)
             assert np.array_equal(chi_1019.FL_at(lam),
                                   want.reshape(lam.shape + (-1,)))
 
