@@ -21,9 +21,9 @@ side.
 Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
 kernel values, so a kernel's own temporaries stay bounded however large the
 rule: the only order x order arrays are the collocation matrix and the copy
-LAPACK factors.  A kernel that is real on the rule by symmetry (the caller
-knows, see ``kernels.real_kernel``) returns float64 blocks, written
-straight into a float64 matrix and factored in real arithmetic.
+LAPACK factors.  The kernel's output decides the matrix's arithmetic: float64
+blocks on real weights give a float64 matrix, factored in real arithmetic;
+anything else gives a complex one.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from .kernels import ConfigError, NumericError
 from .quadrature import QuadratureRule
 
 __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
-           "factored_det", "collocation_matrix", "assemble_collocation",
-           "row_blocks", "require_memory"]
+           "factored_det", "assemble_collocation", "row_blocks",
+           "require_memory"]
 
 # bytes of kernel values evaluated per block of rows.  The shipped loop and
 # line kernels (400 nodes at N = 2: 10.24 MB) stay one block; smaller blocks
@@ -61,23 +61,6 @@ class DetResult:
     def convergence_delta(self) -> float:
         """|value - half| / |value|: the evidence that value has converged."""
         return abs(self.value - self.half) / max(abs(self.value), 1e-30)
-
-
-def collocation_matrix(K, weights) -> np.ndarray:
-    """I + K diag(weights) for an (n, n) kernel matrix K, built in K's memory.
-
-    K is scaled and its diagonal raised in place when it is a writable
-    complex array that owns its data (a fresh kernel result); any other
-    array -- read-only, a view or broadcast, or not complex -- is copied
-    first, so a caller's array is never modified.
-    """
-    if not (isinstance(K, np.ndarray) and K.dtype == complex
-            and K.flags.owndata and K.flags.writeable):
-        K = np.array(K, dtype=complex)
-    K *= weights[None, :]
-    idx = np.arange(K.shape[0])
-    K[idx, idx] += 1.0
-    return K
 
 
 def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
@@ -123,30 +106,30 @@ def row_blocks(rows: int, row_bytes: int):
 
 
 def assemble_collocation(kernel: Callable, rule: QuadratureRule,
-                         dim: Optional[int] = None,
-                         real: bool = False) -> np.ndarray:
+                         dim: Optional[int] = None) -> np.ndarray:
     """I + K diag(w) on the rule; dim None for a scalar kernel.
 
     ``kernel(z[i0:i1, None], z[None, :])`` is evaluated per row block and
     written, weighted (for a matrix kernel with block (j, k) = w_k K(z_j, z_k)
     in the row-major (node, component) layout), into one preallocated matrix.
-    A complex scalar kernel evaluated in a single block becomes the
-    collocation matrix itself (see ``collocation_matrix``).  With ``real``
-    the matrix is float64: the kernel's float64 blocks are written in as
-    they are; a complex block must have a zero imaginary part
-    (NumericError otherwise, so a kernel that is not real is never cut to
-    its real part).
+    The matrix takes the dtype of the first block and the weights: float64
+    for float64 values on an interval rule, complex otherwise.  Into a
+    float64 matrix a later complex block must have a zero imaginary part
+    (NumericError otherwise, so a kernel is never cut to its real part).
+    The memory guard (``require_memory``) runs just before the matrix is
+    allocated, charged with its entry size.
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
+    order = w.size
     what = "scalar" if dim is None else "matrix"
     cell = () if dim is None else (dim, dim)
-    # a real kernel is charged 32 bytes an entry: its float64 values and
-    # the temporaries of its evaluation (general_kernel_V's real path holds
-    # at most four float64 arrays of the block's size at once)
-    blocks = row_blocks(m, m * (dim or 1) ** 2 * (32 if real else 16))
+    # a scalar kernel is charged 32 bytes an entry, its values and the
+    # temporaries of its evaluation (general_kernel_V's real path holds at
+    # most four float64 arrays of the block's size at once), a matrix
+    # kernel 16: the block size is fixed before the first block's dtype
     D = None
-    for i0, i1 in blocks:
+    for i0, i1 in row_blocks(m, order * (dim or 1) * (16 if dim else 32)):
         K = kernel(z[i0:i1, None], z[None, :])
         shape = (i1 - i0, m) + cell
         if np.shape(K) != shape:
@@ -155,16 +138,16 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
         if not np.isfinite(K).all():
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
-        if real:
-            if np.iscomplexobj(K):
-                if np.any(K.imag):
-                    raise NumericError(f"{what} kernel returned complex "
-                                       f"values for a real collocation matrix")
-                K = K.real
-        elif dim is None and len(blocks) == 1:
-            return collocation_matrix(K, w)
         if D is None:
-            D = np.empty((m * (dim or 1),) * 2, dtype=float if real else complex)
+            dtype = np.result_type(K, w)
+            require_memory(order, f"{what} kernel on the {rule.domain_kind} "
+                           f"rule of {m} nodes", dtype.itemsize)
+            D = np.empty((order, order), dtype=dtype)
+        elif np.iscomplexobj(K) and not np.iscomplexobj(D):
+            if np.any(K.imag):
+                raise NumericError(f"{what} kernel returned complex values "
+                                   f"for a real collocation matrix")
+            K = K.real
         if dim is None:
             np.multiply(K, w, out=D[i0:i1])
         else:
@@ -175,16 +158,6 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     idx = np.arange(D.shape[0])
     D[idx, idx] += 1.0
     return D
-
-
-def _collocation_det(kernel: Callable, rule: QuadratureRule,
-                     dim: Optional[int], real: bool = False) -> complex:
-    """det(I + K diag(w)) on the rule; dim None for a scalar kernel."""
-    what = "scalar" if dim is None else "matrix"
-    require_memory(rule.size * (dim or 1), f"{what} kernel on the "
-                   f"{rule.domain_kind} rule of {rule.size} nodes",
-                   8 if real else 16)
-    return _det(assemble_collocation(kernel, rule, dim, real))
 
 
 def _half(rule: QuadratureRule) -> QuadratureRule:
@@ -198,28 +171,27 @@ def _half(rule: QuadratureRule) -> QuadratureRule:
 
 
 def _nystrom(kernel: Callable, rule: QuadratureRule, dim: Optional[int],
-             value: Optional[complex], real: bool = False) -> DetResult:
+             value: Optional[complex]) -> DetResult:
     half_rule = _half(rule)
     if value is None:
-        value = _collocation_det(kernel, rule, dim, real)
-    return DetResult(value, _collocation_det(kernel, half_rule, dim, real),
+        value = _det(assemble_collocation(kernel, rule, dim))
+    return DetResult(value, _det(assemble_collocation(kernel, half_rule, dim)),
                      rule.size)
 
 
 def nystrom_det(kernel: Callable, rule: QuadratureRule,
-                value: Optional[complex] = None,
-                real: bool = False) -> DetResult:
+                value: Optional[complex] = None) -> DetResult:
     """Fredholm determinant of a scalar kernel over a quadrature rule.
 
     The kernel must accept broadcast complex arrays (lam, mu) and be finite
     at every node pair (diagonal limits are the kernel's responsibility).
     A caller that has already factored the collocation matrix of ``kernel``
     on ``rule`` passes its determinant as ``value``; only the
-    half-resolution rerun is computed then.  ``real`` declares the kernel
-    real on the rule: both matrices are then float64 and factored in real
-    arithmetic (see ``assemble_collocation``).
+    half-resolution rerun is computed then.  A kernel that returns float64
+    on an interval rule is factored in real arithmetic (see
+    ``assemble_collocation``).
     """
-    return _nystrom(kernel, rule, None, value, real)
+    return _nystrom(kernel, rule, None, value)
 
 
 def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,

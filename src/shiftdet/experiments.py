@@ -33,13 +33,13 @@ from .determinants import (DetResult, factored_det, nystrom_det,
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
-                      gsk_vector_pair, real_kernel)
+                      gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule)
 from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
 
 __all__ = [
-    "IdentityReport", "SweepRow", "ComparisonRow",
+    "SweepRow", "ComparisonRow",
     "verify_factorization", "asymptotic_sweep", "fit_decay_slope",
     "limit_determinants", "m_vs_m0", "compute_determinant",
     "sweep_gate", "m_vs_m0_gate", "DET_KINDS",
@@ -345,22 +345,18 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
     A solved ``chi`` or ``alpha`` is reused; otherwise one is built only for
     a kind that needs it (V and Vtilde need neither; M0 is built from the
     ``limit_determinants`` pair).  V and Vtilde use chi's interval rule when
-    chi is given, and real arithmetic where the kernel is float64
-    (``real_kernel``, that is ``real_on_axis``).
+    chi is given.
     """
     shift, d0, c = cfg.shift, cfg.delta0, cfg.c
     if which in ("V", "Vtilde"):
         pair = gsk_vector_pair(cfg) if chi is None else chi.pair
         rule = _interval_rule(cfg) if chi is None else chi.rule
-        real = real_kernel(pair, shift if which == "V" else None)
         if which == "V":
             return nystrom_det(
-                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule,
-                real=real)
+                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
         # solve_chi factored this same I + V~ matrix on chi.rule already
         return nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule,
-                           value=None if chi is None else chi.det_tilde,
-                           real=real)
+                           value=None if chi is None else chi.det_tilde)
     if which in ("W", "M", "N"):
         if chi is None:
             chi = solve_chi(cfg)

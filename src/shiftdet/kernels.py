@@ -9,10 +9,11 @@ amplitude/phase functions.
 All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
 (N, N) axis.  V~ and V map real arrays to float64 where the config makes
-them real (``real_on_axis``, read through ``real_kernel``).  Near-diagonal
-removable singularities are evaluated through divided-difference forms
-that carry no cancellation, switched on at |lam - mu| < delta0 =
-1e-4 * (b - a) and evaluated on those entries only.
+them real (``real_on_axis``, read through ``real_kernel``); this module
+alone reads that decision, and the collocation matrices follow the dtype of
+the values.  Near-diagonal removable singularities are evaluated through
+divided-difference forms that carry no cancellation, switched on at
+|lam - mu| < delta0 = 1e-4 * (b - a) and evaluated on those entries only.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
     "eval_e", "gsk_vector_pair", "gsk_shift_spec", "real_on_axis",
-    "real_kernel",
     "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
@@ -669,8 +669,9 @@ def real_kernel(pair: VectorPairSpec,
                 shift: Optional[ShiftSpec] = None) -> bool:
     """Whether ``bracket_kernel`` (shift None) or ``general_kernel_V`` with
     ``shift`` evaluates real points of ``pair`` in float64: the one place
-    the kernels and their callers read that decision from.  On the pair of
-    ``gsk_vector_pair(cfg)`` and ``cfg.shift`` it is ``real_on_axis``."""
+    that decision is read from; every caller sees it only as the dtype of
+    the kernel's values.  On the pair of ``gsk_vector_pair(cfg)`` and
+    ``cfg.shift`` it is ``real_on_axis``."""
     return pair.real and (shift is None or _swap_closed(shift))
 
 

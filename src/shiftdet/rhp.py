@@ -36,10 +36,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .determinants import assemble_collocation, require_memory, row_blocks
+from .determinants import assemble_collocation, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
-                      VectorPairSpec, bracket_kernel, gsk_vector_pair,
-                      real_kernel)
+                      VectorPairSpec, bracket_kernel, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -300,26 +299,22 @@ def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:
 def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
     """Solve both resolvent equations on a Gauss-Legendre rule.
 
-    When V~ is real by symmetry (``real_on_axis``) the pair is marked
-    ``real``: V~ is evaluated in float64, and the collocation matrix is
-    float64 and factored in real arithmetic.  Raises NumericError if the
-    Nystrom matrix is numerically singular (det(I + V~) ~ 0, the
-    unique-solvability condition) or if the node residuals of the solved
-    systems exceed 1e-10 relative, and ConfigError if the dense n x n
-    system would not fit in available memory.
+    Where the config makes V~ real (see ``gsk_vector_pair``) it is evaluated
+    in float64, so the collocation matrix is float64 and factored in real
+    arithmetic.  Raises NumericError if the Nystrom matrix is numerically
+    singular (det(I + V~) ~ 0, the unique-solvability condition) or if the
+    node residuals of the solved systems exceed 1e-10 relative, and
+    ConfigError if the dense n x n system would not fit in available memory.
     """
     pair = gsk_vector_pair(cfg)
-    real = real_kernel(pair)
     n = cfg.resolved_n() if n is None else n
-    require_memory(n, f"resolvent solve on an interval rule of {n} nodes",
-                   8 if real else 16)
     rule = gauss_legendre_rule(n, cfg.a, cfg.b)
     kernel = _base_kernel(pair, cfg.delta0)
     lam = rule.nodes
     w = rule.weights[:, None]
     # D = I + K diag(w).  The right equation's matrix I + K^T diag(w) is
     # diag(w)^-1 D^T diag(w), so it is solved as D^T (w F_R) = w E_R on D
-    D = assemble_collocation(kernel, rule, real=real)
+    D = assemble_collocation(kernel, rule)
     EL = pair.E_L(lam)
     ER = pair.E_R(lam)
     try:
@@ -348,17 +343,14 @@ def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
                        det_tilde=det_tilde, kernel=kernel, bandwidth_hint=hint)
 
 
-def jump_residual_chi(lam0: float, eps: float, chi: ChiSolution,
-                      orientation: str = "er-el") -> float:
+def jump_residual_chi(lam0: float, eps: float, chi: ChiSolution) -> float:
     """Relative residual of the boundary jump chi_- = chi_+ G at lam0.
 
     Boundary values are taken as Richardson pairs
     2 chi(lam0 +- i eps/2) - chi(lam0 +- i eps), which cancels the O(eps)
-    offset error; the "+" side is the upper half-plane.  G is built from
-    the rank-one dyad of the vector pair: orientation "er-el" uses
-    I + 2 i pi E_R(lam0) E_L(lam0)^T (the one consistent with the jump of
-    the reconstruction integral); "el-er" uses the transposed dyad and
-    exists for the comparative orientation test.
+    offset error; the "+" side is the upper half-plane.  G is
+    I + 2 i pi E_R(lam0) E_L(lam0)^T, built from the rank-one dyad of the
+    vector pair in the orientation of the reconstruction integral's jump.
     """
     if not chi.a < lam0 < chi.b:
         raise ConfigError(f"jump point {lam0} must lie inside ({chi.a}, {chi.b})")
@@ -372,13 +364,7 @@ def jump_residual_chi(lam0: float, eps: float, chi: ChiSolution,
     chi_minus = 2.0 * vals[2] - vals[3]
     el = chi.pair.E_L(np.asarray(lam0, dtype=complex))
     er = chi.pair.E_R(np.asarray(lam0, dtype=complex))
-    if orientation == "er-el":
-        dyad = np.outer(er, el)
-    elif orientation == "el-er":
-        dyad = np.outer(el, er)
-    else:
-        raise ConfigError(f"unknown dyad orientation {orientation!r}")
-    G = np.eye(chi.N) + 2j * pi * dyad
+    G = np.eye(chi.N) + 2j * pi * np.outer(er, el)
     num = np.linalg.norm(chi_minus - chi_plus @ G)
     return float(num / np.linalg.norm(G))
 

@@ -2,12 +2,14 @@
 
 The package never calls these; each is built on the package's public API.
 """
+import warnings
 from math import pi
 
 import numpy as np
 
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.kernels import ConfigError, FunctionSpec
+from shiftdet.rhp import NearIntervalWarning
 
 
 def identity():
@@ -100,3 +102,19 @@ def complex_resolvent(chi):
     FL = np.linalg.solve(D, chi.pair.E_L(rule.nodes))
     FR = np.linalg.solve(D.T, w * chi.pair.E_R(rule.nodes)) / w
     return FL, FR, complex(np.linalg.det(D))
+
+
+def transposed_jump_residual(lam0: float, eps: float, chi) -> float:
+    """``jump_residual_chi`` with the dyad transposed: the residual of
+    chi_- = chi_+ (I + 2 i pi E_L(lam0) E_R(lam0)^T), the wrong orientation
+    the right one is compared against."""
+    pts = lam0 + 1j * eps * np.array([0.5, 1.0, -0.5, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearIntervalWarning)
+        vals = chi.chi_at(pts)
+    chi_plus = 2.0 * vals[0] - vals[1]
+    chi_minus = 2.0 * vals[2] - vals[3]
+    lam = np.asarray(lam0, dtype=complex)
+    G = np.eye(chi.N) + 2j * pi * np.outer(chi.pair.E_L(lam),
+                                           chi.pair.E_R(lam))
+    return float(np.linalg.norm(chi_minus - chi_plus @ G) / np.linalg.norm(G))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -313,6 +314,27 @@ def test_top_level_surface():
     for module in (cli, determinants, experiments, kernels, quadrature, rhp):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only numerical dependency: no module of the package may
+    # import scipy, at top level or inside a function
+    package = os.path.dirname(cli.__file__)
+    sources = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "determinants.py" in sources
+    for name in sources:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "scipy", \
+                    f"{name}:{node.lineno} imports {module}"
 
 
 class TestSweepCommand:

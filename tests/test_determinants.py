@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftdet import cli, determinants
-from shiftdet.determinants import (DetResult, collocation_matrix,
+from shiftdet.determinants import (DetResult, assemble_collocation,
                                    factored_det, nystrom_det,
                                    nystrom_det_matrix)
 from shiftdet import experiments, kernels
@@ -134,17 +134,32 @@ def test_trivial_amplitude_dressed_determinants(trivial_cfg, trivial_chi):
     assert abs(d_m0.value - 1.0) < 1e-10
 
 
-class TestInPlaceCollocation:
-    """I + K diag(w) is built in the kernel's own result when that is a
-    fresh complex array, and in a copy otherwise."""
+class TestCollocationDtype:
+    """The kernel's values and the rule's weights decide the matrix's dtype."""
 
-    def test_fresh_complex_result_is_reused(self):
-        rule = gauss_legendre_rule(8, -1.0, 1.0)
-        K = np.full((8, 8), 0.5 + 0j)
-        D = collocation_matrix(K, rule.weights)
-        assert D is K
-        want = np.eye(8) + np.full((8, 8), 0.5) * rule.weights[None, :]
+    def test_float64_kernel_on_a_gauss_rule_gives_a_float64_matrix(self):
+        rule = gauss_legendre_rule(16, -1.0, 1.0)
+        D = assemble_collocation(lambda l, m: np.exp(-(l - m) ** 2), rule)
+        assert D.dtype == np.float64
+        lam = rule.nodes
+        K = np.exp(-(lam[:, None] - lam[None, :]) ** 2)
+        assert np.array_equal(D, np.eye(16) + K * rule.weights)
+
+    def test_complex_weights_are_kept(self):
+        # a float64 kernel on the stadium rule: the weights' imaginary parts
+        # go into a complex matrix, never dropped
+        rule = stadium_loop_rule(-1.0, 1.0, 0.25, 32)
+        assert np.any(rule.weights.imag)
+        kernel = lambda l, m: np.full(np.broadcast(l, m).shape, 0.3)
+        D = assemble_collocation(kernel, rule)
+        assert D.dtype == np.complex128
+        want = np.eye(rule.size) + 0.3 * rule.weights[None, :]
         assert np.array_equal(D, want)
+
+
+class TestInPlaceCollocation:
+    """I + K diag(w) is never built in the kernel's own result: a caller's
+    array, even a fresh writable one, is read and left as it was."""
 
     @pytest.mark.parametrize("kind", ["read-only", "broadcast", "view", "real"])
     def test_kernel_result_is_not_modified(self, kind):
@@ -164,9 +179,8 @@ class TestInPlaceCollocation:
         res = nystrom_det(lambda l, m: K if np.size(l) == n else
                           np.array(K)[::2, ::2], rule)
         assert np.array_equal(K, before)
-        fresh = nystrom_det(lambda l, m: np.array(K, dtype=complex) if
-                            np.size(l) == n else
-                            np.array(K, dtype=complex)[::2, ::2], rule)
+        fresh = nystrom_det(lambda l, m: np.array(K) if np.size(l) == n else
+                            np.array(K)[::2, ::2], rule)
         assert res.value == fresh.value
 
     def test_matrix_kernel_result_is_not_modified(self):
@@ -220,14 +234,27 @@ class TestFailureModes:
         with pytest.raises(NumericError):
             nystrom_det(bad, rule)
 
-    def test_complex_kernel_rejected_for_a_real_matrix(self):
-        # a real collocation matrix takes float64 blocks (or complex ones
-        # with a zero imaginary part): a genuine imaginary part is an error,
-        # never cut off
+    def test_complex_kernel_rejected_for_a_real_matrix(self, monkeypatch):
+        # a float64 first block makes the matrix float64: a later block with
+        # a genuine imaginary part is an error, never cut off, and one with
+        # a zero imaginary part is written in
+        monkeypatch.setattr(determinants, "_BLOCK_BYTES", 1)  # a row a block
         rule = gauss_legendre_rule(8, 0.0, 1.0)
-        tilted = lambda l, m: np.full(np.broadcast(l, m).shape, 0.1 + 1e-3j)
+
+        def kernel(later):
+            calls = []
+
+            def k(l, m):
+                calls.append(None)
+                value = 0.1 if len(calls) == 1 else later
+                return np.full(np.broadcast(l, m).shape, value)
+            return k
+
+        D = assemble_collocation(kernel(0.1 + 0j), rule)
+        assert D.dtype == np.float64
+        assert np.array_equal(D, np.eye(8) + 0.1 * rule.weights[None, :])
         with pytest.raises(NumericError, match="complex values"):
-            nystrom_det(tilted, rule, real=True)
+            assemble_collocation(kernel(0.1 + 1e-3j), rule)
 
     def test_wrong_block_shape_rejected(self):
         rule = gauss_legendre_rule(8, 0.0, 1.0)
@@ -292,6 +319,7 @@ class TestMemoryGuard:
     def test_collocation_refused_beyond_available_memory(self, monkeypatch):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
         rule = gauss_legendre_rule(200, -1.0, 1.0)   # 3 * 200^2 * 16 B > 1 MB
+        # zero_kernel is complex, so the matrix is complex
         with pytest.raises(ConfigError, match=r"200 nodes.*1920000 bytes"):
             nystrom_det(zero_kernel, rule)
 
@@ -335,7 +363,8 @@ class TestMemoryGuard:
         # 3 * 200^2 * 8 = 960000 B fits in 1 MB; complex (above) does not
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
         rule = gauss_legendre_rule(200, -1.0, 1.0)
-        assert nystrom_det(zero_kernel, rule, real=True).value == 1.0
+        real_zero = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape)
+        assert nystrom_det(real_zero, rule).value == 1.0
 
     def test_complex_resolvent_is_charged_16_bytes(self, monkeypatch,
                                                   standard_cfg):

@@ -69,7 +69,7 @@ class TestVerifyFactorization:
         # the same real matrix
         chi = solve_chi(standard_cfg)
         assert real_on_axis(standard_cfg, "Vtilde")
-        fresh = nystrom_det(chi.kernel, chi.rule, real=True)
+        fresh = nystrom_det(chi.kernel, chi.rule)
         assert standard_report.det_Vtilde.value == chi.det_tilde
         assert standard_report.det_Vtilde.value == fresh.value
         assert (standard_report.det_Vtilde.convergence_delta

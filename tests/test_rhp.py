@@ -10,7 +10,7 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import equation_residuals
+from helpers import equation_residuals, transposed_jump_residual
 
 
 class TestResolventSolve:
@@ -77,7 +77,7 @@ class TestOneMatrixSolve:
         # real and imaginary parts are solved as columns
         rule = chi_1019.rule
         lam = rule.nodes
-        D = assemble_collocation(chi_1019.kernel, rule, real=True)
+        D = assemble_collocation(chi_1019.kernel, rule)
         K = chi_1019.kernel(lam[:, None], lam[None, :])
         assert D.dtype == np.float64
         assert np.max(np.abs(D - np.eye(rule.size) - K.real * rule.weights)) < 1e-15
@@ -224,8 +224,8 @@ class TestJumpCondition:
         assert res < 1e-2
 
     def test_wrong_orientation_is_worse(self, fine_chi):
-        good = jump_residual_chi(0.2, 1e-3, fine_chi, orientation="er-el")
-        bad = jump_residual_chi(0.2, 1e-3, fine_chi, orientation="el-er")
+        good = jump_residual_chi(0.2, 1e-3, fine_chi)
+        bad = transposed_jump_residual(0.2, 1e-3, fine_chi)
         assert bad > 10 * good
 
     def test_residual_shrinks_with_epsilon(self, fine_chi):
@@ -241,10 +241,6 @@ class TestJumpCondition:
     def test_bad_probe_rejected(self, fine_chi, lam0, eps):
         with pytest.raises(ValueError):
             jump_residual_chi(lam0, eps, fine_chi)
-
-    def test_unknown_orientation_rejected(self, fine_chi):
-        with pytest.raises(ValueError):
-            jump_residual_chi(0.2, 1e-3, fine_chi, orientation="upside-down")
 
 
 class TestAlpha:
