@@ -90,6 +90,31 @@ def near_diagonal_mask(lam, mu, delta0: float):
     return np.abs(np.asarray(lam) - np.asarray(mu)) < delta0
 
 
+def _near_entries(lam, mu, d, delta0: float):
+    """Index of the entries |d| < delta0 of the broadcast d = lam - mu.
+
+    When lam is a column and mu a row with sorted real parts (every row
+    block of a Gauss rule), each row's candidates are the bisected window
+    |Re lam - Re mu| <= 2 delta0, which holds every entry with
+    |d| < delta0, rounding included; the exact test then runs on those
+    candidates only, and (row, column) arrays in row-major order are
+    returned.  Any other shape gets the boolean mask over the full grid.
+    """
+    if d.ndim == 2 and lam.shape == (d.shape[0], 1) and mu.size == d.shape[1]:
+        row = mu.reshape(-1).real
+        if np.all(row[1:] >= row[:-1]):
+            col = lam.reshape(-1).real
+            lo = np.searchsorted(row, col - 2.0 * delta0)
+            count = np.searchsorted(row, col + 2.0 * delta0, side="right") - lo
+            i = np.repeat(np.arange(col.size), count)
+            # the k-th candidate of row i is column lo[i] + k
+            j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count),
+                                              count)
+            keep = np.abs(d[i, j]) < delta0
+            return i[keep], j[keep]
+    return np.abs(d) < delta0
+
+
 def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
                        near: Callable):
     """A kernel with a removable lam = mu singularity, branch by branch.
@@ -100,22 +125,24 @@ def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
     that the quotient stays finite there; it may overwrite d.
     ``near(lam, mu)`` receives only those entries, as 1-D arrays, and its
     cancellation-free values replace them: the series costs O(#near), not
-    one evaluation per entry of the broadcast grid.  The result has the
+    one evaluation per entry of the broadcast grid, and a Gauss-rule row
+    block finds them by bisection (``_near_entries``).  The result has the
     common dtype of both branches: a complex ``near`` makes a float
     ``direct`` result complex, so no imaginary part is dropped.
     """
     lam = np.asarray(lam)
     mu = np.asarray(mu)
     d = np.asarray(lam - mu)
-    mask = np.abs(d) < delta0
-    if not mask.any():
+    idx = _near_entries(lam, mu, d, delta0)
+    lam_near = np.broadcast_to(lam, d.shape)[idx]
+    if not lam_near.size:
         return direct(lam, mu, d)
-    d[mask] = 1.0
+    mu_near = np.broadcast_to(mu, d.shape)[idx]
+    d[idx] = 1.0
     out = np.asarray(direct(lam, mu, d))
-    vals = near(np.broadcast_to(lam, mask.shape)[mask],
-                np.broadcast_to(mu, mask.shape)[mask])
+    vals = near(lam_near, mu_near)
     out = out.astype(np.result_type(out, vals), copy=False)
-    out[mask] = vals
+    out[idx] = vals
     return out
 
 
@@ -787,9 +814,8 @@ def cauchy_rank(c: float, a: float, b: float) -> int:
 
 
 def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
-    """r Chebyshev points t of [a, b] and the (n, r) barycentric matrix P
-    with P @ f(t) ~ f(nodes) for f analytic near [a, b].  P is real, stored
-    complex: it only ever multiplies complex arrays."""
+    """r Chebyshev points t of [a, b] and the real (n, r) barycentric matrix
+    P with P @ f(t) ~ f(nodes) for f analytic near [a, b]."""
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(pi * np.arange(r) / (r - 1))
     bw = (-1.0) ** np.arange(r)
     bw[[0, -1]] *= 0.5
@@ -800,34 +826,7 @@ def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
     P /= P.sum(axis=1, keepdims=True)
     rows = hit.any(axis=1)
     P[rows] = hit[rows]
-    return t, P.astype(complex)
-
-
-def _shifted_chi_column(rule, chi, k: int, c: float, t: np.ndarray,
-                        T: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """chi(lam - i c)[:, k] at the nodes lam of ``rule``, shape (n, N).
-
-    chi(z) = I - sum_j w_j F_R(lam_j) E_L(lam_j)^T / (lam_j - z) over chi's
-    rule, and 1/(lam_j - lam_i + i c) = C(lam_j, lam_i) ~ [P_chi T P^T]_ji
-    through the Chebyshev points t of W's factor (T = C(t, t), P onto the
-    rule, P_chi onto chi's rule; one matrix on the full rule), so column k is
-    e_k - P T^T P_chi^T (w F_R E_L,k): O(n r N), no n x n Cauchy matrix.
-    That form is taken where chi_at would sum the same quadrature directly
-    (the far zone |c| >= chi.near_threshold) and the points are fewer than
-    both rules' nodes; elsewhere chi_at evaluates the column.
-    """
-    lam, cr = rule.nodes, chi.rule
-    if not (t.size < min(rule.size, cr.size) and abs(c) >= chi.near_threshold):
-        return chi.chi_at(lam - 1j * c)[:, :, k]
-    if cr.size == rule.size and np.array_equal(cr.nodes, lam):
-        P_chi = P
-    else:
-        P_chi = _chebyshev_interpolant(cr.nodes, t.size, rule.descriptor["a"],
-                                       rule.descriptor["b"])[1]
-    v = chi.FR_nodes * (cr.weights * chi.pair.E_L(cr.nodes)[:, k])[:, None]
-    out = -(P @ (T.T @ (P_chi.T @ v)))
-    out[:, k] += 1.0
-    return out
+    return t, P
 
 
 def W_factors(rule, chi, shift: ShiftSpec):
@@ -841,13 +840,18 @@ def W_factors(rule, chi, shift: ShiftSpec):
     interpolated in both variables through the r = cauchy_rank(c_n)
     Chebyshev points t: C_n ~ P T_n P^T with T_n = C_n(t, t), which leaves
     R = N_shift N r columns.  When r >= n the rule's own nodes serve as
-    the points (P = I, exact).  The same factor gives chi(mu - i c_n)
-    (see ``_shifted_chi_column``).
+    the points (P = I, exact).  chi(mu - i c_n) comes from ``chi_at``,
+    whose far path sums the same r Chebyshev points: O(n r N^2).
     """
     lam, n, N = rule.nodes, rule.size, chi.N
     a, b = rule.descriptor["a"], rule.descriptor["b"]
     FL = chi.FL_at(lam)                                 # (n, N)
     ER = chi.pair.E_R(lam)                              # (n, N)
+    # every g_{., n} (n x N) before the factors are allocated, so that
+    # chi_at's temporaries never sit on top of X and Y
+    g = [chi.chi_at(lam - 1j * c)[:, :, k]
+         * (ER[:, shift.v0[k]] * rule.weights)[:, None]
+         for k, c in enumerate(shift.c)]
     ranks = [min(cauchy_rank(c, a, b), n) for c in shift.c]
     X = np.empty((n, N * sum(ranks)), dtype=complex)
     Y = np.empty_like(X)
@@ -856,17 +860,18 @@ def W_factors(rule, chi, shift: ShiftSpec):
         c = shift.c[k]
         if t is None or t.size != r:          # shifts of equal |c| share P
             if r == n:
-                t, P = lam.real, np.eye(n, dtype=complex)
+                t, P = lam.real, np.eye(n)
             else:
                 t, P = _chebyshev_interpolant(lam, r, a, b)
+            PT = np.empty((n, r), dtype=complex)
+        # P T_n: the real P times T_n's real and imaginary parts, in place
         T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
-        g = (_shifted_chi_column(rule, chi, k, c, t, T, P)
-             * (ER[:, shift.v0[k]] * rule.weights)[:, None])  # (n, N)
+        np.matmul(P, T.view(float), out=PT.view(float))
         for a_idx in range(N):                 # column block (k, a) of r
             cols = slice(col, col + r)
-            np.matmul(P, T, out=X[:, cols])
-            X[:, cols] *= -shift.gamma[k] * FL[:, a_idx, None]
-            np.multiply(g[:, a_idx, None], P, out=Y[:, cols])
+            np.multiply(PT, -shift.gamma[k] * FL[:, a_idx, None],
+                        out=X[:, cols])
+            np.multiply(g[k][:, a_idx, None], P, out=Y[:, cols])
             col += r
     return X, Y
 

@@ -12,7 +12,11 @@ by Nystrom discretization on a Gauss-Legendre rule, then reconstructs
     alpha(z)   = exp{ int_a^b ln(1 + F(mu)) / (z - mu) dmu / (2 i pi) }
 
 anywhere off [a, b].  Far from the interval the reconstruction integrals are
-evaluated by the same Gauss rule (geometric convergence).  Within ten node
+sums over the solving Gauss rule, with the factor 1/(mu - z) interpolated in
+mu through r Chebyshev proxy points of [a, b]: a point set at distance d
+from [a, b] needs r = cauchy_rank(d) of them (the Bernstein ellipse bound),
+so each point costs O(r) instead of O(n); where r would reach n the Gauss
+sum is taken as it stands.  Within ten node
 spacings of [a, b] plain quadrature of a Cauchy integral loses accuracy like
 exp(-2 n dist), so evaluation switches to a Legendre-expansion form: the
 density is projected onto Legendre polynomials with the already-available
@@ -38,7 +42,8 @@ import numpy as np
 
 from .determinants import assemble_collocation, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
-                      VectorPairSpec, bracket_kernel, gsk_vector_pair)
+                      VectorPairSpec, _chebyshev_interpolant, bracket_kernel,
+                      cauchy_rank, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -101,26 +106,75 @@ class _NearCutCauchy:
         return -2.0 * out
 
 
+class _FarCauchy:
+    """Far-field evaluator for sum_j w_j dens_j / prod_p (lam_j - p) over a
+    Gauss rule: C(z) with one point set, its divided difference with two.
+
+    For points at least d from [a, b] the factor 1/(lam_j - z) is
+    interpolated in lam through the r = cauchy_rank(d) Chebyshev points t
+    of [a, b] (the Bernstein ellipse bound): with P the (n, r) barycentric
+    matrix onto the nodes (``_chebyshev_interpolant``),
+    1/(lam_j - z) ~ sum_s P_js / (t_s - z), so the sum runs over the t
+    with the proxy densities dens_hat = P^T (w dens), O(r) per point.
+    dens_hat is built on the first request for its r and kept (threads
+    asking at once may each build it, to the same values); P itself is
+    dropped.  Where r would reach n the Gauss sum is taken as it stands.
+    """
+
+    def __init__(self, rule: QuadratureRule, densities: np.ndarray):
+        self.rule = rule
+        self.densities = densities
+        self._proxies = {}
+
+    def _proxy(self, r: int):
+        got = self._proxies.get(r)
+        if got is None:
+            rule = self.rule
+            t, P = _chebyshev_interpolant(rule.nodes, r, rule.descriptor["a"],
+                                          rule.descriptor["b"])
+            wd = rule.weights[:, None] * self.densities
+            got = self._proxies[r] = (t, _columns(np.matmul, P.T, wd))
+        return got
+
+    def eval(self, dist: float, *points) -> np.ndarray:
+        """The sum at each i of the 1-D point arrays ``points`` (all of one
+        size M, all at least ``dist`` from [a, b]), shape (M, D), in row
+        blocks."""
+        rule = self.rule
+        r = cauchy_rank(dist, rule.descriptor["a"], rule.descriptor["b"])
+        if r < rule.size:
+            (nodes, dens), w = self._proxy(r), 1.0
+        else:
+            nodes, w, dens = rule.nodes, rule.weights, self.densities
+        out = np.empty((points[0].size, dens.shape[1]), dtype=complex)
+        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size):
+            den = nodes[None, :] - points[0][i0:i1, None]
+            for p in points[1:]:
+                den *= nodes[None, :] - p[i0:i1, None]
+            out[i0:i1] = np.divide(w, den, out=den) @ dens
+        return out
+
+
 def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
                       near: Callable[[], _NearCutCauchy], threshold: float, z,
-                      warn: bool = True) -> np.ndarray:
+                      far_eval: _FarCauchy, warn: bool = True) -> np.ndarray:
     """C(z) = int_a^b dens(mu)/(mu - z) dmu with near/far dispatch.
 
     densities has shape (n, D); the result has shape z.shape + (D,).
     ``near()`` returns the near-cut evaluator; it is asked for only when a
-    point lies within ``threshold`` of the cut.
+    point lies within ``threshold`` of the cut.  The other points go to
+    ``far_eval`` together, at the distance of the closest of them.
     """
     a, b = rule.descriptor["a"], rule.descriptor["b"]
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     dens = densities.reshape(rule.size, -1)
     out = np.empty((flat.size, dens.shape[1]), dtype=complex)
-    close = _segment_distance(flat, a, b) < threshold
+    dist = _segment_distance(flat, a, b)
+    close = dist < threshold
     far = np.flatnonzero(~close)
-    for i0, i1 in row_blocks(far.size, 16 * rule.size):
-        rows = far[i0:i1]
-        ker = rule.weights[None, :] / (rule.nodes[None, :] - flat[rows, None])
-        out[rows] = ker @ dens
+    if far.size:
+        out[far] = far_eval.eval(float(np.min(dist[far])), flat[far])
     if np.any(close):
         if warn:
             _warn_near(threshold, a, b, stacklevel=4)
@@ -176,7 +230,7 @@ class ChiSolution(_OnCut):
     def N(self) -> int:
         return self.pair.N
 
-    # -- densities and near-zone evaluators (built lazily, then cached) -----
+    # -- densities, far and near evaluators (built lazily, then cached) ------
     @cached_property
     def _rho_R(self) -> np.ndarray:
         # chi(z) = I - sum_j w_j rho_R_j / (lam_j - z), rho_R = F_R E_L^T
@@ -194,6 +248,14 @@ class ChiSolution(_OnCut):
         return self.bandwidth_hint + _NEAR_MODE_MARGIN
 
     @cached_property
+    def _far_R(self) -> _FarCauchy:
+        return _FarCauchy(self.rule, self._rho_R.reshape(self.rule.size, -1))
+
+    @cached_property
+    def _far_L(self) -> _FarCauchy:
+        return _FarCauchy(self.rule, self._rho_L.reshape(self.rule.size, -1))
+
+    @cached_property
     def _near_R(self) -> _NearCutCauchy:
         n = self.rule.size
         return _NearCutCauchy(self.rule, self._rho_R.reshape(n, -1), self._n_modes)
@@ -209,7 +271,7 @@ class ChiSolution(_OnCut):
         N = self.N
         C = _cauchy_transform(self.rule, self._rho_R.reshape(self.rule.size, -1),
                               lambda: self._near_R, self.near_threshold, z,
-                              warn=warn)
+                              self._far_R, warn=warn)
         z = np.asarray(z, dtype=complex)
         out = -C.reshape(z.shape + (N, N))
         idx = np.arange(N)
@@ -221,7 +283,7 @@ class ChiSolution(_OnCut):
         N = self.N
         C = _cauchy_transform(self.rule, self._rho_L.reshape(self.rule.size, -1),
                               lambda: self._near_L, self.near_threshold, z,
-                              warn=warn)
+                              self._far_L, warn=warn)
         z = np.asarray(z, dtype=complex)
         out = C.reshape(z.shape + (N, N))
         idx = np.arange(N)
@@ -231,20 +293,21 @@ class ChiSolution(_OnCut):
     def delta_chi(self, z1, z2) -> np.ndarray:
         """[chi(z1) - chi(z2)] / (z1 - z2), exact divided difference.
 
-        Finite at z1 = z2 (where it equals chi'(z1)).  The summand has only
-        the quadrature-node poles, so its accuracy degrades like chi_at's
-        near [a, b]: a point within ``near_threshold`` of the interval emits
-        ``NearIntervalWarning``.
+        Finite at z1 = z2 (where it equals chi'(z1)).  The summand
+        1/((mu - z1)(mu - z2)) goes through chi_at's far evaluator, at the
+        distance of the closest point of either set.  It has only the
+        quadrature-node poles, so its accuracy degrades like chi_at's near
+        [a, b]: a point within ``near_threshold`` of the interval emits
+        ``NearIntervalWarning`` (and takes the Gauss sum).
         """
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        if any(np.any(_segment_distance(z, self.a, self.b)
-                      < self.near_threshold) for z in (z1, z2)):
+        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                     np.asarray(z2, dtype=complex))
+        dist = min(float(np.min(_segment_distance(z, self.a, self.b),
+                                initial=np.inf)) for z in (z1, z2))
+        if dist < self.near_threshold:
             _warn_near(self.near_threshold, self.a, self.b, stacklevel=3)
-        lam = self.rule.nodes
-        ker = (self.rule.weights[None, :]
-               / ((lam[None, :] - z1[..., None]) * (lam[None, :] - z2[..., None])))
-        return -np.einsum("...j,jpq->...pq", ker, self._rho_R, optimize=True)
+        out = self._far_R.eval(dist, z1.reshape(-1), z2.reshape(-1))
+        return -out.reshape(z1.shape + (self.N, self.N))
 
     def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
                      left: bool) -> np.ndarray:
@@ -385,13 +448,17 @@ class AlphaEvaluator(_OnCut):
         return (self.logF_nodes / (2j * pi)).reshape(-1, 1)
 
     @cached_property
+    def _far(self) -> _FarCauchy:
+        return _FarCauchy(self.rule, self._density)
+
+    @cached_property
     def _near(self) -> _NearCutCauchy:
         return _NearCutCauchy(self.rule, self._density, _NEAR_MODE_MARGIN)
 
     def alpha_at(self, z, warn: bool = True) -> np.ndarray:
         """alpha(z) = exp{int_a^b ln(1+F(mu))/(z-mu) dmu / 2 i pi}."""
         C = _cauchy_transform(self.rule, self._density, lambda: self._near,
-                              self.near_threshold, z, warn=warn)
+                              self.near_threshold, z, self._far, warn=warn)
         z = np.asarray(z, dtype=complex)
         # C integrates against 1/(mu - z); the exponent uses 1/(z - mu)
         return np.exp(-C.reshape(z.shape))

@@ -104,6 +104,68 @@ def complex_resolvent(chi):
     return FL, FR, complex(np.linalg.det(D))
 
 
+def gauss_sum(rule, densities, *points) -> np.ndarray:
+    """sum_j w_j dens_j / prod_p (lam_j - p) over every node of ``rule``,
+    one product for all points: the direct sum the evaluators' far path
+    approximates through Chebyshev proxy points, shape (M, D)."""
+    lam = rule.nodes
+    flat = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
+    den = lam[None, :] - flat[0][:, None]
+    for p in flat[1:]:
+        den *= lam[None, :] - p[:, None]
+    return (rule.weights / den) @ densities.reshape(rule.size, -1)
+
+
+def _chi_densities(chi):
+    nodes = chi.rule.nodes
+    return (np.einsum("jp,jq->jpq", chi.FR_nodes, chi.pair.E_L(nodes)),
+            np.einsum("jp,jq->jpq", chi.pair.E_R(nodes), chi.FL_nodes))
+
+
+def direct_chi(chi, z, inverse: bool = False) -> np.ndarray:
+    """chi(z), or chi(z)^-1, of a ChiSolution by the direct Gauss sum."""
+    z = np.asarray(z, dtype=complex)
+    rho_R, rho_L = _chi_densities(chi)
+    C = gauss_sum(chi.rule, rho_L if inverse else rho_R, z)
+    out = (C if inverse else -C).reshape(z.shape + (chi.N, chi.N))
+    idx = np.arange(chi.N)
+    out[..., idx, idx] += 1.0
+    return out
+
+
+def direct_delta_chi(chi, z1, z2) -> np.ndarray:
+    """[chi(z1) - chi(z2)] / (z1 - z2) of a ChiSolution by the direct
+    Gauss sum."""
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, complex), np.asarray(z2, complex))
+    out = -gauss_sum(chi.rule, _chi_densities(chi)[0], z1, z2)
+    return out.reshape(z1.shape + (chi.N, chi.N))
+
+
+def direct_alpha(alpha, z) -> np.ndarray:
+    """alpha(z) of an AlphaEvaluator by the direct Gauss sum."""
+    z = np.asarray(z, dtype=complex)
+    C = gauss_sum(alpha.rule, alpha.logF_nodes / (2j * pi), z)
+    return np.exp(-C.reshape(z.shape))
+
+
+def mask_near_diagonal_eval(lam, mu, delta0: float, direct, near):
+    """``near_diagonal_eval`` with the near-diagonal entries selected by a
+    boolean mask over the full grid, for every shape of lam and mu."""
+    lam = np.asarray(lam)
+    mu = np.asarray(mu)
+    d = np.asarray(lam - mu)
+    mask = np.abs(d) < delta0
+    if not mask.any():
+        return direct(lam, mu, d)
+    d[mask] = 1.0
+    out = np.asarray(direct(lam, mu, d))
+    vals = near(np.broadcast_to(lam, mask.shape)[mask],
+                np.broadcast_to(mu, mask.shape)[mask])
+    out = out.astype(np.result_type(out, vals), copy=False)
+    out[mask] = vals
+    return out
+
+
 def transposed_jump_residual(lam0: float, eps: float, chi) -> float:
     """``jump_residual_chi`` with the dyad transposed: the residual of
     chi_- = chi_+ (I + 2 i pi E_L(lam0) E_R(lam0)^T), the wrong orientation

@@ -15,7 +15,7 @@ from shiftdet.experiments import (_det, _interval_rule, _line_rule,
 from shiftdet.kernels import (ConfigError, FunctionSpec, M_kernel, N_kernel,
                               NumericError, ShiftSpec,
                               U_minus_kernel, U_plus_kernel, W_factors,
-                              _chebyshev_interpolant, _shifted_chi_column,
+                              _chebyshev_interpolant,
                               bracket_kernel, cauchy_rank, general_kernel_V,
                               gsk_shift_spec, gsk_vector_pair,
                               near_diagonal_mask, real_on_axis)
@@ -26,7 +26,7 @@ from shiftdet.rhp import make_alpha, solve_chi
 from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
                           shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
-                     convergence_study)
+                     convergence_study, direct_chi)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -512,22 +512,29 @@ class TestStreamedAssembly:
             det(kernel, rule)
 
 
-class TestFactorChi:
-    """W's chi(lam - i c_k)[:, k] from its Chebyshev factor against chi_at."""
+class TestWColumnFactor:
+    """W's column factor carries chi(lam - i c_k)[:, k] read from chi_at,
+    whose far path sums the Chebyshev proxy points; against the direct
+    Gauss sum of chi."""
 
     @pytest.mark.parametrize("x", [50.0, 400.0])
-    def test_matches_chi_at_on_full_and_half_rules(self, standard_cfg, x):
+    def test_matches_the_gauss_sum_on_full_and_half_rules(self, standard_cfg, x):
         chi = solve_chi(replace(standard_cfg, x=x))
-        a, b = chi.a, chi.b
+        shift, a, b = standard_cfg.shift, chi.a, chi.b
         for rule in (chi.rule, chi.rule.half()):
-            for k, c in enumerate(standard_cfg.shift.c):
+            _, Y = W_factors(rule, chi, shift)
+            ER = chi.pair.E_R(rule.nodes)
+            col = 0
+            for k, c in enumerate(shift.c):
                 r = cauchy_rank(c, a, b)
                 assert r < rule.size and abs(c) >= chi.near_threshold
-                t, P = _chebyshev_interpolant(rule.nodes, r, a, b)
-                T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
-                got = _shifted_chi_column(rule, chi, k, c, t, T, P)
-                want = chi.chi_at(rule.nodes - 1j * c)[:, :, k]
-                assert _rel(got, want) <= 1e-13
+                P = _chebyshev_interpolant(rule.nodes, r, a, b)[1]
+                g = (direct_chi(chi, rule.nodes - 1j * c)[:, :, k]
+                     * (ER[:, shift.v0[k]] * rule.weights)[:, None])
+                for a_idx in range(chi.N):          # column block (k, a)
+                    assert _rel(Y[:, col:col + r], g[:, a_idx, None] * P) <= 1e-13
+                    col += r
+            assert col == Y.shape[1]
 
 
 class TestStreamedMemory:
@@ -570,6 +577,19 @@ class TestStreamedMemory:
         assert real_on_axis(cfg, "V")
         _, peak = self._peak(lambda: _det(cfg, "V"))
         assert peak <= 1.75 * unit
+
+    def test_chi_at_far_path_peak(self, standard_cfg):
+        # the 400 line points at distance 1/2 take r = 87 proxy points: the
+        # first call builds the proxy densities through the transient real
+        # (n, r) interpolation matrix; a (points x n) Cauchy matrix would be
+        # four times the bound
+        cfg = replace(standard_cfg, x=800.0)
+        chi = solve_chi(cfg)
+        n = chi.rule.size
+        z = _line_rule(cfg).nodes - 0.5j * cfg.c
+        assert n == 2038 and z.size == 400
+        _, peak = self._peak(lambda: chi.chi_at(z))
+        assert peak < z.size * n * 16 / 4
 
     def test_peaks(self, cfg):
         unit = cfg.resolved_n() ** 2 * 16

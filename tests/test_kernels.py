@@ -11,7 +11,8 @@ from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
                               ProblemConfig, ShiftSpec, ToleranceConfig,
                               M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel,
-                              _chebyshev_interpolant, _phase_parts, _sinc,
+                              _chebyshev_interpolant, _near_entries,
+                              _phase_parts, _sinc,
                               bracket_kernel, cauchy_rank, eval_e,
                               general_kernel_V, gsk_shift_spec,
                               gsk_vector_pair, near_diagonal_eval,
@@ -20,7 +21,7 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
-from helpers import identity, validate_regularity
+from helpers import identity, mask_near_diagonal_eval, validate_regularity
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -570,6 +571,55 @@ class TestMaskedAssembly:
         assert out.dtype == np.complex128
         np.testing.assert_array_equal(np.diag(out), 2j)
         assert out[0, 1] == 1.0 / (0.0 - 0.5)
+
+
+class TestBandedNearEntries:
+    """A column against a row with sorted real parts (every Gauss-rule row
+    block) finds its near entries by bisection; the result is bit for bit
+    the full-mask evaluation, which an unsorted row still takes."""
+
+    @staticmethod
+    def _eval(fn, lam, mu, seen):
+        def near(l, m):
+            seen.append(l.size)
+            return np.cos(l) * m + 1.0
+        return fn(lam, mu, 2e-4, lambda l, m, d: np.sin(l) / d, near)
+
+    def _check(self, lam, mu):
+        seen, want_seen = [], []
+        got = self._eval(near_diagonal_eval, lam, mu, seen)
+        want = self._eval(mask_near_diagonal_eval, lam, mu, want_seen)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert seen == want_seen
+        return sum(seen)
+
+    @pytest.mark.parametrize("n", [64, 128, 1019, 2038, 4075])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gauss_row_blocks(self, n, dtype):
+        nodes = gauss_legendre_rule(n, -1.0, 1.0).nodes.astype(dtype)
+        near = 0
+        for i0 in range(0, n, 256):
+            lam = nodes[i0:i0 + 256, None]
+            assert isinstance(_near_entries(lam, nodes[None, :],
+                                            lam - nodes[None, :], 2e-4), tuple)
+            near += self._check(lam, nodes[None, :])
+            self._check(lam, nodes)                  # FL_at's 1-D row
+        # the diagonal, plus the endpoint clusters from n = 1019 on
+        assert near == n if n < 1019 else near > n
+
+    def test_off_axis_column(self):
+        # |Re d| < 2 delta0 keeps candidates whose imaginary part puts them
+        # out of |d| < delta0; the exact test drops them
+        nodes = gauss_legendre_rule(2038, -1.0, 1.0).nodes
+        on_axis = self._check(nodes[:, None], nodes[None, :])
+        assert 0 < self._check(nodes[:, None] + 1.5e-4j, nodes[None, :]) < on_axis
+
+    def test_unsorted_row_takes_the_mask(self):
+        nodes = gauss_legendre_rule(2038, -1.0, 1.0).nodes
+        row = np.random.default_rng(3).permutation(nodes)[None, :]
+        lam = nodes[:, None]
+        assert _near_entries(lam, row, lam - row, 2e-4).dtype == bool
+        assert self._check(lam, row) > 2038
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shiftdet import rhp
 from shiftdet.determinants import assemble_collocation
-from shiftdet.kernels import FunctionSpec, NumericError, gsk_vector_pair
+from shiftdet.experiments import _line_rule, _loop_rule
+from shiftdet.kernels import (FunctionSpec, NumericError, cauchy_rank,
+                              gsk_vector_pair)
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import equation_residuals, transposed_jump_residual
+from helpers import (direct_alpha, direct_chi, direct_delta_chi,
+                     equation_residuals, transposed_jump_residual)
 
 
 class TestResolventSolve:
@@ -285,3 +289,79 @@ class TestAlpha:
         bad = replace(standard_cfg, F=FunctionSpec.constant(-1.0))
         with pytest.raises((ConfigError, ValueError)):
             make_alpha(bad)
+
+
+# --------------------------------------------------------------------------
+# the far path through Chebyshev proxy points against the direct Gauss sum
+# --------------------------------------------------------------------------
+
+def _point_sets(cfg, chi):
+    """The off-cut point sets of the factorization chain: the loop, the
+    loop and the nodes shifted by -i c (M's and W's chi columns) and the
+    line shifted by +- i c/2 (N's rows and columns)."""
+    loop, line = _loop_rule(cfg).nodes, _line_rule(cfg).nodes
+    sets = {"loop": loop}
+    for c in np.unique(cfg.shift.c):
+        sets[f"loop{-c:+g}i"] = loop - 1j * c
+        sets[f"line{c / 2:+g}i"] = line + 0.5j * c
+        sets[f"nodes{-c:+g}i"] = chi.rule.nodes - 1j * c
+    return sets
+
+
+def _rel(got, want) -> float:
+    """max |got - want| / max(1, |want|), entrywise."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def _rank(chi, *points) -> int:
+    dist = min(np.min(rhp._segment_distance(p, chi.a, chi.b)) for p in points)
+    return cauchy_rank(dist, chi.a, chi.b)
+
+
+class TestProxyFarPath:
+    """chi, chi^-1, delta_chi and alpha summed over r Chebyshev proxy points
+    agree with the direct n-node Gauss sum; measured <= 4.0e-16."""
+
+    @pytest.fixture(scope="class", params=[
+        (name, x) for name in ("standard", "general", "nonintegrable")
+        for x in (50.0, 400.0, 800.0)], ids=lambda p: f"{p[0]}-x{p[1]:g}")
+    def solved(self, request):
+        name, x = request.param
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        return cfg, solve_chi(cfg), make_alpha(cfg)
+
+    def test_agrees_with_the_gauss_sum(self, solved):
+        cfg, chi, alpha = solved
+        for name, z in _point_sets(cfg, chi).items():
+            if cfg.x >= 400.0:                   # the proxy path is taken
+                assert _rank(chi, z) < chi.rule.size, name
+            assert _rel(chi.chi_at(z), direct_chi(chi, z)) <= 1e-14, name
+            assert _rel(chi.chi_inv_at(z),
+                        direct_chi(chi, z, inverse=True)) <= 1e-14, name
+            assert _rel(alpha.alpha_at(z), direct_alpha(alpha, z)) <= 1e-14, name
+            z2 = z[::-1]
+            assert _rel(chi.delta_chi(z, z2),
+                        direct_delta_chi(chi, z, z2)) <= 1e-14, name
+
+    def test_compensated_line_pairs(self, solved):
+        # N's compensated diagonal: both points on one horizontal line, and
+        # the two lines +- i c/2
+        cfg, chi, _ = solved
+        line = _line_rule(cfg).nodes
+        c = abs(cfg.shift.c[0])
+        for z1, z2 in ((line + 0.5j * c, np.roll(line, 1) + 0.5j * c),
+                       (line + 0.5j * c, line - 0.5j * c)):
+            assert _rel(chi.delta_chi(z1, z2),
+                        direct_delta_chi(chi, z1, z2)) <= 1e-14
+
+    def test_gauss_path_is_the_direct_sum_bit_for_bit(self, standard_cfg):
+        # r >= n: the loop (r = 168 at distance 0.25) on the rule of 128
+        cfg = replace(standard_cfg, x=50.0)
+        chi, alpha = solve_chi(cfg), make_alpha(cfg)
+        z = _loop_rule(cfg).nodes
+        assert _rank(chi, z) >= chi.rule.size == 128
+        assert np.array_equal(chi.chi_at(z), direct_chi(chi, z))
+        assert np.array_equal(chi.chi_inv_at(z), direct_chi(chi, z, inverse=True))
+        assert np.array_equal(alpha.alpha_at(z), direct_alpha(alpha, z))
+        assert np.array_equal(chi.delta_chi(z, z[::-1]),
+                              direct_delta_chi(chi, z, z[::-1]))
