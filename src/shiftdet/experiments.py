@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .determinants import (DetResult, factored_det, nystrom_det,
-                           nystrom_det_matrix)
+                           nystrom_det_matrix, require_memory)
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
@@ -74,6 +74,14 @@ def _line_rule(cfg: ProblemConfig) -> QuadratureRule:
     return compactified_line_rule(cfg.numerics.m_line, cfg.numerics.map_scale)
 
 
+def _require_interval_memory(cfg: ProblemConfig):
+    """ConfigError before any rule is built when even a float64 n x n
+    interval matrix cannot fit: a lower bound, the exact check runs at the
+    matrix's allocation."""
+    n = cfg.resolved_n()
+    require_memory(n, f"interval rule of {n} nodes at x = {cfg.x:g}", 8)
+
+
 def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
 
@@ -113,6 +121,7 @@ def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
     |Im z| < min|c_a|/2) and NumericError on solve/determinant failure.
     """
     cfg.validate()
+    _require_interval_memory(cfg)
     chi = solve_chi(cfg)
     det_V, det_Vt, det_W, det_M, det_N = (
         _det(cfg, which, chi=chi) for which in ("V", "Vtilde", "W", "M", "N"))
@@ -214,8 +223,9 @@ def _ladder(cfg: ProblemConfig, xs: Sequence[float], what: str,
             grid_rule: Callable, row: Callable) -> list:
     """``row(replace(cfg, x=xv), det_M0)`` for each x, run concurrently.
 
-    The config, shift table and x grid (with the ladder's ``grid_rule``) are
-    checked before any determinant; the limit det_loop(I+M0) is computed once.
+    The config, shift table, x grid (with the ladder's ``grid_rule``) and
+    the memory of the largest x's interval matrix are checked before any
+    determinant; the limit det_loop(I+M0) is computed once.
     """
     cfg.validate()
     # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
@@ -235,6 +245,7 @@ def _ladder(cfg: ProblemConfig, xs: Sequence[float], what: str,
     if sorted(xs) != xs or len(set(xs)) != len(xs):
         raise ConfigError("x values must be strictly increasing")
     grid_rule(xs)
+    _require_interval_memory(replace(cfg, x=xs[-1]))
     det_M0 = _det(cfg, "M0")
     with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
         return list(pool.map(lambda xv: row(replace(cfg, x=xv), det_M0), xs))
@@ -385,4 +396,6 @@ def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:
         raise ConfigError(f"unknown determinant {which!r}; choose one of "
                           f"{', '.join(DET_KINDS)}")
     cfg.validate()
+    if which not in ("M0", "Uplus", "Uminus"):     # no interval matrix
+        _require_interval_memory(cfg)
     return _det(cfg, which)

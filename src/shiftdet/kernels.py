@@ -9,11 +9,12 @@ amplitude/phase functions.
 All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
 (N, N) axis.  V~ and V map real arrays to float64 where the config makes
-them real (``real_on_axis``, read through ``real_kernel``); this module
-alone reads that decision, and the collocation matrices follow the dtype of
-the values.  Near-diagonal removable singularities are evaluated through
-divided-difference forms that carry no cancellation, switched on at
-|lam - mu| < delta0 = 1e-4 * (b - a) and evaluated on those entries only.
+them real (``real_kernel``, from the symmetry of the vector pair and the
+shift table); this module alone reads that decision, and the collocation
+matrices follow the dtype of the values.  Near-diagonal removable
+singularities are evaluated through divided-difference forms that carry no
+cancellation, switched on at |lam - mu| < delta0 = 1e-4 * (b - a) and
+evaluated on those entries only.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ __all__ = [
     "FunctionSpec", "ShiftSpec", "VectorPairSpec",
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
-    "eval_e", "gsk_vector_pair", "gsk_shift_spec", "real_on_axis",
+    "eval_e", "gsk_vector_pair", "gsk_shift_spec",
     "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
@@ -646,8 +647,7 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
     E_L = (F/2i pi) (-1/e, e),  E_R = (e, 1/e); the bracket
     <E_L(lam), E_R(mu)> = F(lam) [e(lam)/e(mu) - e(mu)/e(lam)] / (2i pi)
     vanishes identically at mu = lam.  The pair is marked ``real`` (float64
-    evaluation on real points) where ``real_on_axis(cfg, "Vtilde")`` holds:
-    for real F and p, conj e = 1/e on the real axis swaps the components.
+    evaluation on real points, see ``real_kernel``) where F and p are real.
     """
     def E_L(z):
         z = np.asarray(z, dtype=complex)
@@ -665,24 +665,7 @@ def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
         return _gsk_near(lam, mu, cfg)
 
     return VectorPairSpec(N=GSK_N, E_L=E_L, E_R=E_R, bracket_dd=exact_dd,
-                          real=real_on_axis(cfg, "Vtilde"))
-
-
-def real_on_axis(cfg: ProblemConfig, which: str) -> bool:
-    """Whether the kernel ``which`` ("Vtilde" or "V") of ``cfg`` is real for
-    real lam, mu, decided from the config's symmetry, never from values.
-
-    V~ = F(lam) sin(x (p(lam) - p(mu))/2) / (pi (lam - mu)) is real when F
-    and p are.  V subtracts the shift terms
-    gamma_a E_L,a(lam) E_R,v_a(mu) / (lam - mu + i c_a); on the real axis
-    conj E_L,k = E_L,sk and conj E_R,k = E_R,sk, with s the swap of the
-    GSK pair's two components, so the conjugate of term a is term s(a) when
-    c_s(a) = -c_a, gamma_s(a) = conj gamma_a and v_s(a) = s(v_a).  Then the
-    terms come in conjugate pairs and V is real too.
-    """
-    if not (cfg.F.real and cfg.p.real):
-        return False
-    return which == "Vtilde" or _swap_closed(cfg.shift)
+                          real=cfg.F.real and cfg.p.real)
 
 
 def _swap_closed(s: ShiftSpec) -> bool:
@@ -696,9 +679,19 @@ def real_kernel(pair: VectorPairSpec,
                 shift: Optional[ShiftSpec] = None) -> bool:
     """Whether ``bracket_kernel`` (shift None) or ``general_kernel_V`` with
     ``shift`` evaluates real points of ``pair`` in float64: the one place
-    that decision is read from; every caller sees it only as the dtype of
-    the kernel's values.  On the pair of ``gsk_vector_pair(cfg)`` and
-    ``cfg.shift`` it is ``real_on_axis``."""
+    that decision is read from, by the pair's symmetry and never from
+    values; every caller sees it only as the dtype of the kernel's values.
+
+    V~ = F(lam) sin(x (p(lam) - p(mu))/2) / (pi (lam - mu)) is real when F
+    and p are, which is when ``gsk_vector_pair`` marks its pair ``real``.
+    V subtracts the shift terms
+    gamma_a E_L,a(lam) E_R,v_a(mu) / (lam - mu + i c_a); on the real axis
+    conj E_L,k = E_L,sk and conj E_R,k = E_R,sk, with s the swap of the
+    pair's two components, so the conjugate of term a is term s(a) when
+    c_s(a) = -c_a, gamma_s(a) = conj gamma_a and v_s(a) = s(v_a)
+    (``_swap_closed``).  Then the terms come in conjugate pairs and V is
+    real too.
+    """
     return pair.real and (shift is None or _swap_closed(shift))
 
 
@@ -758,7 +751,7 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
 
 def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float):
     """V at real points in float64, for a table closed under the swap of the
-    pair's components (``real_on_axis``): shift 1 is the conjugate of
+    pair's components (``real_kernel``): shift 1 is the conjugate of
     shift 0, so the two terms are 2 Re(N / (d + i c)) with d = lam - mu,
     N = gamma_0 E_L,0(lam) E_R,v_0(mu) and c = c_0, that is
     2 (Re N d + Im N c) / (d^2 + c^2), Re N and Im N real rank-2 products.

@@ -11,20 +11,24 @@ by Nystrom discretization on a Gauss-Legendre rule, then reconstructs
     chi^-1(z)  = I + int_a^b E_R(mu) F_L^T(mu) / (mu - z) dmu
     alpha(z)   = exp{ int_a^b ln(1 + F(mu)) / (z - mu) dmu / (2 i pi) }
 
-anywhere off [a, b].  Far from the interval the reconstruction integrals are
-sums over the solving Gauss rule, with the factor 1/(mu - z) interpolated in
-mu through r Chebyshev proxy points of [a, b]: a point set at distance d
-from [a, b] needs r = cauchy_rank(d) of them (the Bernstein ellipse bound),
-so each point costs O(r) instead of O(n); where r would reach n the Gauss
-sum is taken as it stands.  Within ten node
-spacings of [a, b] plain quadrature of a Cauchy integral loses accuracy like
-exp(-2 n dist), so evaluation switches to a Legendre-expansion form: the
-density is projected onto Legendre polynomials with the already-available
-nodes and the transform is summed with second-kind functions Q_k, whose
-branch cut is exactly [a, b].  The forward Q recurrence picks up the growing
-first-kind solution away from the cut, which is why the expansion form is
-used *only* inside the near zone and plain quadrature everywhere else; the
-two agree to ~1e-15 at the handover distance.
+anywhere off [a, b].  Each of the three is I +- (or exp of) the Cauchy
+integral of one density given at the nodes, and each density has one
+evaluator, ``_CauchySum``, which owns its far sum, its near-cut form and the
+dispatch and warning between them; [chi(z1) - chi(z2)]/(z1 - z2) is the
+divided form of chi's sum.  Far from the interval the integrals are sums
+over the solving Gauss rule, with the factor 1/(mu - z) interpolated in mu
+through r Chebyshev proxy points of [a, b]: a point set at distance d from
+[a, b] needs r = cauchy_rank(d) of them (the Bernstein ellipse bound), so
+each point costs O(r) instead of O(n); where r would reach n the Gauss sum
+is taken as it stands.  Within ten node spacings of [a, b] plain quadrature
+of a Cauchy integral loses accuracy like exp(-2 n dist), so evaluation
+switches to a Legendre-expansion form: the density is projected onto
+Legendre polynomials with the already-available nodes and the transform is
+summed with second-kind functions Q_k, whose branch cut is exactly [a, b].
+The forward Q recurrence picks up the growing first-kind solution away from
+the cut, which is why the expansion form is used *only* inside the near zone
+and plain quadrature everywhere else; the two agree to ~1e-15 at the
+handover distance.
 
 Evaluations inside the near zone still emit ``NearIntervalWarning`` -- the
 degraded-accuracy flag promised by the evaluator contract -- since even the
@@ -33,10 +37,10 @@ expansion form cannot represent the boundary jump itself.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, pi
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -106,70 +110,20 @@ class _NearCutCauchy:
         return -2.0 * out
 
 
-class _FarCauchy:
-    """Far-field evaluator for sum_j w_j dens_j / prod_p (lam_j - p) over a
-    Gauss rule: C(z) with one point set, its divided difference with two.
-
-    For points at least d from [a, b] the factor 1/(lam_j - z) is
-    interpolated in lam through the r = cauchy_rank(d) Chebyshev points t
-    of [a, b] (the Bernstein ellipse bound): with P the (n, r) barycentric
-    matrix onto the nodes (``_chebyshev_interpolant``),
-    1/(lam_j - z) ~ sum_s P_js / (t_s - z), so the sum runs over the t
-    with the proxy densities dens_hat = P^T (w dens), O(r) per point.
-    dens_hat is built on the first request for its r and kept (threads
-    asking at once may each build it, to the same values); P itself is
-    dropped.  Where r would reach n the Gauss sum is taken as it stands.
-    """
-
-    def __init__(self, rule: QuadratureRule, densities: np.ndarray):
-        self.rule = rule
-        self.densities = densities
-        self._proxies = {}
-
-    def _proxy(self, r: int):
-        got = self._proxies.get(r)
-        if got is None:
-            rule = self.rule
-            t, P = _chebyshev_interpolant(rule.nodes, r, rule.descriptor["a"],
-                                          rule.descriptor["b"])
-            wd = rule.weights[:, None] * self.densities
-            got = self._proxies[r] = (t, _columns(np.matmul, P.T, wd))
-        return got
-
-    def eval(self, dist: float, *points) -> np.ndarray:
-        """The sum at each i of the 1-D point arrays ``points`` (all of one
-        size M, all at least ``dist`` from [a, b]), shape (M, D), in row
-        blocks."""
-        rule = self.rule
-        r = cauchy_rank(dist, rule.descriptor["a"], rule.descriptor["b"])
-        if r < rule.size:
-            (nodes, dens), w = self._proxy(r), 1.0
-        else:
-            nodes, w, dens = rule.nodes, rule.weights, self.densities
-        out = np.empty((points[0].size, dens.shape[1]), dtype=complex)
-        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size):
-            den = nodes[None, :] - points[0][i0:i1, None]
-            for p in points[1:]:
-                den *= nodes[None, :] - p[i0:i1, None]
-            out[i0:i1] = np.divide(w, den, out=den) @ dens
-        return out
-
-
 def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
                       near: Callable[[], _NearCutCauchy], threshold: float, z,
-                      far_eval: _FarCauchy, warn: bool = True) -> np.ndarray:
+                      far_eval: _CauchySum, warn: bool = True) -> np.ndarray:
     """C(z) = int_a^b dens(mu)/(mu - z) dmu with near/far dispatch.
 
     densities has shape (n, D); the result has shape z.shape + (D,).
     ``near()`` returns the near-cut evaluator; it is asked for only when a
     point lies within ``threshold`` of the cut.  The other points go to
-    ``far_eval`` together, at the distance of the closest of them.
+    ``far_eval.eval`` together, at the distance of the closest of them.
     """
     a, b = rule.descriptor["a"], rule.descriptor["b"]
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    dens = densities.reshape(rule.size, -1)
-    out = np.empty((flat.size, dens.shape[1]), dtype=complex)
+    out = np.empty((flat.size, densities.shape[1]), dtype=complex)
     dist = _segment_distance(flat, a, b)
     close = dist < threshold
     far = np.flatnonzero(~close)
@@ -177,9 +131,10 @@ def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
         out[far] = far_eval.eval(float(np.min(dist[far])), flat[far])
     if np.any(close):
         if warn:
-            _warn_near(threshold, a, b, stacklevel=4)
+            # caller -> evaluator method -> _CauchySum.__call__ -> here
+            _warn_near(threshold, a, b, stacklevel=5)
         out[close] = near().eval(flat[close])
-    return out.reshape(z.shape + (dens.shape[1],))
+    return out.reshape(z.shape + (densities.shape[1],))
 
 
 def _warn_near(threshold: float, a: float, b: float, stacklevel: int):
@@ -206,6 +161,80 @@ class _OnCut:
         return 10.0 * (self.b - self.a) / self.rule.size
 
 
+class _CauchySum(_OnCut):
+    """C(z) = int_a^b dens(mu)/(mu - z) dmu of one density given at the
+    nodes of a Gauss rule (kept as (n, D)): far sum, near form, dispatch.
+
+    Far from [a, b] C is the Gauss sum, with 1/(lam_j - z) interpolated in
+    lam through the r = cauchy_rank(d) Chebyshev points t of [a, b] for
+    points at least d from [a, b] (the Bernstein ellipse bound): with P the
+    (n, r) barycentric matrix onto the nodes (``_chebyshev_interpolant``),
+    the sum runs over the t with the proxy densities dens_hat = P^T (w dens),
+    O(r) per point.  dens_hat is built on the first request for its r and
+    kept (threads asking at once may each build it, to the same values);
+    P is dropped.  Where r would reach n the Gauss sum is taken as it
+    stands.  Within ``near_threshold`` of the cut the Legendre-expansion
+    form ``near`` (built on first use, ``n_modes`` modes) takes over.
+    """
+
+    def __init__(self, rule: QuadratureRule, densities: np.ndarray,
+                 n_modes: int):
+        self.rule = rule
+        self.densities = densities.reshape(rule.size, -1)
+        self.n_modes = n_modes
+        self._proxies = {}
+
+    @cached_property
+    def near(self) -> _NearCutCauchy:
+        return _NearCutCauchy(self.rule, self.densities, self.n_modes)
+
+    def _proxy(self, r: int):
+        got = self._proxies.get(r)
+        if got is None:
+            rule = self.rule
+            t, P = _chebyshev_interpolant(rule.nodes, r, self.a, self.b)
+            wd = rule.weights[:, None] * self.densities
+            got = self._proxies[r] = (t, _columns(np.matmul, P.T, wd))
+        return got
+
+    def eval(self, dist: float, *points) -> np.ndarray:
+        """sum_j w_j dens_j / prod_p (lam_j - p) at each i of the 1-D point
+        arrays ``points`` (all of one size M, all at least ``dist`` from
+        [a, b]), shape (M, D), in row blocks."""
+        rule = self.rule
+        r = cauchy_rank(dist, self.a, self.b)
+        if r < rule.size:
+            (nodes, dens), w = self._proxy(r), 1.0
+        else:
+            nodes, w, dens = rule.nodes, rule.weights, self.densities
+        out = np.empty((points[0].size, dens.shape[1]), dtype=complex)
+        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size):
+            den = nodes[None, :] - points[0][i0:i1, None]
+            for p in points[1:]:
+                den *= nodes[None, :] - p[i0:i1, None]
+            out[i0:i1] = np.divide(w, den, out=den) @ dens
+        return out
+
+    def __call__(self, z, warn: bool) -> np.ndarray:
+        """C(z), shape z.shape + (D,); z must avoid [a, b] itself."""
+        return _cauchy_transform(self.rule, self.densities, lambda: self.near,
+                                 self.near_threshold, z, self, warn=warn)
+
+    def divided(self, z1, z2) -> np.ndarray:
+        """int_a^b dens(mu) / ((mu - z1)(mu - z2)) dmu by the far sum at the
+        distance of the closest point of either set.  It has no near form:
+        a point within ``near_threshold`` warns (and takes the Gauss sum)."""
+        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                     np.asarray(z2, dtype=complex))
+        dist = min(float(np.min(_segment_distance(z, self.a, self.b),
+                                initial=np.inf)) for z in (z1, z2))
+        if dist < self.near_threshold:
+            # caller -> ChiSolution.delta_chi -> here
+            _warn_near(self.near_threshold, self.a, self.b, stacklevel=4)
+        out = self.eval(dist, z1.reshape(-1), z2.reshape(-1))
+        return out.reshape(z1.shape + (-1,))
+
+
 # --------------------------------------------------------------------------
 # chi
 # --------------------------------------------------------------------------
@@ -230,84 +259,50 @@ class ChiSolution(_OnCut):
     def N(self) -> int:
         return self.pair.N
 
-    # -- densities, far and near evaluators (built lazily, then cached) ------
+    # -- the Cauchy sums of the two densities (built lazily, then cached) ---
+    def _sum(self, rho: np.ndarray) -> _CauchySum:
+        modes = self.bandwidth_hint + _NEAR_MODE_MARGIN
+        return _CauchySum(self.rule, rho, modes)
+
     @cached_property
-    def _rho_R(self) -> np.ndarray:
-        # chi(z) = I - sum_j w_j rho_R_j / (lam_j - z), rho_R = F_R E_L^T
+    def _R(self) -> _CauchySum:
+        # chi(z) = I - C_R(z), rho_R = F_R E_L^T
         EL = self.pair.E_L(self.rule.nodes)
-        return np.einsum("jp,jq->jpq", self.FR_nodes, EL)
+        return self._sum(np.einsum("jp,jq->jpq", self.FR_nodes, EL))
 
     @cached_property
-    def _rho_L(self) -> np.ndarray:
-        # chi^-1(z) = I + sum_j w_j rho_L_j / (lam_j - z), rho_L = E_R F_L^T
+    def _L(self) -> _CauchySum:
+        # chi^-1(z) = I + C_L(z), rho_L = E_R F_L^T
         ER = self.pair.E_R(self.rule.nodes)
-        return np.einsum("jp,jq->jpq", ER, self.FL_nodes)
-
-    @cached_property
-    def _n_modes(self) -> int:
-        return self.bandwidth_hint + _NEAR_MODE_MARGIN
-
-    @cached_property
-    def _far_R(self) -> _FarCauchy:
-        return _FarCauchy(self.rule, self._rho_R.reshape(self.rule.size, -1))
-
-    @cached_property
-    def _far_L(self) -> _FarCauchy:
-        return _FarCauchy(self.rule, self._rho_L.reshape(self.rule.size, -1))
-
-    @cached_property
-    def _near_R(self) -> _NearCutCauchy:
-        n = self.rule.size
-        return _NearCutCauchy(self.rule, self._rho_R.reshape(n, -1), self._n_modes)
-
-    @cached_property
-    def _near_L(self) -> _NearCutCauchy:
-        n = self.rule.size
-        return _NearCutCauchy(self.rule, self._rho_L.reshape(n, -1), self._n_modes)
+        return self._sum(np.einsum("jp,jq->jpq", ER, self.FL_nodes))
 
     # -- evaluation ----------------------------------------------------------
-    def chi_at(self, z, warn: bool = True) -> np.ndarray:
-        """chi(z), shape z.shape + (N, N); z must avoid [a, b] itself."""
-        N = self.N
-        C = _cauchy_transform(self.rule, self._rho_R.reshape(self.rule.size, -1),
-                              lambda: self._near_R, self.near_threshold, z,
-                              self._far_R, warn=warn)
-        z = np.asarray(z, dtype=complex)
-        out = -C.reshape(z.shape + (N, N))
-        idx = np.arange(N)
+    def _eye_plus(self, C: np.ndarray, negate: bool) -> np.ndarray:
+        """I - C (``negate``) or I + C in C's memory; C is (..., N*N)."""
+        out = C.reshape(C.shape[:-1] + (self.N, self.N))
+        if negate:
+            np.negative(out, out=out)
+        idx = np.arange(self.N)
         out[..., idx, idx] += 1.0
         return out
+
+    def chi_at(self, z, warn: bool = True) -> np.ndarray:
+        """chi(z), shape z.shape + (N, N); z must avoid [a, b] itself."""
+        return self._eye_plus(self._R(z, warn), negate=True)
 
     def chi_inv_at(self, z, warn: bool = True) -> np.ndarray:
         """chi(z)^-1 via the left-density reconstruction (no matrix inverse)."""
-        N = self.N
-        C = _cauchy_transform(self.rule, self._rho_L.reshape(self.rule.size, -1),
-                              lambda: self._near_L, self.near_threshold, z,
-                              self._far_L, warn=warn)
-        z = np.asarray(z, dtype=complex)
-        out = C.reshape(z.shape + (N, N))
-        idx = np.arange(N)
-        out[..., idx, idx] += 1.0
-        return out
+        return self._eye_plus(self._L(z, warn), negate=False)
 
     def delta_chi(self, z1, z2) -> np.ndarray:
         """[chi(z1) - chi(z2)] / (z1 - z2), exact divided difference.
 
-        Finite at z1 = z2 (where it equals chi'(z1)).  The summand
-        1/((mu - z1)(mu - z2)) goes through chi_at's far evaluator, at the
-        distance of the closest point of either set.  It has only the
-        quadrature-node poles, so its accuracy degrades like chi_at's near
-        [a, b]: a point within ``near_threshold`` of the interval emits
-        ``NearIntervalWarning`` (and takes the Gauss sum).
+        Finite at z1 = z2 (where it equals chi'(z1)); the sum is chi_at's
+        with the summand 1/((mu - z1)(mu - z2)) (``_CauchySum.divided``,
+        which warns within ``near_threshold`` of [a, b]).
         """
-        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
-                                     np.asarray(z2, dtype=complex))
-        dist = min(float(np.min(_segment_distance(z, self.a, self.b),
-                                initial=np.inf)) for z in (z1, z2))
-        if dist < self.near_threshold:
-            _warn_near(self.near_threshold, self.a, self.b, stacklevel=3)
-        out = self._far_R.eval(dist, z1.reshape(-1), z2.reshape(-1))
-        return -out.reshape(z1.shape + (self.N, self.N))
+        D = self._R.divided(z1, z2)
+        return -D.reshape(D.shape[:-1] + (self.N, self.N))
 
     def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
                      left: bool) -> np.ndarray:
@@ -359,7 +354,7 @@ def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:
     return op(D, B.view(float)).view(complex)
 
 
-def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
+def solve_chi(cfg: ProblemConfig) -> ChiSolution:
     """Solve both resolvent equations on a Gauss-Legendre rule.
 
     Where the config makes V~ real (see ``gsk_vector_pair``) it is evaluated
@@ -370,7 +365,7 @@ def solve_chi(cfg: ProblemConfig, n: Optional[int] = None) -> ChiSolution:
     ConfigError if the dense n x n system would not fit in available memory.
     """
     pair = gsk_vector_pair(cfg)
-    n = cfg.resolved_n() if n is None else n
+    n = cfg.resolved_n()
     rule = gauss_legendre_rule(n, cfg.a, cfg.b)
     kernel = _base_kernel(pair, cfg.delta0)
     lam = rule.nodes
@@ -437,37 +432,27 @@ def jump_residual_chi(lam0: float, eps: float, chi: ChiSolution) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass
-class AlphaEvaluator(_OnCut):
+class AlphaEvaluator:
     """Scalar Cauchy-exponential alpha(z); immutable and thread-safe."""
 
     rule: QuadratureRule
     logF_nodes: np.ndarray        # ln(1 + F(lam_j)), principal branch
 
     @cached_property
-    def _density(self) -> np.ndarray:
-        return (self.logF_nodes / (2j * pi)).reshape(-1, 1)
-
-    @cached_property
-    def _far(self) -> _FarCauchy:
-        return _FarCauchy(self.rule, self._density)
-
-    @cached_property
-    def _near(self) -> _NearCutCauchy:
-        return _NearCutCauchy(self.rule, self._density, _NEAR_MODE_MARGIN)
+    def _C(self) -> _CauchySum:
+        return _CauchySum(self.rule, self.logF_nodes / (2j * pi),
+                          _NEAR_MODE_MARGIN)
 
     def alpha_at(self, z, warn: bool = True) -> np.ndarray:
         """alpha(z) = exp{int_a^b ln(1+F(mu))/(z-mu) dmu / 2 i pi}."""
-        C = _cauchy_transform(self.rule, self._density, lambda: self._near,
-                              self.near_threshold, z, self._far, warn=warn)
-        z = np.asarray(z, dtype=complex)
+        C = self._C(z, warn)
         # C integrates against 1/(mu - z); the exponent uses 1/(z - mu)
-        return np.exp(-C.reshape(z.shape))
+        return np.exp(-C.reshape(C.shape[:-1]))
 
 
-def make_alpha(cfg: ProblemConfig, n: Optional[int] = None) -> AlphaEvaluator:
+def make_alpha(cfg: ProblemConfig) -> AlphaEvaluator:
     """Build the alpha evaluator on the same resolution as the resolvent."""
-    n = cfg.resolved_n() if n is None else n
-    rule = gauss_legendre_rule(n, cfg.a, cfg.b)
+    rule = gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b)
     F = cfg.F.value(rule.nodes)
     if np.any(np.abs(F) >= 1.0):
         raise ConfigError("|F| >= 1 at a quadrature node: ln(1+F) leaves the "

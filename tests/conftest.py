@@ -5,7 +5,20 @@ import pytest
 
 from shiftdet import problem_config_from_json, solve_chi
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:                     # numpy < 1.25
+    from numpy import ComplexWarning
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def pytest_configure(config):
+    # a complex value cast to real drops its imaginary part silently: any
+    # ComplexWarning fails the test that raised it
+    config.addinivalue_line(
+        "filterwarnings",
+        f"error::{ComplexWarning.__module__}.{ComplexWarning.__qualname__}")
 
 
 def load_config(name):

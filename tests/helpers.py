@@ -3,18 +3,31 @@
 The package never calls these; each is built on the package's public API.
 """
 import warnings
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
-from shiftdet.kernels import ConfigError, FunctionSpec
+from shiftdet.kernels import (ConfigError, FunctionSpec, gsk_vector_pair,
+                              real_kernel)
 from shiftdet.rhp import NearIntervalWarning
 
 
 def identity():
     """The phase p(z) = z."""
     return FunctionSpec.polynomial([0.0, 1.0])
+
+
+def with_n(cfg, n: int):
+    """``cfg`` with its interval rule fixed at ``n`` Gauss nodes."""
+    return replace(cfg, numerics=replace(cfg.numerics, n_interval=n))
+
+
+def real_on_axis(cfg, which: str) -> bool:
+    """Whether the kernel ``which`` ("Vtilde" or "V") of ``cfg`` is real on
+    the real axis, as ``real_kernel`` decides it for the config's pair."""
+    return real_kernel(gsk_vector_pair(cfg), cfg.shift if which == "V" else None)
 
 
 def integrate(rule, f) -> complex:

@@ -17,7 +17,7 @@ from shiftdet.quadrature import stadium_loop_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import transposed_jump_residual
+from helpers import transposed_jump_residual, with_n
 
 
 def _report(tag, ok, detail):
@@ -129,7 +129,7 @@ def test_criterion_7_rhp_consistency(standard_cfg, standard_chi):
             for d in dirs)
     bounded = max(scaled.values()) < 10.0
 
-    fine = solve_chi(standard_cfg, n=256)
+    fine = solve_chi(with_n(standard_cfg, 256))
     good = jump_residual_chi(0.2, 1e-3, fine)
     bad = transposed_jump_residual(0.2, 1e-3, fine)
 

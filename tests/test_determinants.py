@@ -18,7 +18,7 @@ from shiftdet.kernels import (ConfigError, FunctionSpec, M_kernel, N_kernel,
                               _chebyshev_interpolant,
                               bracket_kernel, cauchy_rank, general_kernel_V,
                               gsk_shift_spec, gsk_vector_pair,
-                              near_diagonal_mask, real_on_axis)
+                              near_diagonal_mask)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
@@ -26,7 +26,7 @@ from shiftdet.rhp import make_alpha, solve_chi
 from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
                           shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
-                     convergence_study, direct_chi)
+                     convergence_study, direct_chi, real_on_axis)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftdet import experiments
+from shiftdet import determinants, experiments
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   _loop_rule, _sweep_row, _worker_count,
@@ -14,12 +14,12 @@ from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   m_vs_m0, verify_factorization)
 from shiftdet.kernels import (ConfigError, FunctionSpec, N_kernel,
                               NumericsConfig, ShiftSpec,
-                              problem_config_from_json, real_on_axis)
+                              problem_config_from_json)
 from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
-from helpers import identity
+from helpers import identity, real_on_axis
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,53 @@ class TestComputeDeterminant:
         rows = asymptotic_sweep(cfg, [25.0, 50.0, 100.0, 200.0])
         assert all(r.conv_delta >= delta for r in rows)
         assert any(r.conv_delta == delta for r in rows)
+
+
+class TestEarlyMemoryRefusal:
+    """An interval order whose float64 matrix cannot fit is refused before
+    any rule is built or any determinant computed."""
+
+    @pytest.fixture
+    def unreachable(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("reached a solve or a determinant")
+        monkeypatch.setattr(experiments, "solve_chi", fail)
+        monkeypatch.setattr(experiments, "_det", fail)
+        monkeypatch.setattr(experiments, "gauss_legendre_rule", fail)
+
+    @staticmethod
+    def _memory(monkeypatch, avail):
+        monkeypatch.setattr(determinants, "_mem_available", lambda: avail)
+
+    def test_verify(self, monkeypatch, unreachable, standard_cfg):
+        # standard at x = 50: n = 128, 3 * 128^2 * 8 = 393216 bytes
+        self._memory(monkeypatch, 10 ** 5)
+        with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
+            verify_factorization(standard_cfg)
+
+    @pytest.mark.parametrize("which", ["V", "Vtilde", "W", "M", "N"])
+    def test_interval_kinds(self, monkeypatch, unreachable, standard_cfg,
+                            which):
+        self._memory(monkeypatch, 10 ** 5)
+        with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
+            compute_determinant(standard_cfg, which)
+
+    @pytest.mark.parametrize("which", ["M0", "Uplus", "Uminus"])
+    def test_loop_kinds_are_not_refused_early(self, monkeypatch,
+                                              standard_cfg, which):
+        # they build no interval matrix; the loop matrix has its own check
+        self._memory(monkeypatch, 10 ** 5)
+        monkeypatch.setattr(experiments, "_det", lambda cfg, kind: kind)
+        assert compute_determinant(standard_cfg, which) == which
+
+    @pytest.mark.parametrize("ladder", [asymptotic_sweep, m_vs_m0])
+    def test_ladder_checks_its_largest_x_first(self, monkeypatch, unreachable,
+                                               standard_cfg, ladder):
+        # n = 255 at x = 100 fits in 2 MB (1560600 bytes), n = 510 at
+        # x = 200 does not: refused before M0 and before any row
+        self._memory(monkeypatch, 2 * 10 ** 6)
+        with pytest.raises(ConfigError, match=r"510 nodes at x = 200"):
+            ladder(standard_cfg, [25.0, 50.0, 100.0, 200.0])
 
 
 class TestWorkerConfiguration:

@@ -682,8 +682,9 @@ def _c_einsum_M(lam, mu, chi, shift):
 
 def _c_einsum_delta_chi(chi, z1, z2):
     lam = chi.rule.nodes
+    rho_R = np.einsum("jp,jq->jpq", chi.FR_nodes, chi.pair.E_L(lam))
     ker = chi.rule.weights / ((lam - z1[..., None]) * (lam - z2[..., None]))
-    return -np.einsum("...j,jpq->...pq", ker, chi._rho_R)
+    return -np.einsum("...j,jpq->...pq", ker, rho_R)
 
 
 def _c_einsum_N(lam, mu, chi, shift, delta0):

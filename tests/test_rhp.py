@@ -14,7 +14,7 @@ from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
 from helpers import (direct_alpha, direct_chi, direct_delta_chi,
-                     equation_residuals, transposed_jump_residual)
+                     equation_residuals, transposed_jump_residual, with_n)
 
 
 class TestResolventSolve:
@@ -45,7 +45,7 @@ class TestResolventSolve:
 
     def test_det_tilde_resolution_independent(self, standard_cfg,
                                               standard_chi):
-        fine = solve_chi(standard_cfg, n=2 * standard_cfg.resolved_n())
+        fine = solve_chi(with_n(standard_cfg, 2 * standard_cfg.resolved_n()))
         rel = abs(fine.det_tilde - standard_chi.det_tilde)
         assert rel / abs(fine.det_tilde) < 1e-10
 
@@ -59,7 +59,7 @@ class TestResolventSolve:
 @pytest.fixture(scope="module", params=["standard", "general"])
 def chi_1019(request, standard_cfg, general_cfg):
     cfg = {"standard": standard_cfg, "general": general_cfg}[request.param]
-    return solve_chi(cfg, n=1019)
+    return solve_chi(with_n(cfg, 1019))
 
 
 class TestOneMatrixSolve:
@@ -125,7 +125,7 @@ class TestOneMatrixSolve:
             return lambda lam, mu: -np.diag(1.0 / rule.weights)
         monkeypatch.setattr(rhp, "_base_kernel", singular)
         with pytest.raises(NumericError, match="singular"):
-            solve_chi(standard_cfg, n=64)
+            solve_chi(with_n(standard_cfg, 64))
 
 
 class TestChiProperties:
@@ -200,13 +200,13 @@ class TestChiProperties:
         chi.chi_at(far)
         chi.chi_inv_at(far)
         alpha.alpha_at(far)
-        assert not {"_near_R", "_near_L"} & set(vars(chi))
-        assert "_near" not in vars(alpha)
+        assert "near" not in vars(chi._R) and "near" not in vars(chi._L)
+        assert "near" not in vars(alpha._C)
         near = 0.2 + 1j * chi.near_threshold / 10
         chi.chi_at(near, warn=False)
         alpha.alpha_at(near, warn=False)
-        assert "_near_R" in vars(chi) and "_near_L" not in vars(chi)
-        assert "_near" in vars(alpha)
+        assert "near" in vars(chi._R) and "near" not in vars(chi._L)
+        assert "near" in vars(alpha._C)
 
     def test_near_interval_warning(self, standard_chi):
         close = 0.2 + 1j * standard_chi.near_threshold / 10
@@ -216,10 +216,25 @@ class TestChiProperties:
             warnings.simplefilter("error", NearIntervalWarning)
             standard_chi.chi_at(close, warn=False)   # must stay silent
 
+    def test_near_interval_warning_names_the_caller(self, standard_cfg,
+                                                    standard_chi):
+        # the warning points at the line that asked for the value, not at
+        # a frame inside rhp
+        alpha = make_alpha(standard_cfg)
+        close = 0.2 + 1j * standard_chi.near_threshold / 10
+        calls = [lambda: standard_chi.chi_at(close),
+                 lambda: standard_chi.chi_inv_at(close),
+                 lambda: alpha.alpha_at(close),
+                 lambda: standard_chi.delta_chi(close, close + 1.0j)]
+        for call in calls:
+            with pytest.warns(NearIntervalWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
 
 @pytest.fixture(scope="module")
 def fine_chi(standard_cfg):
-    return solve_chi(standard_cfg, n=256)
+    return solve_chi(with_n(standard_cfg, 256))
 
 
 class TestJumpCondition:
@@ -273,7 +288,7 @@ class TestAlpha:
                                  general_cfg):
         # alpha_minus = alpha_plus * (1 + F) across the cut
         cfg = {"standard": standard_cfg, "general": general_cfg}[config_name]
-        alpha = make_alpha(cfg, n=512)
+        alpha = make_alpha(with_n(cfg, 512))
         lam0 = 0.2
         eps = 1e-3
         pts = lam0 + 1j * np.array([eps / 2, eps, -eps / 2, -eps])
