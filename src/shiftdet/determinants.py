@@ -75,7 +75,7 @@ def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
     return None
 
 
-def require_memory(order: int, what: str, itemsize: int = 16):
+def require_memory(order: int, what: str, itemsize: int):
     """ConfigError (exit 2) when a dense factorization of the given order
     would not fit in available memory.  Three order x order arrays of the
     factored matrix's ``itemsize`` (16 complex, 8 real) are charged: the

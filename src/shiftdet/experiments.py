@@ -257,12 +257,11 @@ def asymptotic_sweep(cfg: ProblemConfig, xs: Sequence[float]) -> List[SweepRow]:
     return _ladder(cfg, xs, "the asymptotic sweep", _slope_grid, _sweep_row)
 
 
-def m_vs_m0(cfg: ProblemConfig,
-            xs: Optional[Sequence[float]] = None) -> List[ComparisonRow]:
+def m_vs_m0(cfg: ProblemConfig, xs: Sequence[float]) -> List[ComparisonRow]:
     """det_loop(I+M) against its x-independent limit det_loop(I+M0); the
     grid needs a doubling pair (x, 2x) with x >= RATIO_GATE_X."""
-    return _ladder(cfg, [50.0, 100.0, 200.0, 400.0] if xs is None else xs,
-                   "the M vs M0 comparison", _ratio_grid, _comparison_row)
+    return _ladder(cfg, xs, "the M vs M0 comparison", _ratio_grid,
+                   _comparison_row)
 
 
 def fit_decay_slope(rows: Sequence[SweepRow]) -> float:

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 from math import asinh, ceil, log, pi
 from sys import float_info
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
     "U_plus_kernel", "U_minus_kernel",
     "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
+    "real_kernel",
 ]
 
 # fraction of (b - a) below which the divided-difference branch takes over
@@ -61,14 +62,6 @@ def _sinc(w):
     small = np.abs(w) < 1e-4
     wd = np.where(small, 1.0, w)
     return np.where(small, 1.0 - w * w / 6.0, np.sin(wd) / wd)
-
-
-def _sinhc(w):
-    """sinh(w)/w, complex-safe, series near 0."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-4
-    wd = np.where(small, 1.0, w)
-    return np.where(small, 1.0 + w * w / 6.0, np.sinh(wd) / wd)
 
 
 def _rank2(a0, a1, b0, b1):
@@ -175,44 +168,22 @@ class FunctionSpec:
         if self.kind == "polynomial" and not self.params.get("coeffs"):
             raise ConfigError("polynomial needs a nonempty 'coeffs' list")
 
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def constant(value) -> "FunctionSpec":
-        return FunctionSpec("constant", {"value": complex(value)})
-
-    @staticmethod
-    def polynomial(coeffs: Sequence[complex]) -> "FunctionSpec":
-        return FunctionSpec("polynomial", {"coeffs": [complex(c) for c in coeffs]})
-
-    @staticmethod
-    def scaled_gaussian(amplitude, center, scale) -> "FunctionSpec":
-        return FunctionSpec("scaled_gaussian_entire", {
-            "amplitude": complex(amplitude),
-            "center": complex(center),
-            "scale": complex(scale),
-        })
-
     # -- evaluation --------------------------------------------------------
+    @property
+    def _coeffs(self) -> list:
+        """A polynomial's coefficients; a constant is the degree-0 one."""
+        return self.params.get("coeffs", [self.params.get("value")])
+
     def value(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.kind == "constant":
-            return np.broadcast_to(self.params["value"], z.shape).copy()
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(z, np.asarray(self.params["coeffs"]))
+        if self.kind != "scaled_gaussian_entire":
+            return np.polynomial.polynomial.polyval(z, np.asarray(self._coeffs))
         A, mu0, s = (self.params["amplitude"], self.params["center"],
                      self.params["scale"])
         return A * np.exp(-s * (z - mu0) ** 2)
 
     def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "constant":
-            return np.zeros(z.shape, dtype=complex)
-        if self.kind == "polynomial":
-            c = np.polynomial.polynomial.polyder(np.asarray(self.params["coeffs"]))
-            return np.polynomial.polynomial.polyval(z, c) + np.zeros(z.shape, complex)
-        A, mu0, s = (self.params["amplitude"], self.params["center"],
-                     self.params["scale"])
-        return -2.0 * s * (z - mu0) * self.value(z)
+        return self.divided_difference(z, z)
 
     def divided_difference(self, z1, z2):
         """(f(z1) - f(z2)) / (z1 - z2), exact and cancellation-free.
@@ -221,24 +192,22 @@ class FunctionSpec:
         """
         z1 = np.asarray(z1, dtype=complex)
         z2 = np.asarray(z2, dtype=complex)
-        if self.kind == "constant":
-            return np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-        if self.kind == "polynomial":
+        if self.kind != "scaled_gaussian_entire":
             # h_k = (z1^k - z2^k)/(z1 - z2) satisfies h_k = z1*h_{k-1} + z2^(k-1)
-            coeffs = self.params["coeffs"]
             h = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
             out = np.zeros_like(h)
             p2 = np.ones_like(h)  # z2^(k-1) running power
-            for k in range(1, len(coeffs)):
+            for ck in self._coeffs[1:]:
                 h = z1 * h + p2
                 p2 = p2 * z2
-                out = out + coeffs[k] * h
+                out = out + ck * h
             return out
         A, mu0, s = (self.params["amplitude"], self.params["center"],
                      self.params["scale"])
         al, be = z1 - mu0, z2 - mu0
+        # sinh(w)/w = sinc(i w)
         return (-A * s * (al + be) * np.exp(-0.5 * s * (al * al + be * be))
-                * _sinhc(0.5 * s * (al + be) * (al - be)))
+                * _sinc(1j * (0.5 * s * (al + be) * (al - be))))
 
     @property
     def real(self) -> bool:
@@ -417,7 +386,7 @@ class NumericsConfig:
     n_interval: Optional[int] = None     # None: resolved from x (8 pts/period)
     m_loop: int = 256
     m_line: int = 400
-    h: Optional[float] = None            # None: min(c/2, 1)/2
+    h: Optional[float] = None            # None: min(min|c_a|/2, 1)/2
     map_scale: float = 1.0
 
 
@@ -448,19 +417,17 @@ class ProblemConfig:
         if self.shift is None:
             self.shift = gsk_shift_spec(self)
 
-    @property
-    def N(self) -> int:
-        """Block size of the loop and line kernels: the shift table's N."""
-        return self.shift.N
-
     # -- resolved numerics ---------------------------------------------------
     @property
     def delta0(self) -> float:
         return DIAG_SWITCH_FRACTION * (self.b - self.a)
 
+    def _phase_slopes(self) -> np.ndarray:
+        """Re p' on 512 equispaced points of [a, b]."""
+        return np.real(self.p.deriv(np.linspace(self.a, self.b, 512)))
+
     def max_phase_slope(self) -> float:
-        grid = np.linspace(self.a, self.b, 512)
-        return float(np.max(np.real(self.p.deriv(grid))))
+        return float(np.max(self._phase_slopes()))
 
     def resolved_n(self) -> int:
         """Interval resolution: >= 8 nodes per oscillation period, floor 64."""
@@ -469,10 +436,15 @@ class ProblemConfig:
         return max(64, ceil(8.0 * self.x * self.max_phase_slope()
                             * (self.b - self.a) / (2.0 * pi)))
 
+    def half_strip(self) -> float:
+        """min|c_a|/2: loops and lines stay inside |Im z| < half_strip."""
+        return float(np.min(np.abs(self.shift.c))) / 2.0
+
     def resolved_h(self) -> float:
+        """Loop half-height: numerics.h, else half of min(half_strip, 1)."""
         if self.numerics.h is not None:
             return self.numerics.h
-        return min(self.c / 2.0, 1.0) / 2.0
+        return min(self.half_strip(), 1.0) / 2.0
 
     # -- validation ----------------------------------------------------------
     def validate(self):
@@ -495,8 +467,7 @@ class ProblemConfig:
             value = getattr(nm, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"numerics.{name} must be positive")
-        h = self.resolved_h()
-        half_strip = float(np.min(np.abs(self.shift.c))) / 2.0
+        h, half_strip = self.resolved_h(), self.half_strip()
         if h >= half_strip:
             raise ConfigError(
                 f"loop half-height h={h} violates the strip constraint "
@@ -545,8 +516,7 @@ class ProblemConfig:
                 f"region; determinant conditioning may degrade", RuntimeWarning)
 
     def _validate_phase(self):
-        grid = np.linspace(self.a, self.b, 512)
-        slopes = np.real(self.p.deriv(grid))
+        slopes = self._phase_slopes()
         if np.min(slopes) <= 0.0:
             raise ConfigError(
                 f"phase p must satisfy p' > 0 on [{self.a}, {self.b}]; "
@@ -716,7 +686,7 @@ def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
 
 
 def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
-                     delta0: float = 1e-4):
+                     delta0: float):
     """V(lam,mu) = <E_L(lam),E_R(mu)>/(lam-mu) - sum_a gamma_a f_a(lam) e_{v_a}(mu)/(lam-mu+ic_a).
 
     Only the lam = mu singularity of the leading term is removable (via the
@@ -896,7 +866,7 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec):
     return np.divide(numer, den, out=numer)
 
 
-def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float = 1e-4):
+def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
     """Line-representation matrix kernel on the real axis.
 
     N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}

@@ -112,7 +112,7 @@ class _NearCutCauchy:
 
 def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
                       near: Callable[[], _NearCutCauchy], threshold: float, z,
-                      far_eval: _CauchySum, warn: bool = True) -> np.ndarray:
+                      far_eval: _CauchySum) -> np.ndarray:
     """C(z) = int_a^b dens(mu)/(mu - z) dmu with near/far dispatch.
 
     densities has shape (n, D); the result has shape z.shape + (D,).
@@ -130,9 +130,8 @@ def _cauchy_transform(rule: QuadratureRule, densities: np.ndarray,
     if far.size:
         out[far] = far_eval.eval(float(np.min(dist[far])), flat[far])
     if np.any(close):
-        if warn:
-            # caller -> evaluator method -> _CauchySum.__call__ -> here
-            _warn_near(threshold, a, b, stacklevel=5)
+        # caller -> evaluator method -> _CauchySum.__call__ -> here
+        _warn_near(threshold, a, b, stacklevel=5)
         out[close] = near().eval(flat[close])
     return out.reshape(z.shape + (densities.shape[1],))
 
@@ -215,10 +214,10 @@ class _CauchySum(_OnCut):
             out[i0:i1] = np.divide(w, den, out=den) @ dens
         return out
 
-    def __call__(self, z, warn: bool) -> np.ndarray:
+    def __call__(self, z) -> np.ndarray:
         """C(z), shape z.shape + (D,); z must avoid [a, b] itself."""
         return _cauchy_transform(self.rule, self.densities, lambda: self.near,
-                                 self.near_threshold, z, self, warn=warn)
+                                 self.near_threshold, z, self)
 
     def divided(self, z1, z2) -> np.ndarray:
         """int_a^b dens(mu) / ((mu - z1)(mu - z2)) dmu by the far sum at the
@@ -286,13 +285,13 @@ class ChiSolution(_OnCut):
         out[..., idx, idx] += 1.0
         return out
 
-    def chi_at(self, z, warn: bool = True) -> np.ndarray:
+    def chi_at(self, z) -> np.ndarray:
         """chi(z), shape z.shape + (N, N); z must avoid [a, b] itself."""
-        return self._eye_plus(self._R(z, warn), negate=True)
+        return self._eye_plus(self._R(z), negate=True)
 
-    def chi_inv_at(self, z, warn: bool = True) -> np.ndarray:
+    def chi_inv_at(self, z) -> np.ndarray:
         """chi(z)^-1 via the left-density reconstruction (no matrix inverse)."""
-        return self._eye_plus(self._L(z, warn), negate=False)
+        return self._eye_plus(self._L(z), negate=False)
 
     def delta_chi(self, z1, z2) -> np.ndarray:
         """[chi(z1) - chi(z2)] / (z1 - z2), exact divided difference.
@@ -443,9 +442,9 @@ class AlphaEvaluator:
         return _CauchySum(self.rule, self.logF_nodes / (2j * pi),
                           _NEAR_MODE_MARGIN)
 
-    def alpha_at(self, z, warn: bool = True) -> np.ndarray:
+    def alpha_at(self, z) -> np.ndarray:
         """alpha(z) = exp{int_a^b ln(1+F(mu))/(z-mu) dmu / 2 i pi}."""
-        C = self._C(z, warn)
+        C = self._C(z)
         # C integrates against 1/(mu - z); the exponent uses 1/(z - mu)
         return np.exp(-C.reshape(C.shape[:-1]))
 

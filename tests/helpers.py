@@ -1,6 +1,7 @@
 """Checks and conveniences that only the tests use.
 
-The package never calls these; each is built on the package's public API.
+The package never calls these; each is built on the package's public API,
+except ``cli_ladder``, which reads the CLI parser's own ``--x`` default.
 """
 import warnings
 from dataclasses import replace
@@ -8,15 +9,37 @@ from math import pi
 
 import numpy as np
 
+from shiftdet.cli import _build_parser, _parse_xs
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.kernels import (ConfigError, FunctionSpec, gsk_vector_pair,
                               real_kernel)
 from shiftdet.rhp import NearIntervalWarning
 
 
+def constant(value) -> FunctionSpec:
+    return FunctionSpec("constant", {"value": complex(value)})
+
+
+def polynomial(coeffs) -> FunctionSpec:
+    return FunctionSpec("polynomial", {"coeffs": [complex(c) for c in coeffs]})
+
+
+def scaled_gaussian(amplitude, center, scale) -> FunctionSpec:
+    return FunctionSpec("scaled_gaussian_entire", {
+        "amplitude": complex(amplitude),
+        "center": complex(center),
+        "scale": complex(scale),
+    })
+
+
 def identity():
     """The phase p(z) = z."""
-    return FunctionSpec.polynomial([0.0, 1.0])
+    return polynomial([0.0, 1.0])
+
+
+def cli_ladder(command: str) -> list:
+    """The x grid the CLI's ``command`` runs when ``--x`` is not given."""
+    return _parse_xs(_build_parser().parse_args([command, "cfg.json"]).x)
 
 
 def with_n(cfg, n: int):

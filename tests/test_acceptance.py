@@ -17,7 +17,7 @@ from shiftdet.quadrature import stadium_loop_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import transposed_jump_residual, with_n
+from helpers import cli_ladder, transposed_jump_residual, with_n
 
 
 def _report(tag, ok, detail):
@@ -80,7 +80,7 @@ def test_criterion_4_decay_rate(sweep_result):
 
 
 def test_criterion_5_limit_operator_band(standard_cfg):
-    rows = m_vs_m0(standard_cfg)
+    rows = m_vs_m0(standard_cfg, cli_ladder("m-vs-m0"))
     by_x = {row.x: row for row in rows}
     ratios = {x: by_x[x].err / by_x[2 * x].err for x in (100.0, 200.0)}
     decreasing = all(by_x[2 * x].err < by_x[x].err

@@ -14,6 +14,7 @@ import pytest
 from shiftdet import cli, experiments
 from shiftdet.determinants import DetResult
 from shiftdet.experiments import ComparisonRow, SweepRow
+from shiftdet.rhp import NearIntervalWarning
 
 SWEEP_HEADER = "x,ratio_re,ratio_im,limit_re,limit_im,err,conv_delta"
 MVSM0_HEADER = "x,err,det_m_re,det_m_im,det_m0_re,det_m0_im,conv_delta"
@@ -144,6 +145,20 @@ class TestConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "strip" in err
+
+    def test_narrow_shift_table_without_h_runs(self, tmp_path, config_dir,
+                                               capsys):
+        # c = 1 with shifts -+0.4: the default h is 0.1, inside the strip
+        # |Im z| < 0.2 of the table; read from c it was 0.25 and exited 2
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"),
+                              shifts={"gamma": [1.0, 1.0], "c": [-0.4, 0.4],
+                                      "v": [1, 2]})
+        # the loop at Im z = +-0.1 lies in the interval's near zone
+        with pytest.warns(NearIntervalWarning):
+            rc = cli.main(["verify", config, "--out", str(tmp_path)])
+        assert rc != 2, capsys.readouterr().err
+        assert (tmp_path / "identity_report.json").exists()
 
     def test_unknown_field(self, tmp_path, config_dir):
         config = write_config(tmp_path,

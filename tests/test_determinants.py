@@ -12,7 +12,7 @@ from shiftdet.determinants import (DetResult, assemble_collocation,
 from shiftdet import experiments, kernels
 from shiftdet.experiments import (_det, _interval_rule, _line_rule,
                                   compute_determinant, verify_factorization)
-from shiftdet.kernels import (ConfigError, FunctionSpec, M_kernel, N_kernel,
+from shiftdet.kernels import (ConfigError, M_kernel, N_kernel,
                               NumericError, ShiftSpec,
                               U_minus_kernel, U_plus_kernel, W_factors,
                               _chebyshev_interpolant,
@@ -26,7 +26,8 @@ from shiftdet.rhp import make_alpha, solve_chi
 from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
                           shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
-                     convergence_study, direct_chi, real_on_axis)
+                     constant, convergence_study, direct_chi, polynomial,
+                     real_on_axis)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -354,7 +355,7 @@ class TestMemoryGuard:
         monkeypatch.setattr(determinants, "_mem_available", lambda: 300000)
         determinants.require_memory(100, "real", itemsize=8)
         with pytest.raises(ConfigError, match=r"480000 bytes"):
-            determinants.require_memory(100, "complex")
+            determinants.require_memory(100, "complex", itemsize=16)
         monkeypatch.setattr(determinants, "_mem_available", lambda: 200000)
         with pytest.raises(ConfigError, match=r"240000 bytes"):
             determinants.require_memory(100, "real", itemsize=8)
@@ -369,7 +370,7 @@ class TestMemoryGuard:
     def test_complex_resolvent_is_charged_16_bytes(self, monkeypatch,
                                                   standard_cfg):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
-        cfg = replace(standard_cfg, F=FunctionSpec.constant(0.4 + 0.2j))
+        cfg = replace(standard_cfg, F=constant(0.4 + 0.2j))
         with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
             solve_chi(cfg)
 
@@ -602,7 +603,7 @@ class TestStreamedMemory:
 
 
 def _complex_F(cfg):
-    return replace(cfg, F=FunctionSpec.constant(0.4 + 0.2j))
+    return replace(cfg, F=constant(0.4 + 0.2j))
 
 
 def _kernel(cfg, which, points=complex):
@@ -646,7 +647,7 @@ class TestRealArithmetic:
         assert not real_on_axis(table([1.0, 1.0], v=(1, 1)), "V")
         assert not real_on_axis(table([1.0, 1.0], cs=(-c, 2 * c)), "V")
         for cfg in (_complex_F(standard_cfg),
-                    replace(standard_cfg, p=FunctionSpec.polynomial(
+                    replace(standard_cfg, p=polynomial(
                         [0.0, 1.0, 0.1j]))):
             assert not real_on_axis(cfg, "Vtilde")
             assert not real_on_axis(cfg, "V")

@@ -12,14 +12,13 @@ from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
-from shiftdet.kernels import (ConfigError, FunctionSpec, N_kernel,
-                              NumericsConfig, ShiftSpec,
-                              problem_config_from_json)
+from shiftdet.kernels import (ConfigError, N_kernel, NumericsConfig,
+                              ShiftSpec, problem_config_from_json)
 from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
-from helpers import identity, real_on_axis
+from helpers import cli_ladder, constant, identity, real_on_axis
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,7 @@ class TestVerifyFactorization:
             lambda l, m: N_kernel(l, m, standard_chi, standard_cfg.shift,
                                   standard_cfg.delta0),
             truncated_line_rule(standard_cfg.numerics.m_line, 100.0),
-            standard_cfg.N)
+            standard_cfg.shift.N)
         det_M = standard_report.det_M_loop.value
         assert abs(det_N.value - det_M) / abs(det_M) < 1e-2
 
@@ -194,7 +193,7 @@ class TestSlopeFit:
 
 @pytest.fixture(scope="module")
 def comparison_rows(standard_cfg):
-    return m_vs_m0(standard_cfg)
+    return m_vs_m0(standard_cfg, cli_ladder("m-vs-m0"))
 
 
 class TestMVsM0:
@@ -220,7 +219,7 @@ class TestMVsM0:
 
     def test_non_canonical_table_rejected(self, nonintegrable_cfg):
         with pytest.raises(ConfigError):
-            m_vs_m0(nonintegrable_cfg)
+            m_vs_m0(nonintegrable_cfg, cli_ladder("m-vs-m0"))
 
 
 class TestComputeDeterminant:
@@ -334,12 +333,12 @@ class TestWorkerConfiguration:
                             lambda n_jobs: 1 if workers == "one" else n_jobs)
         xs = [r.x for r in sweep_rows]
         assert asymptotic_sweep(standard_cfg, xs) == sweep_rows
-        assert m_vs_m0(standard_cfg) == comparison_rows
+        assert m_vs_m0(standard_cfg, cli_ladder("m-vs-m0")) == comparison_rows
 
 
 def test_invalid_config_rejected_up_front():
     cfg_kwargs = dict(a=-1.0, b=1.0, x=50.0, c=1.0,
-                      F=FunctionSpec.constant(0.5), p=identity())
+                      F=constant(0.5), p=identity())
     from shiftdet.kernels import ProblemConfig
     bad = ProblemConfig(numerics=NumericsConfig(h=0.9), **cfg_kwargs)
     with pytest.raises(ConfigError, match="strip"):

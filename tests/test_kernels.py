@@ -21,7 +21,8 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
-from helpers import identity, mask_near_diagonal_eval, validate_regularity
+from helpers import (constant, identity, mask_near_diagonal_eval, polynomial,
+                     scaled_gaussian, validate_regularity)
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -29,43 +30,43 @@ finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
 
 def make_cfg(**kw):
     base = dict(a=-1.0, b=1.0, x=50.0, c=1.0,
-                F=FunctionSpec.constant(0.5), p=identity())
+                F=constant(0.5), p=identity())
     base.update(kw)
     return ProblemConfig(**base)
 
 
 class TestFunctionSpec:
     @pytest.mark.parametrize("spec,z,want", [
-        (FunctionSpec.constant(0.5), 2.0, 0.5),
-        (FunctionSpec.constant(0.3 - 0.2j), 1.0, 0.3 - 0.2j),
-        (FunctionSpec.polynomial([1.0, 2.0, 3.0]), 2.0, 1 + 4 + 12),
+        (constant(0.5), 2.0, 0.5),
+        (constant(0.3 - 0.2j), 1.0, 0.3 - 0.2j),
+        (polynomial([1.0, 2.0, 3.0]), 2.0, 1 + 4 + 12),
         (identity(), -0.7, -0.7),
-        (FunctionSpec.scaled_gaussian(2.0, 0.5, 1.0), 0.5, 2.0),
+        (scaled_gaussian(2.0, 0.5, 1.0), 0.5, 2.0),
     ])
     def test_value(self, spec, z, want):
         assert abs(spec.value(z) - want) < 1e-14
 
     def test_gaussian_value(self):
-        g = FunctionSpec.scaled_gaussian(0.7, 0.2, 0.6)
+        g = scaled_gaussian(0.7, 0.2, 0.6)
         z = 1.1
         want = 0.7 * np.exp(-0.6 * (z - 0.2) ** 2)
         assert abs(g.value(z) - want) < 1e-15
 
     @pytest.mark.parametrize("spec", [
-        FunctionSpec.constant(0.4),
-        FunctionSpec.polynomial([0.0, 1.0, 0.0, 0.1]),
-        FunctionSpec.scaled_gaussian(0.55, 0.2, 0.6),
+        constant(0.4),
+        polynomial([0.0, 1.0, 0.0, 0.1]),
+        scaled_gaussian(0.55, 0.2, 0.6),
     ])
     def test_deriv_matches_difference(self, spec):
-        z = 0.37
         eps = 1e-6
-        num = (spec.value(z + eps) - spec.value(z - eps)) / (2 * eps)
-        assert abs(spec.deriv(z) - num) < 1e-8
+        for z in (0.37, 0.21 - 0.43j):
+            num = (spec.value(z + eps) - spec.value(z - eps)) / (2 * eps)
+            assert abs(spec.deriv(z) - num) < 1e-8
 
     @pytest.mark.parametrize("spec", [
-        FunctionSpec.constant(1.3),
-        FunctionSpec.polynomial([2.0, -1.0, 0.5, 0.25]),
-        FunctionSpec.scaled_gaussian(0.9, -0.3, 0.8),
+        constant(1.3),
+        polynomial([2.0, -1.0, 0.5, 0.25]),
+        scaled_gaussian(0.9, -0.3, 0.8),
     ])
     def test_divided_difference_separated(self, spec):
         rng = np.random.default_rng(3)
@@ -75,20 +76,11 @@ class TestFunctionSpec:
         got = spec.divided_difference(z1, z2)
         np.testing.assert_allclose(got, direct, rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("spec", [
-        FunctionSpec.polynomial([0.0, 1.0, 0.0, 0.1]),
-        FunctionSpec.scaled_gaussian(0.55, 0.2, 0.6),
-    ])
-    def test_divided_difference_diagonal_is_derivative(self, spec):
-        z = np.array([0.1, -0.4, 0.9])
-        np.testing.assert_allclose(spec.divided_difference(z, z),
-                                   spec.deriv(z), rtol=1e-14)
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(finite_c, min_size=1, max_size=6),
            st.floats(-2, 2), st.floats(-2, 2))
     def test_dd_identity_polynomial(self, coeffs, x1, x2):
-        spec = FunctionSpec.polynomial(coeffs)
+        spec = polynomial(coeffs)
         z1, z2 = complex(x1), complex(x2)
         lhs = spec.divided_difference(z1, z2) * (z1 - z2)
         rhs = spec.value(z1) - spec.value(z2)
@@ -96,10 +88,10 @@ class TestFunctionSpec:
 
     def test_json_round_trip(self):
         specs = [
-            FunctionSpec.constant(0.25),
-            FunctionSpec.constant(0.1 + 0.7j),
-            FunctionSpec.polynomial([0.0, 1.0, 0.0, 0.1j]),
-            FunctionSpec.scaled_gaussian(0.55, 0.2, 0.6),
+            constant(0.25),
+            constant(0.1 + 0.7j),
+            polynomial([0.0, 1.0, 0.0, 0.1j]),
+            scaled_gaussian(0.55, 0.2, 0.6),
         ]
         for spec in specs:
             blob = json.loads(json.dumps(spec.to_json()))
@@ -109,7 +101,7 @@ class TestFunctionSpec:
             assert back.kind == spec.kind
 
     def test_complex_scalar_encoding(self):
-        blob = FunctionSpec.constant(0.1 + 0.7j).to_json()
+        blob = constant(0.1 + 0.7j).to_json()
         assert blob["value"] == {"_re": 0.1, "_im": 0.7}
 
     @pytest.mark.parametrize("blob", [
@@ -158,6 +150,15 @@ class TestProblemConfig:
         assert make_cfg(c=1.0).resolved_h() == pytest.approx(0.25)
         assert make_cfg(c=0.5).resolved_h() == pytest.approx(0.125)
 
+    def test_resolved_h_reads_the_shift_table(self):
+        # the default comes from the table that validate checks it against:
+        # with c = 1 but shifts -+0.4 the strip is |Im z| < 0.2
+        narrow = make_cfg(shift=ShiftSpec.make([1.0, 1.0], [-0.4, 0.4], [1, 2]))
+        assert narrow.resolved_h() == pytest.approx(0.1)
+        narrow.validate()
+        wide = make_cfg(shift=ShiftSpec.make([1.0, 1.0], [-1.0, 1.0], [1, 2]))
+        assert wide.resolved_h() == 0.25
+
     def test_strip_violation_message(self):
         from shiftdet.kernels import NumericsConfig
         cfg = make_cfg(numerics=NumericsConfig(h=0.6))
@@ -165,17 +166,17 @@ class TestProblemConfig:
             cfg.validate()
 
     def test_amplitude_at_one_rejected(self):
-        cfg = make_cfg(F=FunctionSpec.constant(1.0))
+        cfg = make_cfg(F=constant(1.0))
         with pytest.raises(ConfigError):
             cfg.validate()
 
     def test_amplitude_near_one_warns(self):
-        cfg = make_cfg(F=FunctionSpec.constant(0.95))
+        cfg = make_cfg(F=constant(0.95))
         with pytest.warns(RuntimeWarning):
             cfg.validate()
 
     def test_decreasing_phase_rejected(self):
-        cfg = make_cfg(p=FunctionSpec.polynomial([0.0, -1.0]))
+        cfg = make_cfg(p=polynomial([0.0, -1.0]))
         with pytest.raises(ConfigError):
             cfg.validate()
 
@@ -219,7 +220,7 @@ class TestProblemConfig:
 
     def test_block_size_is_the_shift_tables(self, nonintegrable_cfg):
         for cfg in (make_cfg(), nonintegrable_cfg):
-            assert cfg.N == cfg.shift.N
+            assert not hasattr(cfg, "N") and cfg.shift.N == 2
         with pytest.raises(TypeError):
             make_cfg(N=7)
 
@@ -253,7 +254,7 @@ class TestPlaneWaveAndSine:
         assert abs(gsk_kernel(lam, lam, cfg) - num) < 1e-9 * abs(num)
 
     def test_zero_amplitude(self):
-        cfg = make_cfg(F=FunctionSpec.constant(0.0))
+        cfg = make_cfg(F=constant(0.0))
         assert gsk_kernel(0.2, 0.7, cfg) == 0.0
 
     def test_removable_point_consistency(self):
@@ -417,7 +418,8 @@ class TestDressedKernels:
 
     def test_N_trivial_amplitude_vanishes(self, trivial_cfg, trivial_chi):
         table = gsk_shift_spec(trivial_cfg)
-        got = N_kernel(np.array([0.4]), np.array([-0.1]), trivial_chi, table)
+        got = N_kernel(np.array([0.4]), np.array([-0.1]), trivial_chi, table,
+                       trivial_cfg.delta0)
         np.testing.assert_allclose(got, 0.0, atol=1e-13)
 
     def test_M_strip_violation_rejected(self, standard_cfg, standard_chi):

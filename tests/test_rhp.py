@@ -7,13 +7,12 @@ import pytest
 from shiftdet import rhp
 from shiftdet.determinants import assemble_collocation
 from shiftdet.experiments import _line_rule, _loop_rule
-from shiftdet.kernels import (FunctionSpec, NumericError, cauchy_rank,
-                              gsk_vector_pair)
+from shiftdet.kernels import NumericError, cauchy_rank, gsk_vector_pair
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import (direct_alpha, direct_chi, direct_delta_chi,
+from helpers import (constant, direct_alpha, direct_chi, direct_delta_chi,
                      equation_residuals, transposed_jump_residual, with_n)
 
 
@@ -51,7 +50,7 @@ class TestResolventSolve:
 
     def test_solver_failure_is_numeric_error(self, standard_cfg):
         from dataclasses import replace
-        bad = replace(standard_cfg, F=FunctionSpec.constant(-1.0 + 1e-18))
+        bad = replace(standard_cfg, F=constant(-1.0 + 1e-18))
         with pytest.raises(NumericError):
             solve_chi(bad)
 
@@ -203,8 +202,10 @@ class TestChiProperties:
         assert "near" not in vars(chi._R) and "near" not in vars(chi._L)
         assert "near" not in vars(alpha._C)
         near = 0.2 + 1j * chi.near_threshold / 10
-        chi.chi_at(near, warn=False)
-        alpha.alpha_at(near, warn=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearIntervalWarning)
+            chi.chi_at(near)
+            alpha.alpha_at(near)
         assert "near" in vars(chi._R) and "near" not in vars(chi._L)
         assert "near" in vars(alpha._C)
 
@@ -212,9 +213,6 @@ class TestChiProperties:
         close = 0.2 + 1j * standard_chi.near_threshold / 10
         with pytest.warns(NearIntervalWarning):
             standard_chi.chi_at(close)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NearIntervalWarning)
-            standard_chi.chi_at(close, warn=False)   # must stay silent
 
     def test_near_interval_warning_names_the_caller(self, standard_cfg,
                                                     standard_chi):
@@ -292,7 +290,8 @@ class TestAlpha:
         lam0 = 0.2
         eps = 1e-3
         pts = lam0 + 1j * np.array([eps / 2, eps, -eps / 2, -eps])
-        vals = alpha.alpha_at(pts, warn=False)
+        with pytest.warns(NearIntervalWarning):
+            vals = alpha.alpha_at(pts)
         a_plus = 2 * vals[0] - vals[1]    # Richardson toward the cut
         a_minus = 2 * vals[2] - vals[3]
         F0 = complex(cfg.F.value(lam0))
@@ -301,7 +300,7 @@ class TestAlpha:
     def test_amplitude_at_minus_one_rejected(self, standard_cfg):
         from dataclasses import replace
         from shiftdet.kernels import ConfigError
-        bad = replace(standard_cfg, F=FunctionSpec.constant(-1.0))
+        bad = replace(standard_cfg, F=constant(-1.0))
         with pytest.raises((ConfigError, ValueError)):
             make_alpha(bad)
 
