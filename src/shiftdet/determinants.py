@@ -151,10 +151,10 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
         if dim is None:
             np.multiply(K, w, out=D[i0:i1])
         else:
-            # a plain transposed copy, then a contiguous product: faster than
-            # one product that reads K transposed
-            D.reshape(m, dim, m, dim)[i0:i1] = np.transpose(K, (0, 2, 1, 3))
-            D[i0 * dim:i1 * dim] *= w
+            # one weighted pass per (k, l) plane, contiguous in M/N's output
+            D4 = D.reshape(m, dim, m, dim)
+            for k, l in np.ndindex(dim, dim):
+                np.multiply(K[..., k, l], rule.weights, out=D4[i0:i1, k, :, l])
     idx = np.arange(D.shape[0])
     D[idx, idx] += 1.0
     return D

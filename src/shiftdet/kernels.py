@@ -839,6 +839,40 @@ def W_factors(rule, chi, shift: ShiftSpec):
     return X, Y
 
 
+def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False):
+    """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., N, N),
+    from factors rows[k] (..., r) on lam's side and cols[l] on mu's; e None
+    is 0.  Each (k, l) plane is formed contiguously (one GEMM for a row
+    block) in a plane-major (N, N, ...) buffer whose view is returned: no
+    ufunc loops over length-N trailing axes.  ``guard`` raises ValueError
+    where a denominator vanishes (a loop outside |Im z| < min|c_l|/2).
+    """
+    N, lam, mu = len(rows), np.asarray(lam), np.asarray(mu)
+    outer = lam.ndim == mu.ndim == 2 and lam.shape[1] == mu.shape[0] == 1
+    # den first: freed, its memory and buf's join into one hole that the
+    # LAPACK copy of the collocation matrix fits in
+    den = np.empty(np.broadcast(lam, mu).shape, dtype=complex)
+    buf = np.empty((N, N) + den.shape, dtype=complex)
+    s_den = None                  # consecutive planes of equal s share den
+    for l, k in np.ndindex(N, N):
+        plane = buf[k, l, ...]
+        if outer:
+            np.matmul(rows[k][:, 0], cols[l][0].T, out=plane)
+        else:
+            np.sum(rows[k] * cols[l], axis=-1, out=plane)
+        if e is not None and e[k, l]:
+            plane += e[k, l]
+        if s[k, l] != s_den:
+            s_den = s[k, l]
+            np.subtract(lam, mu - 1j * s_den, out=den)
+            if guard and np.min(np.abs(den)) < 1e-10:
+                raise ValueError("loop kernel denominator vanished: contour "
+                                 "violates the strip |Im z| < min|c_l|/2")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(plane, den, out=plane)
+    return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
 def M_kernel(lam, mu, chi, shift: ShiftSpec):
     """Loop-representation matrix kernel.
 
@@ -846,24 +880,11 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec):
                       / (2 i pi (lam - mu + i c_l)),
     for lam, mu on a loop inside the strip |Im z| < min|c_l|/2.
     """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    N = shift.N
-    Ainv = chi.chi_inv_at(lam)[..., shift.v0, :]   # (..., k, r)
-    Bcol = np.stack([chi.chi_at(mu - 1j * shift.c[l])[..., :, l]
-                     for l in range(N)], axis=-2)   # (..., l, r)
-    # optimize=True runs the per-pair 2x2 products as one batched matmul,
-    # not numpy's generic broadcast einsum loop
-    numer = np.einsum("...kr,...lr->...kl", Ainv, Bcol, optimize=True)
-    den = (lam[..., None, None] - mu[..., None, None]
-           + 1j * shift.c[None, :])                 # (..., 1, l) broadcast over k
-    if np.min(np.abs(den)) < 1e-10:
-        raise ValueError("loop kernel denominator vanished: contour violates "
-                         "the strip |Im z| < min|c_l|/2")
-    # gamma numer / (2 i pi den), in the einsum's and den's own memory
-    np.multiply(shift.gamma[:, None], numer, out=numer)
-    np.multiply(2j * pi, den, out=den)
-    return np.divide(numer, den, out=numer)
+    Ainv = chi.chi_inv_at(lam)[..., shift.v0, :]       # (..., k, r)
+    rows = [g / (2j * pi) * Ainv[..., k, :] for k, g in enumerate(shift.gamma)]
+    cols = [chi.chi_at(mu - 1j * c)[..., :, l] for l, c in enumerate(shift.c)]
+    s = np.broadcast_to(shift.c, (shift.N, shift.N))      # s_kl = c_l
+    return _kernel_planes(lam, mu, rows, cols, s, guard=True)
 
 
 def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
@@ -877,21 +898,15 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
     sgn(c_k) gamma_k [chi^{-1}(z) dchi(z, z')]_{v_k, l} / (2 i pi) with
     z = lam + i c_k/2, z' = mu - i c_l/2 on the same horizontal line.
     """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    N = shift.N
-    shape = np.broadcast(lam, mu).shape
-    Ainv = np.stack([chi.chi_inv_at(lam + 0.5j * shift.c[k])[..., shift.v0[k], :]
-                     for k in range(N)], axis=-2)   # (..., k, r)
-    Bcol = np.stack([chi.chi_at(mu - 0.5j * shift.c[l])[..., :, l]
-                     for l in range(N)], axis=-2)   # (..., l, r)
-    eye_kl = (shift.v0[:, None] == np.arange(N)[None, :]).astype(complex)
     pref = np.sign(shift.c) * shift.gamma / (2j * pi)
-    out = eye_kl - np.einsum("...kr,...lr->...kl", Ainv, Bcol, optimize=True)
-    out *= pref[:, None]
+    # pref_k (I - A B) = pref_k I + (-pref_k A) B
+    rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
+            for k, c in enumerate(shift.c)]
+    cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
+    eye_kl = shift.v0[:, None] == np.arange(shift.N)[None, :]
     csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= lam[..., None, None] - (mu[..., None, None] - 1j * csum)
+    out = _kernel_planes(lam, mu, rows, cols, csum, pref[:, None] * eye_kl)
+    shape = out.shape[:-2]
     # exact divided-difference branch for compensated pairs near the diagonal
     idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
     if not idx.any():

@@ -492,6 +492,35 @@ class TestStreamedAssembly:
         assert abs(dets[1].value - dets[0].value) <= 1e-14 * abs(dets[0].value)
         assert abs(dets[1].half - dets[0].half) <= 1e-14 * abs(dets[0].half)
 
+    @pytest.mark.parametrize("rule", [gauss_legendre_rule(24, -1.0, 1.0),
+                                      stadium_loop_rule(-1.0, 1.0, 0.25, 24)],
+                             ids=["interval", "loop"])
+    @pytest.mark.parametrize("layout", ["C", "plane-major"])
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_matrix_weighted_planes_bit_for_bit(self, monkeypatch, rule,
+                                                layout, rows):
+        # each weighted plane written straight into D equals the transposed
+        # reshape times the column weights, whatever the kernel's layout
+        m, dim = rule.size, 2
+        rng = np.random.default_rng(7)
+        K = (rng.standard_normal((m, m, dim, dim))
+             + 1j * rng.standard_normal((m, m, dim, dim)))
+        row_of = {z: i for i, z in enumerate(rule.nodes)}
+
+        def kernel(l, _):
+            block = K[[row_of[z] for z in l[:, 0]]]
+            if layout == "C":
+                return block
+            planes = np.ascontiguousarray(np.moveaxis(block, (-2, -1), (0, 1)))
+            return np.moveaxis(planes, (0, 1), (-2, -1))
+        if rows is not None:
+            self._rows(monkeypatch, rows, m, dim)
+        assert len(determinants.row_blocks(m, 16 * m * dim * dim)) == (
+            1 if rows is None else -(-m // rows))
+        want = (np.eye(m * dim) + K.transpose(0, 2, 1, 3).reshape(m * dim, m * dim)
+                * np.repeat(rule.weights, dim))
+        assert np.array_equal(assemble_collocation(kernel, rule, dim), want)
+
     @pytest.mark.parametrize("dim", [None, 2])
     @pytest.mark.parametrize("fault", ["shape", "non-finite"])
     def test_fault_in_a_later_block(self, monkeypatch, dim, fault):

@@ -720,11 +720,55 @@ class TestBlasContractions:
         cfg = request.getfixturevalue(request.param + "_cfg")
         return cfg, solve_chi(cfg), _loop_rule(cfg).nodes, _line_rule(cfg).nodes
 
+    # a one-entry table, complex gamma, a row block with fewer rows than
+    # columns (one GEMM per plane), and pointwise 1-D inputs (no GEMM)
+    CASES = {"one-entry": dict(gamma=[0.7], c=[1.0], v=[1]),
+             "complex-gamma": dict(gamma=[0.7 + 0.3j, -0.2 + 0.5j],
+                                   c=[-1.0, 1.0], v=[2, 1]),
+             "row-block": None, "pointwise": None}
+
+    @classmethod
+    def _case(cls, cfg, nodes, case):
+        """(lam, mu, shift table) of one case on ``nodes``."""
+        if case == "row-block":
+            return nodes[:7, None], nodes[None, :], cfg.shift
+        if case == "pointwise":
+            return nodes, nodes[::-1], cfg.shift
+        return nodes[:, None], nodes[None, :], ShiftSpec.make(**cls.CASES[case])
+
+    @staticmethod
+    def _check_M(chi, lam, mu, shift):
+        got = M_kernel(lam, mu, chi, shift)
+        want = _c_einsum_M(lam, mu, chi, shift)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @staticmethod
+    def _check_N(chi, delta0, lam, mu, shift):
+        # the divided-difference entries (compensated pairs near the
+        # diagonal) relative to their largest; every other entry relative
+        # to its terms' size, as a row block far out on the line holds
+        # only small values, some of them cancelled
+        got = N_kernel(lam, mu, chi, shift, delta0)
+        want, scale, near = _c_einsum_N(lam, mu, chi, shift, delta0)
+        assert got.shape == want.shape
+        comp = np.abs(shift.c[:, None] + shift.c[None, :]) < 1e-14
+        patched = near[..., None, None] & comp
+        far = ~patched
+        assert np.isfinite(scale[far]).all()
+        assert np.all(np.abs(got - want)[far] <= 1e-14 * scale[far])
+        if patched.any():
+            assert (np.max(np.abs(got - want)[patched])
+                    <= 1e-14 * np.max(np.abs(want[patched])))
+
     def test_M_kernel(self, solved):
         cfg, chi, loop, _ = solved
-        got = M_kernel(loop[:, None], loop[None, :], chi, cfg.shift)
-        want = _c_einsum_M(loop[:, None], loop[None, :], chi, cfg.shift)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        self._check_M(chi, loop[:, None], loop[None, :], cfg.shift)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_M_kernel_cases(self, solved, case):
+        cfg, chi, loop, _ = solved
+        self._check_M(chi, *self._case(cfg, loop, case))
 
     def test_delta_chi(self, solved):
         cfg, chi, _, line = solved
@@ -745,3 +789,8 @@ class TestBlasContractions:
         assert np.all(np.abs(got - want)[far] <= 1e-14 * scale[far])
         assert (np.max(np.abs(got - want)[~far])
                 <= 1e-14 * np.max(np.abs(want[~far])))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_N_kernel_cases(self, solved, case):
+        cfg, chi, _, line = solved
+        self._check_N(chi, cfg.delta0, *self._case(cfg, line, case))
