@@ -11,10 +11,9 @@ arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
 (N, N) axis.  V~ and V map real arrays to float64 where the config makes
 them real (``real_kernel``, from the symmetry of the vector pair and the
 shift table); this module alone reads that decision, and the collocation
-matrices follow the dtype of the values.  Near-diagonal removable
-singularities are evaluated through divided-difference forms that carry no
-cancellation, switched on at |lam - mu| < delta0 = 1e-4 * (b - a) and
-evaluated on those entries only.
+matrices follow the dtype of the values.  V~, M and N are one integrable
+form, which ``_kernel_planes`` evaluates; their removable diagonals take
+cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.
 """
 from __future__ import annotations
 
@@ -36,9 +35,7 @@ __all__ = [
     "eval_e", "gsk_vector_pair", "gsk_shift_spec",
     "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
-    "U_plus_kernel", "U_minus_kernel",
-    "near_diagonal_mask", "near_diagonal_eval", "bracket_kernel",
-    "real_kernel",
+    "U_plus_kernel", "U_minus_kernel", "bracket_kernel", "real_kernel",
 ]
 
 # fraction of (b - a) below which the divided-difference branch takes over
@@ -74,14 +71,11 @@ def _rank2(a0, a1, b0, b1):
                      np.stack([a0, a1], axis=-1), optimize=True)
 
 
-def _real_points(lam, mu) -> bool:
-    """Both arguments are real arrays (a dtype check, not a value check)."""
-    return not (np.iscomplexobj(lam) or np.iscomplexobj(mu))
-
-
-def near_diagonal_mask(lam, mu, delta0: float):
-    """Boolean mask selecting pairs handled by the divided-difference branch."""
-    return np.abs(np.asarray(lam) - np.asarray(mu)) < delta0
+def _row_block(lam, mu, shape) -> bool:
+    """lam a (k, 1) column against a row of n points, (n,) or (1, n): the
+    (k, n) broadcast ``shape`` of a collocation or interpolant row block."""
+    return (len(shape) == 2 and lam.shape == (shape[0], 1)
+            and mu.size == shape[1])
 
 
 def _near_entries(lam, mu, d, delta0: float):
@@ -94,7 +88,7 @@ def _near_entries(lam, mu, d, delta0: float):
     candidates only, and (row, column) arrays in row-major order are
     returned.  Any other shape gets the boolean mask over the full grid.
     """
-    if d.ndim == 2 and lam.shape == (d.shape[0], 1) and mu.size == d.shape[1]:
+    if _row_block(lam, mu, d.shape):
         row = mu.reshape(-1).real
         if np.all(row[1:] >= row[:-1]):
             col = lam.reshape(-1).real
@@ -107,37 +101,6 @@ def _near_entries(lam, mu, d, delta0: float):
             keep = np.abs(d[i, j]) < delta0
             return i[keep], j[keep]
     return np.abs(d) < delta0
-
-
-def near_diagonal_eval(lam, mu, delta0: float, direct: Callable,
-                       near: Callable):
-    """A kernel with a removable lam = mu singularity, branch by branch.
-
-    ``direct(lam, mu, d)`` receives the unbroadcast inputs and the broadcast
-    difference d = lam - mu, in the inputs' own dtype (float64 for real
-    points), set to 1 on the near-diagonal entries |lam - mu| < delta0 so
-    that the quotient stays finite there; it may overwrite d.
-    ``near(lam, mu)`` receives only those entries, as 1-D arrays, and its
-    cancellation-free values replace them: the series costs O(#near), not
-    one evaluation per entry of the broadcast grid, and a Gauss-rule row
-    block finds them by bisection (``_near_entries``).  The result has the
-    common dtype of both branches: a complex ``near`` makes a float
-    ``direct`` result complex, so no imaginary part is dropped.
-    """
-    lam = np.asarray(lam)
-    mu = np.asarray(mu)
-    d = np.asarray(lam - mu)
-    idx = _near_entries(lam, mu, d, delta0)
-    lam_near = np.broadcast_to(lam, d.shape)[idx]
-    if not lam_near.size:
-        return direct(lam, mu, d)
-    mu_near = np.broadcast_to(mu, d.shape)[idx]
-    d[idx] = 1.0
-    out = np.asarray(direct(lam, mu, d))
-    vals = near(lam_near, mu_near)
-    out = out.astype(np.result_type(out, vals), copy=False)
-    out[idx] = vals
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -368,13 +331,6 @@ class VectorPairSpec:
         # optimize=True contracts a broadcast grid as one GEMM
         return np.einsum("...a,...a->...", self.E_L(np.asarray(lam, complex)),
                          self.E_R(np.asarray(mu, complex)), optimize=True)
-
-    def real_bracket(self, lam, mu):
-        """The bracket of a ``real`` pair at real points as a float64 rank-2
-        product: 2 Re(E_L,0 E_R,0) = 2 (Re E_L,0 Re E_R,0 - Im E_L,0 Im E_R,0)."""
-        left = self.E_L(lam)[..., 0]
-        right = self.E_R(mu)[..., 0]
-        return _rank2(2.0 * left.real, -2.0 * left.imag, right.real, right.imag)
 
 
 # --------------------------------------------------------------------------
@@ -607,8 +563,10 @@ def _gsk_near(lam, mu, cfg: ProblemConfig):
 
 
 def gsk_shift_spec(cfg: ProblemConfig) -> ShiftSpec:
-    """Canonical two-shift table: gamma = (1, 1), c = (-c, c), v = (1, 2)."""
-    return ShiftSpec.make([1.0, 1.0], [-cfg.c, cfg.c], [1, 2])
+    """Canonical two-shift table: gamma = (1, 1), c = (-c, c), v = (1, 2);
+    ``ProblemConfig.validate`` checks it, after c > 0."""
+    return ShiftSpec(np.ones(2, dtype=complex),
+                     np.array([-cfg.c, cfg.c], dtype=float), np.array([1, 2]))
 
 
 def gsk_vector_pair(cfg: ProblemConfig) -> VectorPairSpec:
@@ -666,23 +624,23 @@ def real_kernel(pair: VectorPairSpec,
 
 
 def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
-    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu), diagonal made removable.
-
-    A ``real`` pair evaluates real points in float64: the bracket is the
-    pair's real rank-2 product, divided by the real difference in its own
-    memory, and the near-diagonal entries are the real part of
-    ``bracket_dd``.  Complex points, or any pair not marked real, take the
-    complex bracket.
-    """
-    if real_kernel(pair) and _real_points(lam, mu):
-        return near_diagonal_eval(
-            lam, mu, delta0,
-            lambda l, m, d: np.divide(pair.real_bracket(l, m), d, out=d),
-            lambda l, m: pair.bracket_dd(l, m).real)
-    return near_diagonal_eval(np.asarray(lam, dtype=complex),
-                              np.asarray(mu, dtype=complex), delta0,
-                              lambda l, m, d: pair.bracket(l, m) / d,
-                              pair.bracket_dd)
+    """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu): ``_kernel_planes``'s
+    N = 1, s = 0 case, its near-diagonal entries from ``bracket_dd``.  A
+    ``real`` pair takes real points in float64: 2 Re(E_L,0(lam) E_R,0(mu))
+    as the product of the real factors [2 Re E_L,0, -2 Im E_L,0] and
+    [Re E_R,0, Im E_R,0], and the real part of ``bracket_dd``.  Otherwise
+    the factors are the complex E_L(lam) and E_R(mu)."""
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    if real_kernel(pair) and np.isrealobj(lam) and np.isrealobj(mu):
+        left, right = pair.E_L(lam)[..., 0], pair.E_R(mu)[..., 0]
+        rows = [np.stack([2.0 * left.real, -2.0 * left.imag], axis=-1)]
+        cols = [np.stack([right.real, right.imag], axis=-1)]
+        part = np.real
+    else:
+        lam, mu = lam.astype(complex), mu.astype(complex)
+        rows, cols, part = [pair.E_L(lam)], [pair.E_R(mu)], np.asarray
+    return _kernel_planes(lam, mu, rows, cols, np.zeros((1, 1)), near=(
+        delta0, lambda k, l, x, y: part(pair.bracket_dd(x, y))))[..., 0, 0]
 
 
 def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
@@ -695,7 +653,7 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     and a table closed under the swap of its components), real points are
     evaluated in float64 (``_real_V``).
     """
-    if real_kernel(pair, shift) and _real_points(lam, mu):
+    if real_kernel(pair, shift) and np.isrealobj(lam) and np.isrealobj(mu):
         return _real_V(lam, mu, pair, shift, delta0)
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
@@ -839,37 +797,57 @@ def W_factors(rule, chi, shift: ShiftSpec):
     return X, Y
 
 
-def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False):
+def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
+                   near=None):
     """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., N, N),
     from factors rows[k] (..., r) on lam's side and cols[l] on mu's; e None
-    is 0.  Each (k, l) plane is formed contiguously (one GEMM for a row
-    block) in a plane-major (N, N, ...) buffer whose view is returned: no
-    ufunc loops over length-N trailing axes.  ``guard`` raises ValueError
-    where a denominator vanishes (a loop outside |Im z| < min|c_l|/2).
-    """
+    is 0.  Each (k, l) plane is formed contiguously (one GEMM for a
+    ``_row_block``) in a plane-major (N, N, ...) buffer whose view is
+    returned: no ufunc loops over length-N trailing axes.  The planes are
+    float64 when the points, factors and e are real and every s_kl is 0.
+    ``guard`` raises ValueError where a denominator vanishes (a loop
+    outside |Im z| < min|c_l|/2).
+
+    ``near = (delta0, values)`` removes the diagonal of the s_kl = 0
+    planes: their entries |lam - mu| < delta0 (``_near_entries``) are
+    divided by 1, then written with ``values(k, l, lam_near, mu_near)``
+    (1-D, those entries only), so no 0/0 is formed.  A complex value for
+    a float64 plane raises NumericError, never cut to its real part."""
     N, lam, mu = len(rows), np.asarray(lam), np.asarray(mu)
-    outer = lam.ndim == mu.ndim == 2 and lam.shape[1] == mu.shape[0] == 1
-    # den first: freed, its memory and buf's join into one hole that the
-    # LAPACK copy of the collocation matrix fits in
-    den = np.empty(np.broadcast(lam, mu).shape, dtype=complex)
-    buf = np.empty((N, N) + den.shape, dtype=complex)
+    cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
+    shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
+    # den first for a matrix kernel (freed, its memory and buf's join into
+    # one hole that the LAPACK copy of the collocation matrix fits in), last
+    # for a scalar one (first: 12,000 page faults per n = 1019 V, not 7,500)
+    den = np.empty(shape, dtype) if N > 1 else None
+    buf = np.empty((N, N) + shape, dtype)
+    den = np.empty(shape, dtype) if den is None else den
+    outer = _row_block(lam, mu, shape)
     s_den = None                  # consecutive planes of equal s share den
     for l, k in np.ndindex(N, N):
+        if s[k, l] != s_den:
+            s_den = s[k, l]
+            np.subtract(lam, mu - 1j * s_den if s_den else mu, out=den)
+            if guard and np.min(np.abs(den)) < 1e-10:
+                raise ValueError("loop kernel denominator vanished: contour "
+                                 "violates the strip |Im z| < min|c_l|/2")
+            if near is not None and not s_den:
+                idx = _near_entries(lam, mu, den, near[0])
+                den[idx] = 1.0
+                at = [np.broadcast_to(z, shape)[idx] for z in (lam, mu)]
         plane = buf[k, l, ...]
         if outer:
-            np.matmul(rows[k][:, 0], cols[l][0].T, out=plane)
+            np.matmul(rows[k][:, 0], cols[l].reshape(mu.size, -1).T, out=plane)
         else:
             np.sum(rows[k] * cols[l], axis=-1, out=plane)
         if e is not None and e[k, l]:
             plane += e[k, l]
-        if s[k, l] != s_den:
-            s_den = s[k, l]
-            np.subtract(lam, mu - 1j * s_den, out=den)
-            if guard and np.min(np.abs(den)) < 1e-10:
-                raise ValueError("loop kernel denominator vanished: contour "
-                                 "violates the strip |Im z| < min|c_l|/2")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(plane, den, out=plane)
+        np.divide(plane, den, out=plane)
+        if near is not None and not s_den and at[0].size:
+            vals = near[1](k, l, *at)
+            if not cplx and np.iscomplexobj(vals):
+                raise NumericError("complex near values in a real kernel")
+            plane[idx] = vals
     return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
@@ -903,24 +881,16 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
     rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
             for k, c in enumerate(shift.c)]
     cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
-    eye_kl = shift.v0[:, None] == np.arange(shift.N)[None, :]
+    e = pref[:, None] * (shift.v0[:, None] == np.arange(shift.N))
     csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
-    out = _kernel_planes(lam, mu, rows, cols, csum, pref[:, None] * eye_kl)
-    shape = out.shape[:-2]
-    # exact divided-difference branch for compensated pairs near the diagonal
-    idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
-    if not idx.any():
-        return out
-    z0 = np.broadcast_to(lam, shape)[idx]
-    z0p = np.broadcast_to(mu, shape)[idx]
-    for k, l in zip(*np.nonzero(np.abs(csum) < 1e-14)):
-        z = z0 + 0.5j * shift.c[k]
-        zp = z0p - 0.5j * shift.c[l]
+
+    def divided(k, l, lam, mu):
         # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
+        z, zp = lam + 0.5j * shift.c[k], mu - 0.5j * shift.c[l]
         dchi = chi.delta_chi(z, zp)                        # (M, N, N)
-        cinv = chi.chi_inv_at(z)                           # (M, N, N)
-        out[..., k, l][idx] = pref[k] * np.matmul(cinv, dchi)[:, shift.v0[k], l]
-    return out
+        return pref[k] * np.matmul(chi.chi_inv_at(z), dchi)[:, shift.v0[k], l]
+
+    return _kernel_planes(lam, mu, rows, cols, csum, e, near=(delta0, divided))
 
 
 # --------------------------------------------------------------------------

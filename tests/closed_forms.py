@@ -26,7 +26,9 @@ import mpmath as mp
 import numpy as np
 
 from shiftdet.kernels import (U_minus_kernel, U_plus_kernel, _gsk_near,
-                              _phase_parts, _sinc, near_diagonal_eval)
+                              _phase_parts, _sinc)
+
+from helpers import mask_near_diagonal_eval
 
 
 def _phase(lam, mu, cfg):
@@ -45,8 +47,8 @@ def gsk_kernel(lam, mu, cfg):
     def direct(lam, mu, d):
         return cfg.F.value(lam) * np.sin(_phase(lam, mu, cfg)) / (pi * d)
 
-    return near_diagonal_eval(lam, mu, cfg.delta0, direct,
-                              lambda l, m: _gsk_near(l, m, cfg))
+    return mask_near_diagonal_eval(lam, mu, cfg.delta0, direct,
+                                   lambda l, m: _gsk_near(l, m, cfg))
 
 
 def shift_kernel(lam, mu, cfg):
@@ -78,7 +80,7 @@ def shift_kernel(lam, mu, cfg):
         return (F * c * (np.cos(phi) + c * (0.5 * cfg.x) * ddp * _sinc(phi))
                 / (pi * (dn * dn + c * c)))
 
-    return near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
+    return mask_near_diagonal_eval(lam, mu, cfg.delta0, direct, near)
 
 
 def W_kernel(lam, mu, chi, pair, shift):

@@ -31,9 +31,15 @@ def pytest_collection_modifyitems(config, items):
     near = pytest.mark.filterwarnings(
         f"error::{NearIntervalWarning.__module__}."
         f"{NearIntervalWarning.__qualname__}")
+    # so does a floating-point exception numpy reports as a RuntimeWarning
+    # (a 0/0, an overflow): it would otherwise leave a nan or inf behind
+    fp = pytest.mark.filterwarnings(
+        "error:(divide by zero|invalid value|overflow) encountered"
+        ":RuntimeWarning")
     for item in items:
         if item.path.is_relative_to(HERE):
             item.add_marker(near, append=False)
+            item.add_marker(fp, append=False)
 
 
 def load_config(name):

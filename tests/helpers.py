@@ -1,7 +1,9 @@
 """Checks and conveniences that only the tests use.
 
 The package never calls these; each is built on the package's public API,
-except ``cli_ladder``, which reads the CLI parser's own ``--x`` default.
+except ``cli_ladder``, which reads the CLI parser's own ``--x`` default,
+and ``mask_patched_N``, which forms N's planes with the private plane
+evaluator.
 """
 import warnings
 from dataclasses import replace
@@ -11,8 +13,8 @@ import numpy as np
 
 from shiftdet.cli import _build_parser, _parse_xs
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
-from shiftdet.kernels import (ConfigError, FunctionSpec, gsk_vector_pair,
-                              real_kernel)
+from shiftdet.kernels import (ConfigError, FunctionSpec, _kernel_planes,
+                              gsk_vector_pair, real_kernel)
 from shiftdet.rhp import NearIntervalWarning
 
 
@@ -184,13 +186,22 @@ def direct_alpha(alpha, z) -> np.ndarray:
     return np.exp(-C.reshape(z.shape))
 
 
+def near_diagonal_mask(lam, mu, delta0: float):
+    """The entries |lam - mu| < delta0 of the broadcast grid, as a boolean
+    mask over all of it."""
+    return np.abs(np.asarray(lam) - np.asarray(mu)) < delta0
+
+
 def mask_near_diagonal_eval(lam, mu, delta0: float, direct, near):
-    """``near_diagonal_eval`` with the near-diagonal entries selected by a
-    boolean mask over the full grid, for every shape of lam and mu."""
+    """A kernel with a removable lam = mu singularity, branch by branch, the
+    near-diagonal entries selected by a boolean mask over the full grid:
+    ``direct(lam, mu, d)`` gets d = lam - mu set to 1 on those entries, and
+    ``near(lam, mu)`` (1-D, those entries only) replaces its values there.
+    The result has the common dtype of both branches."""
     lam = np.asarray(lam)
     mu = np.asarray(mu)
     d = np.asarray(lam - mu)
-    mask = np.abs(d) < delta0
+    mask = near_diagonal_mask(lam, mu, delta0)
     if not mask.any():
         return direct(lam, mu, d)
     d[mask] = 1.0
@@ -199,6 +210,35 @@ def mask_near_diagonal_eval(lam, mu, delta0: float, direct, near):
                 np.broadcast_to(mu, mask.shape)[mask])
     out = out.astype(np.result_type(out, vals), copy=False)
     out[mask] = vals
+    return out
+
+
+def mask_patched_N(lam, mu, chi, shift, delta0: float):
+    """N_kernel as its planes with no removable diagonal (0/0 on the
+    compensated pairs' near-diagonal entries), those entries then
+    overwritten through a boolean mask over the full grid: the oracle of
+    the evaluator's near option."""
+    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
+    rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
+            for k, c in enumerate(shift.c)]
+    cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
+    eye_kl = shift.v0[:, None] == np.arange(shift.N)[None, :]
+    csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _kernel_planes(lam, mu, rows, cols, csum, pref[:, None] * eye_kl)
+    shape = out.shape[:-2]
+    idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
+    if not idx.any():
+        return out
+    z0 = np.broadcast_to(lam, shape)[idx]
+    z0p = np.broadcast_to(mu, shape)[idx]
+    for k, l in zip(*np.nonzero(np.abs(csum) < 1e-14)):
+        z = z0 + 0.5j * shift.c[k]
+        zp = z0p - 0.5j * shift.c[l]
+        # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
+        dchi = chi.delta_chi(z, zp)
+        cinv = chi.chi_inv_at(z)
+        out[..., k, l][idx] = pref[k] * np.matmul(cinv, dchi)[:, shift.v0[k], l]
     return out
 
 

@@ -42,6 +42,9 @@ def cfg_path(config_dir, name):
     return os.path.join(config_dir, name)
 
 
+DROP = object()   # a patch value that removes its key
+
+
 def write_config(tmp_path, base, **patch):
     blob = read_json(base)
     for dotted, value in patch.items():
@@ -49,7 +52,10 @@ def write_config(tmp_path, base, **patch):
         *parents, leaf = dotted.split(".")
         for key in parents:
             target = target.setdefault(key, {})
-        target[leaf] = value
+        if value is DROP:
+            del target[leaf]
+        else:
+            target[leaf] = value
     out = tmp_path / "patched.json"
     out.write_text(json.dumps(blob), encoding="utf-8")
     return str(out)
@@ -256,12 +262,14 @@ class TestConfigErrors:
          "config.shifts.c[0]: every shift c_a must be finite and nonzero"),
         ({"shifts.v": [3, 1]},
          "config.shifts.v[0]: shift indices must lie in 1..2, got 3"),
+        # the canonical table built from c must not be checked before c
+        ({"shifts": DROP, "c": 0}, "need c > 0, got 0"),
     ], ids=["v-float", "v-bool", "c-bool", "c-string", "c-nested",
             "shifts-unknown", "interval-unknown", "F-unknown",
             "coeffs-not-list", "coeffs-empty", "shifts-empty", "x-bool",
             "c-string-top", "m_loop-float", "gamma-list-pair", "pair-unknown",
             "numerics-unknown", "tolerances-unknown", "r1-zero", "c-zero",
-            "v-out-of-range"])
+            "v-out-of-range", "c-top-zero"])
     def test_malformed_input_rejected(self, tmp_path, config_dir, capsys,
                                       monkeypatch, patch, path):
         def no_run(cfg):

@@ -17,8 +17,7 @@ from shiftdet.kernels import (ConfigError, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel, W_factors,
                               _chebyshev_interpolant,
                               bracket_kernel, cauchy_rank, general_kernel_V,
-                              gsk_shift_spec, gsk_vector_pair,
-                              near_diagonal_mask)
+                              gsk_shift_spec, gsk_vector_pair)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
@@ -26,8 +25,8 @@ from shiftdet.rhp import make_alpha, solve_chi
 from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
                           shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
-                     constant, convergence_study, direct_chi, polynomial,
-                     real_on_axis)
+                     constant, convergence_study, direct_chi,
+                     near_diagonal_mask, polynomial, real_on_axis)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)

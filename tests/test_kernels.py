@@ -7,21 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftdet import determinants
 from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
-                              ProblemConfig, ShiftSpec, ToleranceConfig,
-                              M_kernel, N_kernel,
+                              NumericError, ProblemConfig, ShiftSpec,
+                              ToleranceConfig, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel,
-                              _chebyshev_interpolant, _near_entries,
-                              _phase_parts, _sinc,
+                              _chebyshev_interpolant, _kernel_planes,
+                              _near_entries, _phase_parts, _row_block, _sinc,
                               bracket_kernel, cauchy_rank, eval_e,
                               general_kernel_V, gsk_shift_spec,
-                              gsk_vector_pair, near_diagonal_eval,
-                              near_diagonal_mask, problem_config_from_json)
+                              gsk_vector_pair, problem_config_from_json)
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
-from helpers import (constant, identity, mask_near_diagonal_eval, polynomial,
+from helpers import (constant, identity, mask_near_diagonal_eval,
+                     mask_patched_N, near_diagonal_mask, polynomial,
                      scaled_gaussian, validate_regularity)
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
@@ -271,10 +272,11 @@ class TestPlaneWaveAndSine:
                                        rtol=1e-9)
 
     def test_near_mask_threshold(self):
-        cfg = make_cfg()
-        d0 = cfg.delta0
-        assert near_diagonal_mask(0.0, d0 / 10, d0).all()
-        assert not near_diagonal_mask(0.0, 10 * d0, d0).any()
+        d0 = make_cfg().delta0
+        for mu, near in [(d0 / 10, True), (10 * d0, False)]:
+            lam, mu = np.zeros((1, 1)), np.array([mu])
+            i, _ = _near_entries(lam, mu, lam - mu, d0)
+            assert i.size == near
 
 
 class TestShiftKernel:
@@ -456,7 +458,20 @@ class TestDressedKernels:
 # --------------------------------------------------------------------------
 # The oracles below evaluate both branches on every entry and select with
 # np.where; the kernels evaluate the series only on the masked entries.
-# The two must agree bit for bit, not merely to rounding.
+# The two must agree bit for bit, not merely to rounding.  The bracket is
+# contracted as the kernels' plane evaluator contracts it (_plane_bracket):
+# the property under test is the near-entry selection, and einsum's
+# complex contraction rounds 0.6 % of the entries of a 1019-node grid
+# differently in the last bit (at most 2.2e-15 of max|K|).
+
+def _plane_bracket(lam, mu, pair):
+    """<E_L(lam), E_R(mu)> as ``_kernel_planes`` forms a plane: one GEMM
+    for a row block, else the broadcast product summed over components."""
+    EL, ER = pair.E_L(lam), pair.E_R(mu)
+    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
+        return EL[:, 0] @ ER.reshape(mu.size, -1).T
+    return np.sum(EL * ER, axis=-1)
+
 
 def _where_gsk(lam, mu, cfg):
     lam, mu, phi, ddp = _phase_parts(lam, mu, cfg)
@@ -487,7 +502,8 @@ def _where_base(lam, mu, pair, delta0):
     mu = np.asarray(mu, dtype=complex)
     mask = near_diagonal_mask(lam, mu, delta0)
     dsafe = np.where(mask, 1.0, lam - mu)
-    return np.where(mask, pair.bracket_dd(lam, mu), pair.bracket(lam, mu) / dsafe)
+    return np.where(mask, pair.bracket_dd(lam, mu),
+                    _plane_bracket(lam, mu, pair) / dsafe)
 
 
 def _where_V(lam, mu, pair, shift, delta0):
@@ -546,51 +562,81 @@ class TestMaskedAssembly:
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _ones(lam, mu, s, near, rows=None):
+        """1 / (lam - mu + i s_kl) planes with the near option."""
+        N = len(s)
+        rows = [np.ones(lam.shape + (1,))] * N if rows is None else rows
+        return _kernel_planes(lam, mu, rows, [np.ones(mu.shape + (1,))] * N,
+                              np.asarray(s, dtype=float), near=(1e-4, near))
+
     def test_series_only_on_masked_entries(self):
+        # the near values are asked once per s = 0 plane, of exactly the
+        # entries |lam - mu| < delta0 in row-major order; s != 0 planes keep
+        # their quotient
         seen = []
 
-        def near(lam, mu):
-            seen.append(lam.size)
+        def near(k, l, lam, mu):
+            seen.append((k, l, lam, mu))
             return np.zeros(lam.shape, complex)
 
-        lam = np.array([0.0, 0.5, 1.0])[:, None]
-        out = near_diagonal_eval(lam, lam.T, 1e-4,
-                                 lambda l, m, d: 1.0 / d, near)
-        assert seen == [3]
-        np.testing.assert_array_equal(np.diag(out), 0.0)
-        assert out[0, 1] == 1.0 / (0.0 - 0.5)
+        lam = np.array([0.0, 0.5, 1.0, 1.00005])[:, None]
+        out = self._ones(lam, lam.T, [[0.0, 1.0], [1.0, 0.0]], near)
+        i, j = np.nonzero(near_diagonal_mask(lam, lam.T, 1e-4))
+        assert [(k, l) for k, l, _, _ in seen] == [(0, 0), (1, 1)]
+        for _, _, lam_near, mu_near in seen:
+            assert np.array_equal(lam_near, lam[i, 0])
+            assert np.array_equal(mu_near, lam[j, 0])
+        for k in range(2):
+            np.testing.assert_array_equal(np.diag(out[..., k, k]), 0.0)
+            assert out[0, 1, k, k] == 1.0 / (0.0 - 0.5)
+        assert out[2, 2, 0, 1] == 1.0 / 1j
 
-    def test_complex_series_makes_a_real_grid_complex(self):
-        # real points keep float64 unless the series is complex: then the
-        # grid is complex and no imaginary part is dropped
+    def test_real_planes_refuse_complex_near_values(self):
+        # real points and factors with every s_kl = 0 give float64 planes,
+        # into which a complex near value is refused, never cut to its
+        # real part; complex factors give complex planes
+        def real(k, l, lam, mu):
+            return np.zeros(lam.shape)
+
+        def imaginary(k, l, lam, mu):
+            return np.full(lam.shape, 2j)
+
         lam = np.array([0.0, 0.5, 1.0])[:, None]
-        direct = lambda l, m, d: 1.0 / d
-        out = near_diagonal_eval(lam, lam.T, 1e-4, direct,
-                                 lambda l, m: np.zeros(l.shape))
+        out = self._ones(lam, lam.T, [[0.0]], real)
         assert out.dtype == np.float64
-        out = near_diagonal_eval(lam, lam.T, 1e-4, direct,
-                                 lambda l, m: np.full(l.shape, 2j))
+        assert out[0, 1, 0, 0] == 1.0 / (0.0 - 0.5)
+        with pytest.raises(NumericError, match="complex near values"):
+            self._ones(lam, lam.T, [[0.0]], imaginary)
+        out = self._ones(lam, lam.T, [[0.0]], imaginary,
+                         rows=[np.full(lam.shape + (1,), 1 + 0j)])
         assert out.dtype == np.complex128
-        np.testing.assert_array_equal(np.diag(out), 2j)
-        assert out[0, 1] == 1.0 / (0.0 - 0.5)
+        np.testing.assert_array_equal(np.diag(out[..., 0, 0]), 2j)
 
 
 class TestBandedNearEntries:
     """A column against a row with sorted real parts (every Gauss-rule row
-    block) finds its near entries by bisection; the result is bit for bit
-    the full-mask evaluation, which an unsorted row still takes."""
+    block) finds its near entries by bisection; the plane evaluator's
+    result is bit for bit the full-mask evaluation, which an unsorted row
+    still takes."""
 
     @staticmethod
-    def _eval(fn, lam, mu, seen):
+    def _near(seen):
         def near(l, m):
             seen.append(l.size)
             return np.cos(l) * m + 1.0
-        return fn(lam, mu, 2e-4, lambda l, m, d: np.sin(l) / d, near)
+        return near
 
     def _check(self, lam, mu):
         seen, want_seen = [], []
-        got = self._eval(near_diagonal_eval, lam, mu, seen)
-        want = self._eval(mask_near_diagonal_eval, lam, mu, want_seen)
+        near = self._near(seen)
+        got = _kernel_planes(lam, mu, [np.sin(lam)[..., None]],
+                             [np.ones(mu.shape + (1,))], np.zeros((1, 1)),
+                             near=(2e-4, lambda k, l, x, y: near(x, y)))
+        got = got[..., 0, 0]
+        want = mask_near_diagonal_eval(lam, mu, 2e-4,
+                                       lambda l, m, d: np.sin(l) / d,
+                                       self._near(want_seen))
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert seen == want_seen
         return sum(seen)
@@ -794,3 +840,46 @@ class TestBlasContractions:
     def test_N_kernel_cases(self, solved, case):
         cfg, chi, _, line = solved
         self._check_N(chi, cfg.delta0, *self._case(cfg, line, case))
+
+
+@pytest.mark.filterwarnings("ignore::shiftdet.rhp.NearIntervalWarning")
+class TestRemovableDiagonal:
+    """N's compensated pairs through the plane evaluator's near option are
+    bit for bit the planes with 0/0 on their near-diagonal entries patched
+    through a full-grid mask (``mask_patched_N``)."""
+
+    @pytest.fixture(scope="class", params=["standard", "nonintegrable"])
+    def solved(self, request):
+        from shiftdet.experiments import _line_rule
+        from shiftdet.rhp import solve_chi
+        cfg = request.getfixturevalue(request.param + "_cfg")
+        assert (cfg.shift.c[:, None] + cfg.shift.c[None, :] == 0).any()
+        return cfg, solve_chi(cfg), _line_rule(cfg)
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize("rows", [None, 7], ids=["one-block", "blocks"])
+    def test_collocation(self, monkeypatch, solved, half, rows):
+        cfg, chi, rule = solved
+        rule, N = rule.half() if half else rule, cfg.shift.N
+        if rows is not None:
+            monkeypatch.setattr(determinants, "_BLOCK_BYTES",
+                                rows * rule.size * N * N * 16)
+        blocks = determinants.row_blocks(rule.size, 16 * rule.size * N * N)
+        assert len(blocks) == (1 if rows is None else -(-rule.size // rows))
+        got, want = (determinants.assemble_collocation(
+            lambda l, m: kernel(l, m, chi, cfg.shift, cfg.delta0), rule, N)
+            for kernel in (N_kernel, mask_patched_N))
+        assert np.isfinite(got).all() and np.array_equal(got, want)
+
+    def test_pointwise_near_pairs(self, solved):
+        # 1-D points off the grid (the full mask, not the bisection): every
+        # third pair far apart, the others near but not equal
+        cfg, chi, rule = solved
+        lam = rule.nodes
+        step = np.where(np.arange(lam.size) % 3, 0.5, 5.0) * cfg.delta0
+        mu = lam + step * (-1.0) ** np.arange(lam.size)
+        near = near_diagonal_mask(lam, mu, cfg.delta0)
+        assert 0 < near.sum() < lam.size and not (lam == mu).any()
+        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0)
+        want = mask_patched_N(lam, mu, chi, cfg.shift, cfg.delta0)
+        assert np.isfinite(got).all() and np.array_equal(got, want)
