@@ -23,7 +23,8 @@ kernel values, so a kernel's own temporaries stay bounded however large the
 rule: the only order x order arrays are the collocation matrix and the copy
 LAPACK factors.  The kernel's output decides the matrix's arithmetic: float64
 blocks on real weights give a float64 matrix, factored in real arithmetic;
-anything else gives a complex one.
+so do the k = 0 planes alone of a 2 x 2 matrix kernel, whose matrix a
+conjugation symmetry fixes; anything else gives a complex one.
 """
 from __future__ import annotations
 
@@ -75,12 +76,15 @@ def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
     return None
 
 
-def require_memory(order: int, what: str, itemsize: int):
+def require_memory(order: int, what: str, itemsize: int,
+                   values: Optional[int] = None):
     """ConfigError (exit 2) when a dense factorization of the given order
-    would not fit in available memory.  Three order x order arrays of the
-    factored matrix's ``itemsize`` (16 complex, 8 real) are charged: the
-    kernel values, the collocation matrix and the LU copy."""
-    need = 3 * order * order * itemsize
+    would not fit in available memory.  Charged: the collocation matrix and
+    the LU copy, order x order each at the factored matrix's ``itemsize``
+    (16 complex, 8 real), and the kernel values, ``values`` bytes (default
+    a third such array)."""
+    matrix = order * order * itemsize
+    need = 2 * matrix + (matrix if values is None else values)
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ConfigError(
@@ -116,14 +120,18 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     for float64 values on an interval rule, complex otherwise.  Into a
     float64 matrix a later complex block must have a zero imaginary part
     (NumericError otherwise, so a kernel is never cut to its real part).
+    A matrix kernel of dim 2 that returns only its k = 0 planes,
+    (rows, m, 1, 2), is one whose matrix A obeys conj(A) = Q A Q
+    (``kernels.M_kernel``): the matrix is then a float64 one similar to A
+    (``_swap_planes``).
     The memory guard (``require_memory``) runs just before the matrix is
-    allocated, charged with its entry size.
+    allocated, charged with the kernel values' bytes and the matrix's
+    entry size.
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
     order = w.size
     what = "scalar" if dim is None else "matrix"
-    cell = () if dim is None else (dim, dim)
     # a scalar kernel is charged 32 bytes an entry, its values and the
     # temporaries of its evaluation (general_kernel_V's real path holds at
     # most four float64 arrays of the block's size at once), a matrix
@@ -131,6 +139,9 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     D = None
     for i0, i1 in row_blocks(m, order * (dim or 1) * (16 if dim else 32)):
         K = kernel(z[i0:i1, None], z[None, :])
+        if D is None:
+            swap = dim == 2 and np.shape(K)[2:] == (1, 2)
+            cell = () if dim is None else (1 if swap else dim, dim)
         shape = (i1 - i0, m) + cell
         if np.shape(K) != shape:
             raise NumericError(
@@ -139,17 +150,20 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
         if D is None:
-            dtype = np.result_type(K, w)
+            dtype = np.dtype(float) if swap else np.result_type(K, w)
             require_memory(order, f"{what} kernel on the {rule.domain_kind} "
-                           f"rule of {m} nodes", dtype.itemsize)
+                           f"rule of {m} nodes", dtype.itemsize,
+                           K.nbytes // (i1 - i0) * m)
             D = np.empty((order, order), dtype=dtype)
-        elif np.iscomplexobj(K) and not np.iscomplexobj(D):
+        elif np.iscomplexobj(K) and not np.iscomplexobj(D) and not swap:
             if np.any(K.imag):
                 raise NumericError(f"{what} kernel returned complex values "
                                    f"for a real collocation matrix")
             K = K.real
         if dim is None:
             np.multiply(K, w, out=D[i0:i1])
+        elif swap:
+            _swap_planes(K, rule, D, i0, i1)
         else:
             # one weighted pass per (k, l) plane, contiguous in M/N's output
             D4 = D.reshape(m, dim, m, dim)
@@ -158,6 +172,37 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     idx = np.arange(D.shape[0])
     D[idx, idx] += 1.0
     return D
+
+
+def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,
+                 i0: int, i1: int):
+    """Rows i0:i1 of a real matrix similar to A = I + K diag(w), from A's
+    k = 0 planes P_l = K_0l diag(w).
+
+    conj(A) = Q A Q, Q = sigma (x) s (sigma the rule's ``conjugation``,
+    the identity when None; s the swap), gives every entry of the real
+    B = Re A - Im(QA) from those planes:
+
+        B[(0, i), (l, j)]       = Re P_l[i, j] + Im P_s(l)[i, sigma j]
+        B[(1, sigma i), (l, j)] = Re P_s(l)[i, sigma j] - Im P_l[i, j]
+
+    and B = T^-1 A T with the unitary T = (I - i Q)/2^(1/2), so
+    det B = det A.  D holds B with its rows and columns permuted alike,
+    which keeps the determinant: component-major, the second component's
+    nodes in sigma order.  With X = P_0 and Y = P_1[:, sigma] that is
+    [[Re X + Im Y, Re Y + Im X], [Re Y - Im X, Re X - Im Y]], every row
+    contiguous.  The identity is added after.
+    """
+    m, sigma = rule.size, rule.conjugation
+    X = K[..., 0, 0] * rule.weights
+    Y = K[..., 0, 1] * rule.weights
+    if sigma is not None:
+        Y = Y[:, sigma]
+    B = D.reshape(2, m, 2, m)
+    np.add(X.real, Y.imag, out=B[0, i0:i1, 0])
+    np.add(Y.real, X.imag, out=B[0, i0:i1, 1])
+    np.subtract(Y.real, X.imag, out=B[1, i0:i1, 0])
+    np.subtract(X.real, Y.imag, out=B[1, i0:i1, 1])
 
 
 def _half(rule: QuadratureRule) -> QuadratureRule:

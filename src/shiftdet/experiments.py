@@ -373,11 +373,15 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
         if which == "W":
             # W diag(w) has low x-independent rank: factored, not assembled
             return factored_det(lambda r: W_factors(r, chi, shift), chi.rule)
+        # where the config is real the kernels return the k = 0 planes
+        # alone, and the matrix is factored in float64
         if which == "M":
-            return nystrom_det_matrix(lambda l, m: M_kernel(l, m, chi, shift),
-                                      _loop_rule(cfg), shift.N)
-        return nystrom_det_matrix(lambda l, m: N_kernel(l, m, chi, shift, d0),
-                                  _line_rule(cfg), shift.N)
+            return nystrom_det_matrix(
+                lambda l, m: M_kernel(l, m, chi, shift, collocation=True),
+                _loop_rule(cfg), shift.N)
+        return nystrom_det_matrix(
+            lambda l, m: N_kernel(l, m, chi, shift, d0, collocation=True),
+            _line_rule(cfg), shift.N)
     if which == "M0":
         # M0 = diag(U-, U+): the Nystrom determinant of a block-diagonal
         # kernel is the product of its blocks' determinants on the same rule

@@ -10,8 +10,10 @@ All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
 (N, N) axis.  V~ and V map real arrays to float64 where the config makes
 them real (``real_kernel``, from the symmetry of the vector pair and the
-shift table); this module alone reads that decision, and the collocation
-matrices follow the dtype of the values.  V~, M and N are one integrable
+shift table), and M and N, asked for a collocation, then return their
+k = 0 planes alone, (..., 1, N); this module alone reads that decision,
+and the collocation matrices follow the dtype and the shape of the
+values.  V~, M and N are one integrable
 form, which ``_kernel_planes`` evaluates; their removable diagonals take
 cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.
 """
@@ -325,12 +327,6 @@ class VectorPairSpec:
     E_R: Callable[[np.ndarray], np.ndarray]
     bracket_dd: Callable[[np.ndarray, np.ndarray], np.ndarray]
     real: bool = False
-
-    def bracket(self, lam, mu):
-        """<E_L(lam), E_R(mu)> (plain bilinear pairing, no conjugation)."""
-        # optimize=True contracts a broadcast grid as one GEMM
-        return np.einsum("...a,...a->...", self.E_L(np.asarray(lam, complex)),
-                         self.E_R(np.asarray(mu, complex)), optimize=True)
 
 
 # --------------------------------------------------------------------------
@@ -799,10 +795,10 @@ def W_factors(rule, chi, shift: ShiftSpec):
 
 def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
                    near=None):
-    """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., N, N),
-    from factors rows[k] (..., r) on lam's side and cols[l] on mu's; e None
-    is 0.  Each (k, l) plane is formed contiguously (one GEMM for a
-    ``_row_block``) in a plane-major (N, N, ...) buffer whose view is
+    """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., K, N),
+    from K factors rows[k] (..., r) on lam's side and N factors cols[l] on
+    mu's; e None is 0.  Each (k, l) plane is formed contiguously (one GEMM
+    for a ``_row_block``) in a plane-major (K, N, ...) buffer whose view is
     returned: no ufunc loops over length-N trailing axes.  The planes are
     float64 when the points, factors and e are real and every s_kl is 0.
     ``guard`` raises ValueError where a denominator vanishes (a loop
@@ -813,18 +809,18 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
     divided by 1, then written with ``values(k, l, lam_near, mu_near)``
     (1-D, those entries only), so no 0/0 is formed.  A complex value for
     a float64 plane raises NumericError, never cut to its real part."""
-    N, lam, mu = len(rows), np.asarray(lam), np.asarray(mu)
+    K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
     cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
     shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
     # den first for a matrix kernel (freed, its memory and buf's join into
     # one hole that the LAPACK copy of the collocation matrix fits in), last
     # for a scalar one (first: 12,000 page faults per n = 1019 V, not 7,500)
     den = np.empty(shape, dtype) if N > 1 else None
-    buf = np.empty((N, N) + shape, dtype)
+    buf = np.empty((K, N) + shape, dtype)
     den = np.empty(shape, dtype) if den is None else den
     outer = _row_block(lam, mu, shape)
     s_den = None                  # consecutive planes of equal s share den
-    for l, k in np.ndindex(N, N):
+    for l, k in np.ndindex(N, K):
         if s[k, l] != s_den:
             s_den = s[k, l]
             np.subtract(lam, mu - 1j * s_den if s_den else mu, out=den)
@@ -851,21 +847,44 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
     return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
-def M_kernel(lam, mu, chi, shift: ShiftSpec):
+def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
+    """How many row components k a loop or line kernel evaluates: all N,
+    or only k = 0 for a ``collocation`` where ``real_kernel(chi.pair,
+    shift)`` holds.
+
+    The collocation matrix A of M on a loop rule, or of N on the line,
+    then obeys conj(A) = Q A Q, with Q = sigma (x) s: sigma the rule's
+    node conjugation (the identity on the real line) and s the swap of the
+    two components.  On the real axis conj chi(z) = S chi(conj z) S with S
+    the swap, the table is closed under s, and conjugation flips the sign
+    of 1/(2 i pi) while the loop's weights go to -conj(w) (on the line
+    sgn(c_s(k)) = -sgn(c_k) does it).  So the k = 0 planes fix A, and
+    ``determinants.assemble_collocation`` builds from them the real
+    B = Re A - Im(QA), which is similar to A.
+    """
+    return 1 if collocation and real_kernel(chi.pair, shift) else shift.N
+
+
+def M_kernel(lam, mu, chi, shift: ShiftSpec, collocation: bool = False):
     """Loop-representation matrix kernel.
 
     M_{k,l}(lam,mu) = gamma_k [chi^{-1}(lam) chi(mu - i c_l)]_{v_k, l}
                       / (2 i pi (lam - mu + i c_l)),
-    for lam, mu on a loop inside the strip |Im z| < min|c_l|/2.
+    for lam, mu on a loop inside the strip |Im z| < min|c_l|/2.  A
+    ``collocation`` gets only the row components ``_row_components``
+    names: (..., 1, N) where the config is real.
     """
-    Ainv = chi.chi_inv_at(lam)[..., shift.v0, :]       # (..., k, r)
-    rows = [g / (2j * pi) * Ainv[..., k, :] for k, g in enumerate(shift.gamma)]
+    v0 = shift.v0[:_row_components(chi, shift, collocation)]
+    Ainv = chi.chi_inv_at(lam)[..., v0, :]              # (..., k, r)
+    rows = [g / (2j * pi) * Ainv[..., k, :]
+            for k, g in enumerate(shift.gamma[:v0.size])]
     cols = [chi.chi_at(mu - 1j * c)[..., :, l] for l, c in enumerate(shift.c)]
     s = np.broadcast_to(shift.c, (shift.N, shift.N))      # s_kl = c_l
     return _kernel_planes(lam, mu, rows, cols, s, guard=True)
 
 
-def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
+def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,
+             collocation: bool = False):
     """Line-representation matrix kernel on the real axis.
 
     N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}
@@ -874,12 +893,15 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float):
     For compensated pairs c_k + c_l = 0 the denominator vanishes on the
     diagonal; there the entry is the exact divided difference
     sgn(c_k) gamma_k [chi^{-1}(z) dchi(z, z')]_{v_k, l} / (2 i pi) with
-    z = lam + i c_k/2, z' = mu - i c_l/2 on the same horizontal line.
+    z = lam + i c_k/2, z' = mu - i c_l/2 on the same horizontal line.  A
+    ``collocation`` gets only the row components ``_row_components``
+    names: (..., 1, N) where the config is real.
     """
     pref = np.sign(shift.c) * shift.gamma / (2j * pi)
     # pref_k (I - A B) = pref_k I + (-pref_k A) B
     rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
-            for k, c in enumerate(shift.c)]
+            for k, c in enumerate(
+                shift.c[:_row_components(chi, shift, collocation)])]
     cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
     e = pref[:, None] * (shift.v0[:, None] == np.arange(shift.N))
     csum = 0.5 * (shift.c[:, None] + shift.c[None, :])

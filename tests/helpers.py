@@ -50,9 +50,11 @@ def with_n(cfg, n: int):
 
 
 def real_on_axis(cfg, which: str) -> bool:
-    """Whether the kernel ``which`` ("Vtilde" or "V") of ``cfg`` is real on
-    the real axis, as ``real_kernel`` decides it for the config's pair."""
-    return real_kernel(gsk_vector_pair(cfg), cfg.shift if which == "V" else None)
+    """Whether ``real_kernel`` holds for the kernel ``which`` of ``cfg``:
+    "Vtilde" reads the pair alone; "V", and "M" and "N" (whose collocation
+    matrices are then factored in float64), the pair and the shift table."""
+    return real_kernel(gsk_vector_pair(cfg),
+                       None if which == "Vtilde" else cfg.shift)
 
 
 def integrate(rule, f) -> complex:
@@ -66,11 +68,18 @@ def winding_number(rule, z0: complex) -> float:
     return float(val.real)
 
 
+def bracket(pair, lam, mu):
+    """<E_L(lam), E_R(mu)> of a vector pair (plain bilinear pairing, no
+    conjugation)."""
+    return np.einsum("...a,...a->...", pair.E_L(np.asarray(lam, complex)),
+                     pair.E_R(np.asarray(mu, complex)))
+
+
 def validate_regularity(pair, a: float, b: float, tol: float = 1e-12,
                         n_grid: int = 257):
     """Raise ConfigError unless <E_L(lam), E_R(lam)> vanishes on [a, b]."""
     grid = np.linspace(a, b, n_grid)
-    worst = np.max(np.abs(pair.bracket(grid, grid)))
+    worst = np.max(np.abs(bracket(pair, grid, grid)))
     scale = max(np.max(np.abs(pair.E_L(grid))) * np.max(np.abs(pair.E_R(grid))), 1.0)
     if worst > tol * scale:
         raise ConfigError(
@@ -117,17 +126,23 @@ def equation_residuals(chi, refine: int = 2):
             float(np.max(np.abs(res_R))) / scale_R)
 
 
-def complex_collocation(kernel, rule) -> np.ndarray:
+def complex_collocation(kernel, rule, dim=None) -> np.ndarray:
     """I + K diag(w) on the rule, assembled in one piece in complex
-    arithmetic."""
-    lam = rule.nodes
-    return np.eye(rule.size) + kernel(lam[:, None], lam[None, :]) * rule.weights
+    arithmetic; a matrix kernel (dim not None) in the (node, component)
+    layout."""
+    lam, w = rule.nodes, rule.weights
+    K = kernel(lam[:, None], lam[None, :])
+    if dim is None:
+        return np.eye(rule.size) + K * w
+    K = (K * w[:, None, None]).transpose(0, 2, 1, 3)
+    return np.eye(rule.size * dim) + K.reshape(rule.size * dim, -1)
 
 
-def complex_det(kernel, rule) -> DetResult:
+def complex_det(kernel, rule, dim=None) -> DetResult:
     """The Nystrom determinant on ``rule`` and its half rule from complex
     assembly and complex LU: the oracle of the real-arithmetic path."""
-    return DetResult(*(complex(np.linalg.det(complex_collocation(kernel, r)))
+    return DetResult(*(complex(np.linalg.det(complex_collocation(kernel, r,
+                                                                 dim)))
                        for r in (rule, rule.half())), rule.size)
 
 

@@ -373,6 +373,29 @@ class TestMemoryGuard:
         with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
             solve_chi(cfg)
 
+    def test_real_contour_is_charged_its_planes_and_a_float64_matrix(
+            self, monkeypatch, standard_cfg, standard_chi):
+        # the 256-node loop, order 512: the complex k = 0 planes
+        # (256 * 256 * 2 entries of 16 B: 2097152) and the float64 matrix
+        # and LAPACK's copy (2 * 512^2 * 8 B: 4194304), 6291456 B; the
+        # complex matrix would be charged 3 * 512^2 * 16 = 12582912 B
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 7 * 10 ** 6)
+        assert _det(standard_cfg, "M", chi=standard_chi).value.imag == 0.0
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 6 * 10 ** 6)
+        with pytest.raises(ConfigError,
+                           match=r"loop rule of 256 nodes.*6291456 bytes"):
+            _det(standard_cfg, "M", chi=standard_chi)
+
+    def test_cli_exits_2_naming_the_contour_rule(self, monkeypatch,
+                                                 config_dir, capsys):
+        # the interval matrices fit (n = 128: 393216 B); the 400-node
+        # line's, order 800, needs 400 * 400 * 2 * 16 + 2 * 800^2 * 8 B
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 7)
+        config = os.path.join(config_dir, "standard.json")
+        assert cli.main(["det", config, "--which", "N"]) == 2
+        err = capsys.readouterr().err
+        assert "line rule of 400 nodes" in err and "15360000 bytes" in err
+
     def test_cli_exits_2(self, monkeypatch, config_dir, capsys):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
         config = os.path.join(config_dir, "standard.json")
@@ -490,6 +513,39 @@ class TestStreamedAssembly:
             dets.append(nystrom_det_matrix(kernel, line, 2))
         assert abs(dets[1].value - dets[0].value) <= 1e-14 * abs(dets[0].value)
         assert abs(dets[1].half - dets[0].half) <= 1e-14 * abs(dets[0].half)
+
+    @pytest.mark.parametrize("which", ["M", "N"])
+    def test_real_contour_matrix(self, monkeypatch, standard_cfg,
+                                 standard_chi, which):
+        # the float64 matrix from the k = 0 planes, in one block and in
+        # row blocks of 9 (on the loop a block's second-component rows are
+        # its sigma images), is B = Re A - Im(QA) of the complex A, in the
+        # package's layout
+        shift, d0 = standard_cfg.shift, standard_cfg.delta0
+        if which == "M":
+            rule = experiments._loop_rule(standard_cfg).half()
+            kernel = lambda l, m, **kw: M_kernel(l, m, standard_chi, shift,
+                                                 **kw)
+        else:
+            rule = _line_rule(standard_cfg).half()
+            kernel = lambda l, m, **kw: N_kernel(l, m, standard_chi, shift,
+                                                 d0, **kw)
+        top = lambda l, m: kernel(l, m, collocation=True)
+        built = []
+        for rows in (rule.size, 9):
+            self._rows(monkeypatch, rows, rule.size, 2)
+            built.append(assemble_collocation(top, rule, 2))
+        m, every = rule.size, np.arange(rule.size)
+        sigma = every if rule.conjugation is None else rule.conjugation
+        A = complex_collocation(kernel, rule, 2)        # (node, component)
+        q = (2 * sigma[:, None] + 1 - np.arange(2)).reshape(-1)   # Q's rows
+        B = A.real - A[q].imag
+        # component-major, the second component's nodes in sigma order
+        perm = np.concatenate([2 * every, 2 * sigma + 1])
+        want = B[np.ix_(perm, perm)]
+        for D in built:
+            assert D.dtype == np.float64
+            assert np.max(np.abs(D - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("rule", [gauss_legendre_rule(24, -1.0, 1.0),
                                       stadium_loop_rule(-1.0, 1.0, 0.25, 24)],
@@ -744,26 +800,34 @@ class TestRealArithmetic:
                                                   name):
         # the blocks each determinant binding assembles, solve_chi's kernel
         # (and so FL_at's blocks on W's half rule): float64 exactly where
-        # real_on_axis holds, complex128 for nonintegrable's V and complex F
+        # real_on_axis holds, complex128 for nonintegrable's V and complex
+        # F.  M and N return their k = 0 planes alone exactly where it
+        # holds for the table, and those matrices are factored in float64
         cfg = (_complex_F(request.getfixturevalue("standard_cfg"))
                if name == "complex-F" else
                request.getfixturevalue(name + "_cfg"))
-        seen = []
-        nystrom = experiments.nystrom_det
+        seen, factored = [], []
 
-        def spy(kernel, rule, **kwargs):
-            def watched(lam, mu):
-                K = kernel(lam, mu)
-                seen.append(K.dtype)
-                return K
-            return nystrom(watched, rule, **kwargs)
+        def spy(nystrom):
+            def spied(kernel, rule, *args, **kwargs):
+                def watched(lam, mu):
+                    K = kernel(lam, mu)
+                    seen.append((K.dtype, K.shape[2:]))
+                    return K
+                return nystrom(watched, rule, *args, **kwargs)
+            return spied
 
-        monkeypatch.setattr(experiments, "nystrom_det", spy)
+        det = determinants._det
+        monkeypatch.setattr(determinants, "_det",
+                            lambda D: factored.append(D.dtype) or det(D))
+        for name in ("nystrom_det", "nystrom_det_matrix"):
+            monkeypatch.setattr(experiments, name,
+                                spy(getattr(experiments, name)))
         for which in ("Vtilde", "V"):
             seen.clear()
             _det(cfg, which)
             want = np.float64 if real_on_axis(cfg, which) else np.complex128
-            assert seen and set(seen) == {np.dtype(want)}
+            assert seen and set(seen) == {(np.dtype(want), ())}
         chi = solve_chi(cfg)
         want = np.float64 if real_on_axis(cfg, "Vtilde") else np.complex128
         half = chi.rule.half().nodes
@@ -771,16 +835,29 @@ class TestRealArithmetic:
         # complex points are never evaluated in float64
         off = half[:, None] + 0.5j
         assert chi.kernel(off, chi.rule.nodes).dtype == np.complex128
+        for which in ("M", "N"):
+            seen.clear()
+            factored.clear()
+            _det(cfg, which, chi=chi)
+            real = real_on_axis(cfg, which)
+            assert set(seen) == {(np.dtype(complex), (1 if real else 2, 2))}
+            assert factored == [np.dtype(float if real else complex)] * 2
 
-    def test_only_real_matrices_are_factored_in_float64(self, monkeypatch,
-                                                        nonintegrable_cfg):
+    def test_only_real_matrices_are_factored_in_float64(
+            self, monkeypatch, nonintegrable_cfg, standard_cfg):
         factored = []
         det = determinants._det
         monkeypatch.setattr(determinants, "_det",
                             lambda D: factored.append(D.dtype) or det(D))
-        for which in ("Vtilde", "V"):
-            _det(nonintegrable_cfg, which)
-        assert factored == [np.float64] * 2 + [np.complex128] * 2
+        for cfg, table in ((nonintegrable_cfg, np.complex128),
+                           (standard_cfg, np.float64)):
+            factored.clear()
+            chi = solve_chi(cfg)
+            for which in ("Vtilde", "V", "M", "N"):
+                _det(cfg, which, chi=chi)
+            # solve_chi factored V~ on the full rule: its half rule alone
+            # here, then V, M and N on both rules
+            assert factored == [np.float64] + [table] * 6
 
     def test_forced_real_path_fails_r1(self, monkeypatch, nonintegrable_cfg):
         # r1 = |det V - det V~ det W| / |det V| guards the realness decision:
@@ -790,6 +867,55 @@ class TestRealArithmetic:
         rep = verify_factorization(nonintegrable_cfg)
         assert not rep.passed["r1"]
         assert rep.det_V.value.imag == 0.0
+
+    def test_forced_real_path_fails_r2(self, monkeypatch, nonintegrable_cfg):
+        # r2 = |det W - det M| / |det W| guards the decision for the loop:
+        # nonintegrable's table is not closed under the swap, so its loop
+        # matrix is not fixed by the k = 0 planes.  Measured: det M and
+        # det N both off by 1.2e-3 relative; r3 stays at 6e-15, since the
+        # forced loop and line still agree with each other
+        assert verify_factorization(nonintegrable_cfg).passed["r2"]
+        monkeypatch.setattr(kernels, "_swap_closed", lambda shift: True)
+        rep = verify_factorization(nonintegrable_cfg)
+        assert rep.r2 > 1e-4 and not rep.passed["r2"]
+        assert rep.det_M_loop.value.imag == rep.det_N_line.value.imag == 0.0
+
+
+class TestRealContour:
+    """det(I+M) on the loop and det(I+N) on the line factored in float64
+    where the config is real: from the k = 0 planes, through the
+    conjugation-swap similarity."""
+
+    @pytest.mark.parametrize("x", [50.0, 400.0])
+    @pytest.mark.parametrize("name", ["standard", "general", "trivial"])
+    def test_matches_complex_oracle(self, request, name, x):
+        # measured: at most 2.5e-14 relative (standard N at x = 50)
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+        chi = solve_chi(cfg)
+        shift = cfg.shift
+        full = {"M": (lambda l, m: M_kernel(l, m, chi, shift),
+                      experiments._loop_rule(cfg)),
+                "N": (lambda l, m: N_kernel(l, m, chi, shift, cfg.delta0),
+                      _line_rule(cfg))}
+        for which, (kernel, rule) in full.items():
+            got = _det(cfg, which, chi=chi)
+            assert got.value.imag == got.half.imag == 0.0   # the real path
+            _assert_agrees(got, complex_det(kernel, rule, dim=2))
+
+    def test_planes_are_the_full_kernels_first_row(self, standard_cfg,
+                                                   standard_chi):
+        shift = standard_cfg.shift
+        for rule, kernel in (
+                (experiments._loop_rule(standard_cfg),
+                 lambda l, m, **kw: M_kernel(l, m, standard_chi, shift, **kw)),
+                (_line_rule(standard_cfg),
+                 lambda l, m, **kw: N_kernel(l, m, standard_chi, shift,
+                                             standard_cfg.delta0, **kw))):
+            lam = rule.nodes
+            top = kernel(lam[:40, None], lam[None, :], collocation=True)
+            full = kernel(lam[:40, None], lam[None, :])
+            assert top.shape == (40, rule.size, 1, 2)
+            assert np.array_equal(top[..., 0, :], full[..., 0, :])
 
 
 class TestMpmathOracle:

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -130,6 +132,32 @@ class TestStadiumLoop:
     def test_closed_contour(self):
         r = stadium_loop_rule(-1.0, 1.0, 0.25, 256)
         assert abs(np.sum(r.weights)) < 1e-12
+
+    @pytest.mark.parametrize("m,odd_arc", [(256, False), (128, False),
+                                           (92, True)])
+    def test_closed_under_conjugation_bit_for_bit(self, m, odd_arc):
+        # 92 nodes: arcs of 13 and segments of 33 (panels of 16 and 17)
+        r = stadium_loop_rule(-1.0, 1.0, 0.25, m)
+        sigma, every = r.conjugation, np.arange(m)
+        assert np.array_equal(np.sort(sigma), every)
+        assert np.array_equal(sigma[sigma], every)
+        assert np.array_equal(r.nodes[sigma], r.nodes.conj())
+        assert np.array_equal(r.weights[sigma], -r.weights.conj())
+        # the weights cancel exactly; np.sum's pairwise rounding of them
+        # can still leave an ulp (4.4e-16 at m = 92)
+        assert math.fsum(r.weights.real) == math.fsum(r.weights.imag) == 0.0
+        # an odd arc's middle node is its own conjugate: b + h and a - h
+        fixed = sigma == every
+        assert list(r.nodes[fixed]) == ([1.25, -1.25] if odd_arc else [])
+        assert not np.any(r.weights[fixed].real)
+
+    def test_only_the_loop_carries_a_conjugation(self):
+        assert stadium_loop_rule(-1.0, 1.0, 0.25, 64).half().conjugation.size == 32
+        for rule in (gauss_legendre_rule(16, -1.0, 1.0),
+                     compactified_line_rule(32, 1.0),
+                     truncated_line_rule(32, 10.0)):
+            assert rule.conjugation is None
+            assert not np.any(rule.nodes.imag) and not np.any(rule.weights.imag)
 
     def test_total_arc_length(self):
         a, b, h = -1.0, 1.0, 0.25
