@@ -124,6 +124,7 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     (rows, m, 1, 2), is one whose matrix A obeys conj(A) = Q A Q
     (``kernels.M_kernel``): the matrix is then a float64 one similar to A
     (``_swap_planes``).
+    A block the kernel returns is the assembler's to overwrite.
     The memory guard (``require_memory``) runs just before the matrix is
     allocated, charged with the kernel values' bytes and the matrix's
     entry size.
@@ -179,9 +180,9 @@ def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,
     """Rows i0:i1 of a real matrix similar to A = I + K diag(w), from A's
     k = 0 planes P_l = K_0l diag(w).
 
-    conj(A) = Q A Q, Q = sigma (x) s (sigma the rule's ``conjugation``,
-    the identity when None; s the swap), gives every entry of the real
-    B = Re A - Im(QA) from those planes:
+    conj(A) = Q A Q, Q = sigma (x) s (sigma the rule's ``conjugation``:
+    the reversal on a loop, the identity on the line; s the swap), gives
+    every entry of the real B = Re A - Im(QA) from those planes:
 
         B[(0, i), (l, j)]       = Re P_l[i, j] + Im P_s(l)[i, sigma j]
         B[(1, sigma i), (l, j)] = Re P_s(l)[i, sigma j] - Im P_l[i, j]
@@ -191,13 +192,13 @@ def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,
     which keeps the determinant: component-major, the second component's
     nodes in sigma order.  With X = P_0 and Y = P_1[:, sigma] that is
     [[Re X + Im Y, Re Y + Im X], [Re Y - Im X, Re X - Im Y]], every row
-    contiguous.  The identity is added after.
+    contiguous.  The planes are weighted in K's own memory, and Y is read
+    through sigma as a view.  The identity is added after.
     """
-    m, sigma = rule.size, rule.conjugation
-    X = K[..., 0, 0] * rule.weights
-    Y = K[..., 0, 1] * rule.weights
-    if sigma is not None:
-        Y = Y[:, sigma]
+    m, X, Y = rule.size, K[..., 0, 0], K[..., 0, 1]
+    X *= rule.weights
+    Y *= rule.weights
+    Y = Y[:, rule.conjugation]
     B = D.reshape(2, m, 2, m)
     np.add(X.real, Y.imag, out=B[0, i0:i1, 0])
     np.add(Y.real, X.imag, out=B[0, i0:i1, 1])

@@ -793,16 +793,15 @@ def W_factors(rule, chi, shift: ShiftSpec):
     return X, Y
 
 
-def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
-                   near=None):
+def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
     """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., K, N),
     from K factors rows[k] (..., r) on lam's side and N factors cols[l] on
     mu's; e None is 0.  Each (k, l) plane is formed contiguously (one GEMM
     for a ``_row_block``) in a plane-major (K, N, ...) buffer whose view is
     returned: no ufunc loops over length-N trailing axes.  The planes are
     float64 when the points, factors and e are real and every s_kl is 0.
-    ``guard`` raises ValueError where a denominator vanishes (a loop
-    outside |Im z| < min|c_l|/2).
+    Where a point is off the real axis, a vanishing denominator of an
+    s_kl != 0 plane raises ValueError (a loop outside |Im z| < min|c_l|/2).
 
     ``near = (delta0, values)`` removes the diagonal of the s_kl = 0
     planes: their entries |lam - mu| < delta0 (``_near_entries``) are
@@ -811,6 +810,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
     a float64 plane raises NumericError, never cut to its real part."""
     K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
     cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
+    off_axis = np.any(np.imag(lam)) or np.any(np.imag(mu))
     shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
     # den first for a matrix kernel (freed, its memory and buf's join into
     # one hole that the LAPACK copy of the collocation matrix fits in), last
@@ -824,7 +824,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, guard: bool = False,
         if s[k, l] != s_den:
             s_den = s[k, l]
             np.subtract(lam, mu - 1j * s_den if s_den else mu, out=den)
-            if guard and np.min(np.abs(den)) < 1e-10:
+            if s_den and off_axis and np.min(np.abs(den)) < 1e-10:
                 raise ValueError("loop kernel denominator vanished: contour "
                                  "violates the strip |Im z| < min|c_l|/2")
             if near is not None and not s_den:
@@ -854,13 +854,13 @@ def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
 
     The collocation matrix A of M on a loop rule, or of N on the line,
     then obeys conj(A) = Q A Q, with Q = sigma (x) s: sigma the rule's
-    node conjugation (the identity on the real line) and s the swap of the
-    two components.  On the real axis conj chi(z) = S chi(conj z) S with S
-    the swap, the table is closed under s, and conjugation flips the sign
-    of 1/(2 i pi) while the loop's weights go to -conj(w) (on the line
-    sgn(c_s(k)) = -sgn(c_k) does it).  So the k = 0 planes fix A, and
-    ``determinants.assemble_collocation`` builds from them the real
-    B = Re A - Im(QA), which is similar to A.
+    node conjugation (the reversal on the loop, the identity on the line)
+    and s the swap of the two components.  On the real axis
+    conj chi(z) = S chi(conj z) S with S the swap, the table is closed
+    under s, and conjugation flips the sign of 1/(2 i pi) while the loop's
+    weights go to -conj(w) (on the line sgn(c_s(k)) = -sgn(c_k) does it).
+    So the k = 0 planes fix A, and ``determinants.assemble_collocation``
+    builds from them the real B = Re A - Im(QA), which is similar to A.
     """
     return 1 if collocation and real_kernel(chi.pair, shift) else shift.N
 
@@ -880,7 +880,7 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec, collocation: bool = False):
             for k, g in enumerate(shift.gamma[:v0.size])]
     cols = [chi.chi_at(mu - 1j * c)[..., :, l] for l, c in enumerate(shift.c)]
     s = np.broadcast_to(shift.c, (shift.N, shift.N))      # s_kl = c_l
-    return _kernel_planes(lam, mu, rows, cols, s, guard=True)
+    return _kernel_planes(lam, mu, rows, cols, s)
 
 
 def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,

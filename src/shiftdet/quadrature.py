@@ -9,8 +9,9 @@ The stadium loop is the closed counterclockwise contour made of the two
 segments [a,b] shifted to -ih and +ih, joined by semicircles of radius h
 about the endpoints.  Each of the four pieces is smooth, so a Gauss-Legendre
 panel per piece converges geometrically for integrands analytic in a
-neighborhood of the contour.  Its nodes are exactly closed under
-conjugation, through a node map the rule carries.
+neighborhood of the contour.  The loop is built as its lower half followed
+by that half's conjugate in reverse order, so reversing its nodes
+conjugates them exactly.
 
 The line rule compactifies the real axis by z = L*tan(theta) on a uniform
 open midpoint grid in (-pi/2, pi/2); integrands decaying like O(1/z^2) with
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import pi
-from typing import Optional
 
 import numpy as np
 
@@ -52,18 +52,12 @@ class QuadratureRule:
     descriptor : dict
         Generating parameters, sufficient to rebuild the rule at another
         resolution (used by the automatic half-resolution reruns).
-    conjugation : ndarray of int or None
-        The node map sigma of a loop, nodes[sigma] == conj(nodes) and
-        weights[sigma] == -conj(weights) exactly; None for the interval
-        and line rules, whose nodes and weights are real (sigma the
-        identity).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain_kind: str
     descriptor: dict = field(default_factory=dict)
-    conjugation: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights) or len(self.nodes) < 2:
@@ -72,6 +66,14 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @property
+    def conjugation(self) -> slice:
+        """The node map sigma, nodes[sigma] == conj(nodes) and
+        weights[sigma] == -conj(weights) exactly: the reversal on a loop,
+        the identity on the interval and line rules, whose nodes and
+        weights are real."""
+        return slice(None, None, -1 if self.domain_kind == "loop" else 1)
 
     def with_size(self, size: int) -> "QuadratureRule":
         """Rebuild the same domain at a different resolution."""
@@ -175,37 +177,19 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     )
 
 
-def _conj_reversed(nodes: np.ndarray, weights: np.ndarray):
-    """The conjugate of a contour piece: conjugation reverses the
-    orientation, so the nodes run backwards with weights -conj(w)."""
-    return nodes[::-1].conj(), -weights[::-1].conj()
-
-
-def _mirrored(nodes: np.ndarray, weights: np.ndarray, middle):
-    """An arc closed under conjugation: its first half, then ``middle`` (a
-    real node and its imaginary weight, for an odd arc) or nothing, then
-    the first half's conjugate."""
-    mid_z, mid_w = ([], []) if middle is None else ([middle[0]], [middle[1]])
-    second = _conj_reversed(nodes, weights)
-    return (np.concatenate([nodes, mid_z, second[0]]),
-            np.concatenate([weights, mid_w, second[1]]))
-
-
 def stadium_loop_rule(a: float, b: float, h: float, m: int) -> QuadratureRule:
     """Counterclockwise stadium of half-height h around [a, b], m nodes total.
 
-    Piece order along the contour: bottom segment (a -> b at -ih), right
-    semicircle, top segment (b -> a at +ih), left semicircle.  Each straight
-    segment is two Gauss-Legendre panels split at the interval midpoint:
-    a pole hovering near the middle of [a, b] then sits over a panel edge,
-    where a panel's comfort zone is widest, instead of over its center.
-
-    The rule is exactly closed under conjugation: the top piece is the
-    conjugate of the bottom one in reverse order, the second half of each
-    arc the conjugate of its first half in reverse order, and the middle
-    node of an odd arc is real.  So nodes[sigma] == conj(nodes) and
-    weights[sigma] == -conj(weights) bit for bit, with sigma the rule's
-    ``conjugation``, and the weights cancel in pairs: their exact sum is 0.
+    The lower half runs from a - h to b + h: the left semicircle's lower
+    quarter, the bottom segment (a -> b at -ih), the right semicircle's
+    lower quarter.  The upper half is the lower one conjugated in reverse
+    order, with weights -conj(w), so nodes[::-1] == conj(nodes) and
+    weights[::-1] == -conj(weights) bit for bit and the weights cancel in
+    pairs: their exact sum is 0.  Each semicircle has an even node count.
+    The bottom segment is two Gauss-Legendre panels split at the interval
+    midpoint: a pole hovering near the middle of [a, b] then sits over a
+    panel edge, where a panel's comfort zone is widest, instead of over its
+    center.
     """
     if h <= 0:
         raise ValueError(f"need h > 0, got {h}")
@@ -223,38 +207,25 @@ def stadium_loop_rule(a: float, b: float, h: float, m: int) -> QuadratureRule:
         # accuracy bottleneck, and ~13 panel nodes buy 1e-8 there; let the
         # arcs grow only once that budget is covered
         m_arc = min(m_arc, max(2, m_half - 26))
-    m_seg = m_half - m_arc
-    if m_seg < 2:
-        m_seg, m_arc = 2, m_half - 2
+    q = min(m_arc, m_half - 2) // 2            # nodes per quarter arc
+    m_seg = m_half - 2 * q
     k1 = m_seg // 2
-    k2 = m_seg - k1
     mid = 0.5 * (a + b)
     t1, w1 = _gl01(k1)
-    t2, w2 = _gl01(k2)
-    bot_nodes = np.concatenate([a + (mid - a) * t1, mid + (b - mid) * t2])
-    bot_w = np.concatenate([(mid - a) * w1, (b - mid) * w2])
-    # the first half of each arc: the right one from -ih, the left from +ih;
-    # an odd arc's middle node (theta = 0, pi) is b + h, a - h exactly
-    t_a, w_a = _gl01(m_arc)
-    q = m_arc // 2
+    t2, w2 = _gl01(m_seg - k1)
+    # the right quarter from b - ih to b + h; the left one is its mirror
+    # image z -> a + b - conj(z), reversed to run from a - h to a - ih
+    t_a, w_a = _gl01(2 * q)
     u = np.exp(1j * pi * (t_a[:q] - 0.5))
     arc_w = 1j * h * pi * w_a[:q] * u
-    odd = m_arc % 2
-    right = _mirrored(b + h * u, arc_w, (b + h, 1j * h * pi * w_a[q])
-                      if odd else None)
-    left = _mirrored(a - h * u, -arc_w, (a - h, -1j * h * pi * w_a[q])
-                     if odd else None)
-    bottom = (bot_nodes - 1j * h, bot_w + 0j)
-    top = _conj_reversed(*bottom)
-    nodes, weights = (np.concatenate([bottom[i], right[i], top[i], left[i]])
-                      for i in (0, 1))
-    # each piece maps onto itself reversed, except bottom <-> top
-    seg_idx, arc_idx = np.arange(m_seg), np.arange(m_arc)
-    top0, left0 = m_seg + m_arc, 2 * m_seg + m_arc
-    conjugation = np.concatenate([top0 + seg_idx[::-1], m_seg + arc_idx[::-1],
-                                  seg_idx[::-1], left0 + arc_idx[::-1]])
-    return QuadratureRule(nodes, weights, "loop",
-                          {"a": a, "b": b, "h": h, "m": m}, conjugation)
+    nodes = np.concatenate([(a - h * u.conj())[::-1],
+                            a + (mid - a) * t1 - 1j * h,
+                            mid + (b - mid) * t2 - 1j * h, b + h * u])
+    weights = np.concatenate([arc_w.conj()[::-1], (mid - a) * w1 + 0j,
+                              (b - mid) * w2 + 0j, arc_w])
+    return QuadratureRule(np.concatenate([nodes, nodes[::-1].conj()]),
+                          np.concatenate([weights, -weights[::-1].conj()]),
+                          "loop", {"a": a, "b": b, "h": h, "m": m})
 
 
 def compactified_line_rule(m: int, map_scale: float) -> QuadratureRule:

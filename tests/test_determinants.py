@@ -536,7 +536,7 @@ class TestStreamedAssembly:
             self._rows(monkeypatch, rows, rule.size, 2)
             built.append(assemble_collocation(top, rule, 2))
         m, every = rule.size, np.arange(rule.size)
-        sigma = every if rule.conjugation is None else rule.conjugation
+        sigma = every[rule.conjugation]
         A = complex_collocation(kernel, rule, 2)        # (node, component)
         q = (2 * sigma[:, None] + 1 - np.arange(2)).reshape(-1)   # Q's rows
         B = A.real - A[q].imag

@@ -133,30 +133,51 @@ class TestStadiumLoop:
         r = stadium_loop_rule(-1.0, 1.0, 0.25, 256)
         assert abs(np.sum(r.weights)) < 1e-12
 
-    @pytest.mark.parametrize("m,odd_arc", [(256, False), (128, False),
-                                           (92, True)])
-    def test_closed_under_conjugation_bit_for_bit(self, m, odd_arc):
-        # 92 nodes: arcs of 13 and segments of 33 (panels of 16 and 17)
-        r = stadium_loop_rule(-1.0, 1.0, 0.25, m)
-        sigma, every = r.conjugation, np.arange(m)
-        assert np.array_equal(np.sort(sigma), every)
-        assert np.array_equal(sigma[sigma], every)
-        assert np.array_equal(r.nodes[sigma], r.nodes.conj())
-        assert np.array_equal(r.weights[sigma], -r.weights.conj())
+    @pytest.mark.parametrize("m", [256, 128, 92, 8])
+    def test_closed_under_conjugation_bit_for_bit(self, m):
+        # the upper half is the lower one conjugated in reverse order
+        a, b = -1.0, 1.0
+        r = stadium_loop_rule(a, b, 0.25, m)
+        assert np.array_equal(r.nodes[::-1], r.nodes.conj())
+        assert np.array_equal(r.weights[::-1], -r.weights.conj())
         # the weights cancel exactly; np.sum's pairwise rounding of them
-        # can still leave an ulp (4.4e-16 at m = 92)
+        # can still leave an ulp
         assert math.fsum(r.weights.real) == math.fsum(r.weights.imag) == 0.0
-        # an odd arc's middle node is its own conjugate: b + h and a - h
-        fixed = sigma == every
-        assert list(r.nodes[fixed]) == ([1.25, -1.25] if odd_arc else [])
-        assert not np.any(r.weights[fixed].real)
+        # both semicircles have an even node count, so none sits on the axis
+        for arc in (r.nodes.real < a, r.nodes.real > b):
+            assert np.count_nonzero(arc) % 2 == 0
+        assert np.all(r.nodes.imag)
+
+    @pytest.mark.parametrize("m,m_arc,panel", [(256, 36, 46), (128, 18, 23)])
+    def test_nodes_are_each_pieces_gauss_nodes(self, m, m_arc, panel):
+        # the shipped loops: two Gauss-Legendre panels on each segment and
+        # one on each semicircle, rebuilt here from numpy's rule
+        a, b, h = -1.0, 1.0, 0.25
+        r = stadium_loop_rule(a, b, h, m)
+        x, _ = np.polynomial.legendre.leggauss(panel)
+        bottom = np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0]) - 1j * h
+        theta = np.pi / 2.0 * np.polynomial.legendre.leggauss(m_arc)[0]
+        arcs = np.concatenate([b + h * np.exp(1j * theta),
+                               a - h * np.exp(1j * theta)])
+        want = np.concatenate([bottom, bottom.conj(), arcs])
+        assert want.size == m
+        # match each node to its nearest rebuilt one: a conjugate pair
+        # shares its real part, so under a lexicographic sort an ulp in a
+        # rebuilt real part could swap the pair
+        dist = np.abs(r.nodes[:, None] - want[None, :])
+        nearest = np.argmin(dist, axis=1)
+        assert np.array_equal(np.sort(nearest), np.arange(m))
+        assert np.max(dist[np.arange(m), nearest]) <= 1e-15
 
     def test_only_the_loop_carries_a_conjugation(self):
-        assert stadium_loop_rule(-1.0, 1.0, 0.25, 64).half().conjugation.size == 32
+        loop = stadium_loop_rule(-1.0, 1.0, 0.25, 64).half()
+        every = np.arange(loop.size)
+        assert np.array_equal(every[loop.conjugation], every[::-1])
         for rule in (gauss_legendre_rule(16, -1.0, 1.0),
                      compactified_line_rule(32, 1.0),
                      truncated_line_rule(32, 10.0)):
-            assert rule.conjugation is None
+            every = np.arange(rule.size)
+            assert np.array_equal(every[rule.conjugation], every)
             assert not np.any(rule.nodes.imag) and not np.any(rule.weights.imag)
 
     def test_total_arc_length(self):
