@@ -40,8 +40,8 @@ __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
            "factored_det", "assemble_collocation", "row_blocks",
            "require_memory"]
 
-# bytes of kernel values evaluated per block of rows.  The shipped loop and
-# line kernels (400 nodes at N = 2: 10.24 MB) stay one block; smaller blocks
+# bytes of kernel values evaluated per block of rows.  Loop and line kernels
+# up to 400 nodes at N = 2 (10.24 MB) stay one block; smaller blocks
 # would make N_kernel re-evaluate its column-side chi once per block
 _BLOCK_BYTES = 16 << 20
 

@@ -176,9 +176,20 @@ class ComparisonRow:
 
 
 def limit_determinants(cfg: ProblemConfig) -> Tuple[DetResult, DetResult]:
-    """det_loop(I+U+) and det_loop(I+U-); depends on F and [a,b] only."""
+    """det_loop(I+U+) and det_loop(I+U-); depends on F and [a,b] only.
+
+    Where F is real on the axis, alpha(conj z) = 1/conj alpha(z), so
+    conj U+(z, z') = -U-(conj z, conj z'); the stadium and its half rule
+    are closed under conjugation with w[sigma] = -conj(w), so there
+    det(I+U+) = conj det(I+U-), and only U- is factored.
+    """
     alpha = make_alpha(cfg)
-    return _det(cfg, "Uplus", alpha=alpha), _det(cfg, "Uminus", alpha=alpha)
+    um = _det(cfg, "Uminus", alpha=alpha)
+    if cfg.F.real:
+        up = DetResult(um.value.conjugate(), um.half.conjugate(), um.rule_size)
+    else:
+        up = _det(cfg, "Uplus", alpha=alpha)
+    return up, um
 
 
 def _sweep_row(cfg_x: ProblemConfig, limit: DetResult) -> SweepRow:

@@ -335,9 +335,9 @@ class VectorPairSpec:
 
 @dataclass
 class NumericsConfig:
-    n_interval: Optional[int] = None     # None: resolved from x (8 pts/period)
+    n_interval: Optional[int] = None     # None: from x (ProblemConfig.resolved_n)
     m_loop: int = 256
-    m_line: int = 400
+    m_line: int = 128
     h: Optional[float] = None            # None: min(min|c_a|/2, 1)/2
     map_scale: float = 1.0
 
@@ -382,11 +382,23 @@ class ProblemConfig:
         return float(np.max(self._phase_slopes()))
 
     def resolved_n(self) -> int:
-        """Interval resolution: >= 8 nodes per oscillation period, floor 64."""
+        """Interval resolution from P = x max p' (b - a)/(2 pi), the number
+        of oscillation periods: max(64, min(ceil(8 P), ceil(4 P) + 40)).
+
+        Gauss-Legendre resolves e^{i x p} once the rule has about 2 nodes per
+        period, and the Nystrom determinant of an analytic kernel converges
+        exponentially beyond that.  Above P = 10 the rule takes 4 nodes per
+        period plus 40, so its half rule, which certifies the value, still
+        has 2 per period plus 20.  Up to P = 10 it takes 8 per period; the
+        branches meet at n = 80, where on [-1, 1] the near-cut threshold
+        10 (b - a)/n of the Cauchy sums equals the default h = 0.25, so no
+        default loop moves into or out of that zone.
+        """
         if self.numerics.n_interval is not None:
             return self.numerics.n_interval
-        return max(64, ceil(8.0 * self.x * self.max_phase_slope()
-                            * (self.b - self.a) / (2.0 * pi)))
+        periods = (self.x * self.max_phase_slope() * (self.b - self.a)
+                   / (2.0 * pi))
+        return max(64, min(ceil(8.0 * periods), ceil(4.0 * periods) + 40))
 
     def half_strip(self) -> float:
         """min|c_a|/2: loops and lines stay inside |Im z| < half_strip."""

@@ -359,7 +359,8 @@ def solve_chi(cfg: ProblemConfig) -> ChiSolution:
     Where the config makes V~ real (see ``gsk_vector_pair``) it is evaluated
     in float64, so the collocation matrix is float64 and factored in real
     arithmetic.  Raises NumericError if the Nystrom matrix is numerically
-    singular (det(I + V~) ~ 0, the unique-solvability condition) or if the
+    singular (det(I + V~) ~ 0, the unique-solvability condition), if
+    det(I + V~) overflows float64 (standard near x = 5500) or if the
     node residuals of the solved systems exceed 1e-10 relative, and
     ConfigError if the dense n x n system would not fit in available memory.
     """
@@ -377,12 +378,16 @@ def solve_chi(cfg: ProblemConfig) -> ChiSolution:
     try:
         FL = _columns(np.linalg.solve, D, EL)
         FR = _columns(np.linalg.solve, D.T, w * ER) / w
-        det_tilde = complex(np.linalg.det(D))
+        with np.errstate(over="ignore"):      # reported below, by name
+            det_tilde = complex(np.linalg.det(D))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent system is singular at n={n}: {exc}") from exc
-    if not (np.isfinite(FL).all() and np.isfinite(FR).all()
-            and np.isfinite([det_tilde]).all()):
+    if not (np.isfinite(FL).all() and np.isfinite(FR).all()):
         raise NumericError(f"resolvent solve produced non-finite values at n={n}")
+    if not np.isfinite([det_tilde]).all():
+        raise NumericError(
+            f"det(I + V~) overflows float64 at n={n}, x={cfg.x:g}: this x is "
+            f"beyond the dense determinant's range")
     if abs(det_tilde) < 1e-12:
         raise NumericError(
             f"det(I + V~) = {det_tilde:.3e} at n={n}: the unique-solvability "

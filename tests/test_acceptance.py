@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shiftdet import experiments
 from shiftdet.experiments import (asymptotic_sweep, fit_decay_slope, m_vs_m0,
                                   verify_factorization)
 from shiftdet.kernels import NumericsConfig
@@ -53,13 +54,14 @@ def test_criterion_1_factorization_identity(standard_report):
 
 def test_criterion_2_line_representation(standard_cfg, standard_report):
     report, _ = standard_report
-    doubled = replace(standard_cfg, numerics=NumericsConfig(m_line=800))
+    m = standard_cfg.numerics.m_line
+    doubled = replace(standard_cfg, numerics=NumericsConfig(m_line=2 * m))
     r3_doubled = verify_factorization(doubled).r3
     # the base residual already sits at the quadrature noise floor, so the
     # doubled-rule value only has to avoid regressing above that floor
     ok = report.r3 < 1e-4 and r3_doubled < max(report.r3, 1e-10)
     _report("2 line representation", ok,
-            f"r3={report.r3:.3e} at m_line=400, {r3_doubled:.3e} at 800")
+            f"r3={report.r3:.3e} at m_line={m}, {r3_doubled:.3e} at {2 * m}")
 
 
 def test_criterion_3_beyond_partial_fractions(nonintegrable_report):
@@ -177,3 +179,61 @@ def test_criterion_9_self_convergence(standard_report, nonintegrable_report,
     ok = worst < 1e-9
     _report("9 self convergence", ok,
             f"max delta={worst:.3e} over {len(deltas)} determinants")
+
+
+_CHAIN = ("det_V", "det_Vtilde", "det_W", "det_M_loop", "det_N_line")
+
+
+def _certified_ok(cfg):
+    """verify passes every gate, with r1 and r2 certified."""
+    rep = verify_factorization(cfg)
+    return (rep.ok(strict_line=True) and rep.certified["r1"]
+            and rep.certified["r2"])
+
+
+def test_criterion_10_interval_rule_size(request):
+    # the default order, 4 nodes per period plus 40 above 10 periods,
+    # certifies the chain and moves no determinant from its value at the
+    # 8-per-period order (1019 on standard, 1325 on general at x = 400)
+    cfgs = {name: request.getfixturevalue(name + "_cfg")
+            for name in ("standard", "general", "nonintegrable")}
+    uncertified = [(name, x) for name, cfg in cfgs.items()
+                   for x in (48.5, 100.0, 412.0)
+                   if not _certified_ok(replace(cfg, x=x))]
+    worst = 0.0
+    for name, n0 in (("standard", 1019), ("general", 1325)):
+        cfg = replace(cfgs[name], x=400.0)
+        new = verify_factorization(cfg)
+        old = verify_factorization(with_n(cfg, n0))
+        worst = max(worst, *(abs(getattr(new, k).value - getattr(old, k).value)
+                             / abs(getattr(old, k).value) for k in _CHAIN))
+    # just above 10 periods (n = 81) the default loop keeps off the
+    # interval's near-cut zone, 10 (b - a)/n < h = 0.25
+    near = replace(cfgs["general"], x=24.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearIntervalWarning)
+        near_ok = near.resolved_n() == 81 and _certified_ok(near)
+    ok = not uncertified and worst <= 1e-12 and near_ok
+    _report("10 interval rule size", ok,
+            f"uncertified={uncertified} max rel change={worst:.1e} "
+            f"general x=24.25 ok={near_ok}")
+
+
+@pytest.mark.filterwarnings("ignore::shiftdet.rhp.NearIntervalWarning")
+def test_criterion_11_line_rule_size(request):
+    # the default 128-node line certifies r3 and gives the 400-node value;
+    # at x = 25 (n = 64) the loop lies in the interval's near-cut zone
+    worst, uncertified = 0.0, []
+    for name in ("standard", "general", "nonintegrable", "trivial"):
+        for x in (25.0, 50.0, 400.0):
+            cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
+            assert cfg.numerics.m_line == 128
+            if not verify_factorization(cfg).certified["r3"]:
+                uncertified.append((name, x))
+            chi = solve_chi(cfg)
+            N, N400 = (experiments._det(replace(cfg, numerics=replace(
+                cfg.numerics, m_line=m)), "N", chi=chi) for m in (128, 400))
+            worst = max(worst, abs(N.value - N400.value) / abs(N400.value))
+    ok = not uncertified and worst <= 1e-12
+    _report("11 line rule size", ok,
+            f"uncertified r3={uncertified} max rel change={worst:.1e}")

@@ -9,6 +9,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from shiftdet import cli, experiments
@@ -121,6 +122,15 @@ class TestVerifyCommand:
         report = read_json(tmp_path / "identity_report.json")
         assert report["certified"] == {"r1": True, "r2": True, "r3": False}
         assert report["ok"] is True
+
+    def test_overflowing_determinant_exits_three(self, tmp_path, config_dir,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "det", lambda D: np.inf)
+        rc = cli.main(["verify", cfg_path(config_dir, "standard.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert ("det(I + V~) overflows float64 at n=104, x=50"
+                in capsys.readouterr().err)
 
     def test_report_is_deterministic(self, tmp_path, config_dir):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -26,7 +26,8 @@ from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
                           shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
                      constant, convergence_study, direct_chi,
-                     near_diagonal_mask, polynomial, real_on_axis)
+                     near_diagonal_mask, polynomial, real_on_axis,
+                     with_n)
 
 zero_kernel = lambda lam, mu: np.zeros(np.broadcast(lam, mu).shape,
                                        dtype=complex)
@@ -334,7 +335,7 @@ class TestMemoryGuard:
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
         # V~ is real on standard: 3 * 128^2 entries of 8 bytes
         with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
-            solve_chi(standard_cfg)
+            solve_chi(with_n(standard_cfg, 128))
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(determinants, "_mem_available", lambda: None)
@@ -369,7 +370,7 @@ class TestMemoryGuard:
     def test_complex_resolvent_is_charged_16_bytes(self, monkeypatch,
                                                   standard_cfg):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
-        cfg = replace(standard_cfg, F=constant(0.4 + 0.2j))
+        cfg = with_n(replace(standard_cfg, F=constant(0.4 + 0.2j)), 128)
         with pytest.raises(ConfigError, match=r"128 nodes.*786432 bytes"):
             solve_chi(cfg)
 
@@ -388,13 +389,13 @@ class TestMemoryGuard:
 
     def test_cli_exits_2_naming_the_contour_rule(self, monkeypatch,
                                                  config_dir, capsys):
-        # the interval matrices fit (n = 128: 393216 B); the 400-node
-        # line's, order 800, needs 400 * 400 * 2 * 16 + 2 * 800^2 * 8 B
-        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 7)
+        # the interval matrices fit (n = 104: 259584 B); the 128-node
+        # line's, order 256, needs 128 * 128 * 2 * 16 + 2 * 256^2 * 8 B
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 6)
         config = os.path.join(config_dir, "standard.json")
         assert cli.main(["det", config, "--which", "N"]) == 2
         err = capsys.readouterr().err
-        assert "line rule of 400 nodes" in err and "15360000 bytes" in err
+        assert "line rule of 128 nodes" in err and "1572864 bytes" in err
 
     def test_cli_exits_2(self, monkeypatch, config_dir, capsys):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
@@ -527,7 +528,10 @@ class TestStreamedAssembly:
             kernel = lambda l, m, **kw: M_kernel(l, m, standard_chi, shift,
                                                  **kw)
         else:
-            rule = _line_rule(standard_cfg).half()
+            # the 128-node line, not its 64-node half: there the outermost
+            # node's weight is 81.5, and the independently rounded k = 1
+            # planes of A differ from the conjugated k = 0 ones by 2.2e-15
+            rule = _line_rule(standard_cfg)
             kernel = lambda l, m, **kw: N_kernel(l, m, standard_chi, shift,
                                                  d0, **kw)
         top = lambda l, m: kernel(l, m, collocation=True)
@@ -632,7 +636,7 @@ class TestStreamedMemory:
 
     @pytest.fixture
     def cfg(self, monkeypatch, standard_cfg):
-        cfg = replace(standard_cfg, x=400.0)
+        cfg = replace(standard_cfg, x=800.0)
         n = cfg.resolved_n()
         assert 900 < n < 1100
         monkeypatch.setattr(determinants, "_BLOCK_BYTES", n * n)
@@ -653,11 +657,11 @@ class TestStreamedMemory:
                 tracemalloc.stop()
 
     def test_real_V_peak_at_large_n(self, standard_cfg):
-        # the default block budget at x = 800 (n = 2038): the float64 matrix
+        # the default block budget at n = 2038: the float64 matrix
         # (8 n^2 bytes) and one block of the real kernel's values and
         # temporaries, 1.64 x 8 n^2 measured; with complex kernel values
         # (their real part written into the same float64 matrix) it was 2.28
-        cfg = replace(standard_cfg, x=800.0)
+        cfg = with_n(replace(standard_cfg, x=800.0), 2038)
         unit = 8 * cfg.resolved_n() ** 2
         assert real_on_axis(cfg, "V")
         _, peak = self._peak(lambda: _det(cfg, "V"))
@@ -668,11 +672,12 @@ class TestStreamedMemory:
         # first call builds the proxy densities through the transient real
         # (n, r) interpolation matrix; a (points x n) Cauchy matrix would be
         # four times the bound
-        cfg = replace(standard_cfg, x=800.0)
+        cfg = with_n(replace(standard_cfg, x=800.0), 2038)
         chi = solve_chi(cfg)
         n = chi.rule.size
-        z = _line_rule(cfg).nodes - 0.5j * cfg.c
-        assert n == 2038 and z.size == 400
+        z = compactified_line_rule(400, cfg.numerics.map_scale).nodes \
+            - 0.5j * cfg.c
+        assert n == 2038
         _, peak = self._peak(lambda: chi.chi_at(z))
         assert peak < z.size * n * 16 / 4
 

@@ -84,12 +84,12 @@ class TestVerifyFactorization:
 
     def test_truncated_line_rule_cross_check(self, standard_cfg,
                                              standard_chi, standard_report):
-        # the line determinant on the truncated rule [-100, 100]: its O(1/T)
-        # tail leaves it ~2e-3 from the loop value
+        # the line determinant on the truncated rule [-100, 100] of 400
+        # nodes: its O(1/T) tail leaves it ~2e-3 from the loop value
         det_N = nystrom_det_matrix(
             lambda l, m: N_kernel(l, m, standard_chi, standard_cfg.shift,
                                   standard_cfg.delta0),
-            truncated_line_rule(standard_cfg.numerics.m_line, 100.0),
+            truncated_line_rule(400, 100.0),
             standard_cfg.shift.N)
         det_M = standard_report.det_M_loop.value
         assert abs(det_N.value - det_M) / abs(det_M) < 1e-2
@@ -122,9 +122,35 @@ class TestAsymptoticSweep:
             assert abs(d50.value - d200.value) < 1e-12 * abs(d50.value)
 
     def test_limit_equals_single_determinants(self, standard_cfg):
-        assert limit_determinants(standard_cfg) == (
-            compute_determinant(standard_cfg, "Uplus"),
-            compute_determinant(standard_cfg, "Uminus"))
+        # F is real: U- is factored, and U+ is its conjugate
+        up, um = limit_determinants(standard_cfg)
+        assert um == compute_determinant(standard_cfg, "Uminus")
+        assert up == DetResult(um.value.conjugate(), um.half.conjugate(),
+                               um.rule_size)
+
+    @pytest.mark.parametrize("name", ["standard", "general"])
+    def test_real_F_conjugate_is_the_factored_Uplus(self, request, name):
+        # det(I+U+) = conj det(I+U-) on the stadium and on its half rule
+        cfg = request.getfixturevalue(name + "_cfg")
+        up = limit_determinants(cfg)[0]
+        direct = compute_determinant(cfg, "Uplus")
+        assert up.rule_size == direct.rule_size
+        assert abs(up.value - direct.value) <= 1e-13 * abs(direct.value)
+        assert abs(up.half - direct.half) <= 1e-13 * abs(direct.half)
+
+    def test_complex_F_factors_both(self, monkeypatch, standard_cfg):
+        cfg = replace(standard_cfg, F=constant(0.4 + 0.2j))
+        factored = []
+        det = experiments._det
+
+        def spy(cfg, which, **kw):
+            factored.append(which)
+            return det(cfg, which, **kw)
+        monkeypatch.setattr(experiments, "_det", spy)
+        got = limit_determinants(cfg)
+        assert sorted(factored) == ["Uminus", "Uplus"]
+        assert got == (compute_determinant(cfg, "Uplus"),
+                       compute_determinant(cfg, "Uminus"))
 
     def test_limit_factorizes(self, standard_cfg):
         d_up, d_um = limit_determinants(standard_cfg)
@@ -285,17 +311,23 @@ class TestEarlyMemoryRefusal:
     def _memory(monkeypatch, avail):
         monkeypatch.setattr(determinants, "_mem_available", lambda: avail)
 
+    @staticmethod
+    def _refusal(cfg):
+        # the float64 interval matrix, LAPACK's copy and the kernel values:
+        # 3 n^2 entries of 8 bytes (n = 104 on standard at x = 50)
+        n = cfg.resolved_n()
+        return rf"{n} nodes.*{3 * n * n * 8} bytes"
+
     def test_verify(self, monkeypatch, unreachable, standard_cfg):
-        # standard at x = 50: n = 128, 3 * 128^2 * 8 = 393216 bytes
         self._memory(monkeypatch, 10 ** 5)
-        with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
+        with pytest.raises(ConfigError, match=self._refusal(standard_cfg)):
             verify_factorization(standard_cfg)
 
     @pytest.mark.parametrize("which", ["V", "Vtilde", "W", "M", "N"])
     def test_interval_kinds(self, monkeypatch, unreachable, standard_cfg,
                             which):
         self._memory(monkeypatch, 10 ** 5)
-        with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
+        with pytest.raises(ConfigError, match=self._refusal(standard_cfg)):
             compute_determinant(standard_cfg, which)
 
     @pytest.mark.parametrize("which", ["M0", "Uplus", "Uminus"])
@@ -309,10 +341,11 @@ class TestEarlyMemoryRefusal:
     @pytest.mark.parametrize("ladder", [asymptotic_sweep, m_vs_m0])
     def test_ladder_checks_its_largest_x_first(self, monkeypatch, unreachable,
                                                standard_cfg, ladder):
-        # n = 255 at x = 100 fits in 2 MB (1560600 bytes), n = 510 at
-        # x = 200 does not: refused before M0 and before any row
-        self._memory(monkeypatch, 2 * 10 ** 6)
-        with pytest.raises(ConfigError, match=r"510 nodes at x = 200"):
+        # n = 168 at x = 100 fits in 1 MB (677376 bytes), n = 295 at
+        # x = 200 does not (2088600 bytes): refused before M0 and before
+        # any row
+        self._memory(monkeypatch, 10 ** 6)
+        with pytest.raises(ConfigError, match=r"295 nodes at x = 200"):
             ladder(standard_cfg, [25.0, 50.0, 100.0, 200.0])
 
 

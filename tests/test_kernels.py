@@ -2,6 +2,7 @@ import json
 import os
 import re
 from dataclasses import fields, replace
+from math import ceil
 
 import numpy as np
 import pytest
@@ -143,9 +144,24 @@ class TestShiftSpec:
 
 class TestProblemConfig:
     def test_resolved_n_tracks_oscillation(self):
-        assert make_cfg(x=50.0).resolved_n() == 128
-        assert make_cfg(x=400.0).resolved_n() == 1019
-        assert make_cfg(x=1.0).resolved_n() == 64  # floor
+        assert make_cfg(x=25.0).resolved_n() == 64    # 8 per period
+        assert make_cfg(x=31.0).resolved_n() == 79
+        assert make_cfg(x=50.0).resolved_n() == 104   # 4 per period + 40
+        assert make_cfg(x=400.0).resolved_n() == 550
+        assert make_cfg(x=1600.0).resolved_n() == 2078
+        assert make_cfg(x=1.0).resolved_n() == 64     # floor
+
+    @pytest.mark.parametrize("p", [identity(), polynomial([0.0, 1.0, 0.0, 0.1])],
+                             ids=["linear", "cubic"])
+    def test_resolved_n_branches(self, p):
+        # P periods: 8 nodes per period up to P = 10, where both branches
+        # give 80; 4 per period plus 40 above; never below 64
+        for x in np.concatenate([np.linspace(0.5, 60.0, 239),
+                                 [100.0, 400.0, 1600.0, 3200.0]]):
+            cfg = make_cfg(x=float(x), p=p)
+            P = cfg.x * cfg.max_phase_slope() * (cfg.b - cfg.a) / (2 * np.pi)
+            want = max(64, ceil(8 * P) if P <= 10 else ceil(4 * P) + 40)
+            assert cfg.resolved_n() == want, x
 
     def test_resolved_h_default(self):
         assert make_cfg(c=1.0).resolved_h() == pytest.approx(0.25)

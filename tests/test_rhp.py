@@ -126,6 +126,15 @@ class TestOneMatrixSolve:
         with pytest.raises(NumericError, match="singular"):
             solve_chi(with_n(standard_cfg, 64))
 
+    def test_overflowing_determinant_is_named(self, standard_cfg,
+                                              monkeypatch):
+        # det(I + V~) beyond float64 (standard near x = 5500) while F_L and
+        # F_R are finite: the error names the determinant, not the solve
+        monkeypatch.setattr(np.linalg, "det", lambda D: np.inf)
+        with pytest.raises(NumericError, match=r"det\(I \+ V~\) overflows "
+                                               r"float64 at n=104, x=50:"):
+            solve_chi(standard_cfg)
+
 
 class TestChiProperties:
     def test_inverse_consistency(self, standard_chi):
@@ -369,11 +378,11 @@ class TestProxyFarPath:
                         direct_delta_chi(chi, z1, z2)) <= 1e-14
 
     def test_gauss_path_is_the_direct_sum_bit_for_bit(self, standard_cfg):
-        # r >= n: the loop (r = 168 at distance 0.25) on the rule of 128
+        # r >= n: the loop (r = 168 at distance 0.25) on the rule of 104
         cfg = replace(standard_cfg, x=50.0)
         chi, alpha = solve_chi(cfg), make_alpha(cfg)
         z = _loop_rule(cfg).nodes
-        assert _rank(chi, z) >= chi.rule.size == 128
+        assert _rank(chi, z) >= chi.rule.size == 104
         assert np.array_equal(chi.chi_at(z), direct_chi(chi, z))
         assert np.array_equal(chi.chi_inv_at(z), direct_chi(chi, z, inverse=True))
         assert np.array_equal(alpha.alpha_at(z), direct_alpha(alpha, z))
