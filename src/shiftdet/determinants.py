@@ -21,7 +21,9 @@ side.
 Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
 kernel values, so a kernel's own temporaries stay bounded however large the
 rule: the only order x order arrays are the collocation matrix and the copy
-LAPACK factors.  The kernel's output decides the matrix's arithmetic: float64
+LAPACK factors.  V~ and V write the blocks of a matrix of more than one
+block into its rows themselves, with one set of block-sized temporaries
+per matrix.  The kernel's output decides the matrix's arithmetic: float64
 blocks on real weights give a float64 matrix, factored in real arithmetic;
 so do the k = 0 planes alone of a 2 x 2 matrix kernel, whose matrix a
 conjugation symmetry fixes; anything else gives a complex one.
@@ -125,24 +127,40 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     (``kernels.M_kernel``): the matrix is then a float64 one similar to A
     (``_swap_planes``).
     A block the kernel returns is the assembler's to overwrite.
+    A scalar filling kernel (``kernels.interval_kernel``: a ``fills``
+    attribute) on a rule of more than one block writes each block into the
+    matrix's rows itself, its temporaries in ``fills`` arrays of a block's
+    size that this matrix alone uses; the rows are weighted after, in
+    place.  Its dtype comes first, from a block of no rows.
     The memory guard (``require_memory``) runs just before the matrix is
     allocated, charged with the kernel values' bytes and the matrix's
     entry size.
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
-    order = w.size
     what = "scalar" if dim is None else "matrix"
     # a scalar kernel is charged 32 bytes an entry, its values and the
     # temporaries of its evaluation (general_kernel_V's real path holds at
     # most four float64 arrays of the block's size at once), a matrix
     # kernel 16: the block size is fixed before the first block's dtype
-    D = None
-    for i0, i1 in row_blocks(m, order * (dim or 1) * (16 if dim else 32)):
-        K = kernel(z[i0:i1, None], z[None, :])
-        if D is None:
+    blocks = row_blocks(m, w.size * (dim or 1) * (16 if dim else 32))
+    # one block is returned: the empty block would cost 0.2-0.6 ms, 40 %
+    # of a 104-node V
+    fills = 0 if dim or len(blocks) == 1 else getattr(kernel, "fills", 0)
+    D, swap, cell = None, False, ()
+    if fills:
+        D = _matrix(kernel(z[:0, None], z[None, :]), w, False, what, rule)
+        # one set of temporaries, reused by every block of this matrix
+        scratch = [np.empty(blocks[0][1] * m, D.dtype) for _ in range(fills)]
+    for i0, i1 in blocks:
+        if fills:
+            K = kernel(z[i0:i1, None], z[None, :], out=D[i0:i1], scratch=[
+                s[:(i1 - i0) * m].reshape(i1 - i0, m) for s in scratch])
+        else:
+            K = kernel(z[i0:i1, None], z[None, :])
+        if D is None and dim is not None:
             swap = dim == 2 and np.shape(K)[2:] == (1, 2)
-            cell = () if dim is None else (1 if swap else dim, dim)
+            cell = (1 if swap else dim, dim)
         shape = (i1 - i0, m) + cell
         if np.shape(K) != shape:
             raise NumericError(
@@ -151,17 +169,14 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
         if D is None:
-            dtype = np.dtype(float) if swap else np.result_type(K, w)
-            require_memory(order, f"{what} kernel on the {rule.domain_kind} "
-                           f"rule of {m} nodes", dtype.itemsize,
-                           K.nbytes // (i1 - i0) * m)
-            D = np.empty((order, order), dtype=dtype)
+            D = _matrix(K, w, swap, what, rule)
         elif np.iscomplexobj(K) and not np.iscomplexobj(D) and not swap:
             if np.any(K.imag):
                 raise NumericError(f"{what} kernel returned complex values "
                                    f"for a real collocation matrix")
             K = K.real
         if dim is None:
+            # in place where the kernel filled these rows itself
             np.multiply(K, w, out=D[i0:i1])
         elif swap:
             _swap_planes(K, rule, D, i0, i1)
@@ -170,9 +185,23 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
             D4 = D.reshape(m, dim, m, dim)
             for k, l in np.ndindex(dim, dim):
                 np.multiply(K[..., k, l], rule.weights, out=D4[i0:i1, k, :, l])
+        del K                       # no block outlives its weighting
     idx = np.arange(D.shape[0])
     D[idx, idx] += 1.0
     return D
+
+
+def _matrix(K: np.ndarray, w: np.ndarray, swap: bool, what: str,
+            rule: QuadratureRule) -> np.ndarray:
+    """The uninitialized collocation matrix for kernel values like the
+    block K (rows, m, ...) on the column weights w, after the memory guard,
+    charged with the m x m values at K's entry size."""
+    m = rule.size
+    dtype = np.dtype(float) if swap else np.result_type(K, w)
+    require_memory(w.size, f"{what} kernel on the {rule.domain_kind} rule "
+                   f"of {m} nodes", dtype.itemsize,
+                   K.itemsize * m * int(np.prod(K.shape[1:])))
+    return np.empty((w.size, w.size), dtype=dtype)
 
 
 def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,

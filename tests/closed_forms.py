@@ -18,7 +18,9 @@ determinant checks the factored one.
 ``mp_nystrom_det`` is the high-precision reference: the Nystrom
 determinant of V~ or V on a given float64 rule, with the kernel from its
 closed form and the determinant from Gaussian elimination, all in mpmath
-at the working precision.
+at the working precision.  ``mp_collocation_det`` is the same elimination
+of a matrix kernel's collocation matrix from given float64 kernel values
+(M and N, which have no closed form).
 """
 from math import pi
 
@@ -153,6 +155,21 @@ def _mp_det(rows):
             for j in range(k + 1, n):
                 ri[j] -= f * rk[j]
     return det
+
+
+def mp_collocation_det(K, weights):
+    """det(I + K diag(w)) at mpmath's working precision for the values
+    K (m, m, N, N) of an N x N matrix kernel on m nodes and the weights w
+    of those nodes, both taken exactly, in the (node, component) layout:
+    entry ((j, k), (i, l)) is delta + K[j, i, k, l] w_i."""
+    m, N = K.shape[0], K.shape[2]
+    w = [mp.mpc(complex(t)) for t in weights]
+    rows = []
+    for j, k in np.ndindex(m, N):
+        rows.append([mp.mpc(complex(K[j, i, k, l])) * w[i]
+                     + (1 if (j, k) == (i, l) else 0)
+                     for i, l in np.ndindex(m, N)])
+    return _mp_det(rows)
 
 
 def mp_nystrom_det(cfg, rule, shifted: bool):

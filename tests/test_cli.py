@@ -561,6 +561,25 @@ def test_console_script_runs(tmp_path, config_dir):
     assert (tmp_path / "identity_report.json").exists()
 
 
+def test_package_runs_as_a_module(tmp_path, config_dir):
+    # python -m shiftdet from this checkout's src/, uninstalled: the CLI's
+    # output and its exit code (2 for a config that cannot be read)
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = lambda config: subprocess.run(
+        [sys.executable, "-m", "shiftdet", "verify", config,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env)
+    proc = run(cfg_path(config_dir, "trivial.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] certified" in proc.stdout
+    missing = run(str(tmp_path / "absent.json"))
+    assert missing.returncode == 2
+    assert "config error" in missing.stderr
+
+
 def test_run_all_passes_every_gate(tmp_path):
     # the shipped suite end to end: every run exits 0 and every JSON report
     # it writes validates against its schema

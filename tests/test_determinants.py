@@ -1,3 +1,4 @@
+import functools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -17,13 +18,14 @@ from shiftdet.kernels import (ConfigError, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel, W_factors,
                               _chebyshev_interpolant,
                               bracket_kernel, cauchy_rank, general_kernel_V,
-                              gsk_shift_spec, gsk_vector_pair)
+                              gsk_shift_spec, gsk_vector_pair,
+                              interval_kernel)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
 
-from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp, mp_nystrom_det,
-                          shift_kernel)
+from closed_forms import (M0_kernel, W_kernel, gsk_kernel, mp,
+                          mp_collocation_det, mp_nystrom_det, shift_kernel)
 from helpers import (complex_collocation, complex_det, complex_resolvent,
                      constant, convergence_study, direct_chi,
                      near_diagonal_mask, polynomial, real_on_axis,
@@ -580,6 +582,68 @@ class TestStreamedAssembly:
                 * np.repeat(rule.weights, dim))
         assert np.array_equal(assemble_collocation(kernel, rule, dim), want)
 
+    @pytest.mark.parametrize("name,which", [
+        ("standard", "Vtilde"), ("standard", "V"), ("general", "Vtilde"),
+        ("general", "V"), ("nonintegrable", "V"), ("standard", "M"),
+        ("standard", "N")])
+    @pytest.mark.parametrize("cut", [False, True], ids=["default", "cut"])
+    def test_filled_matrix_is_exact(self, request, monkeypatch, name, which,
+                                    cut):
+        # the matrix as each binding assembles it (V~ and V write their
+        # blocks in place and weight them after) equals the one built from
+        # the same kernel's returned blocks, bit for bit, at equal blocking
+        # (across blockings the GEMM differs in the last bits).  Cut: at
+        # least 3 blocks, one of which has an off-diagonal near pair
+        # |lam - mu| < delta0 on its first row.  At x = 800 the default
+        # budget gives V~ and V 3 blocks (n = 1059; general, 1365 nodes, 4)
+        cfg = replace(request.getfixturevalue(name + "_cfg"), x=800.0)
+        if which in ("M", "N"):
+            chi, shift, dim = solve_chi(cfg), cfg.shift, 2
+            if which == "M":
+                rule = experiments._loop_rule(cfg)
+                kernel = lambda l, m: M_kernel(l, m, chi, shift,
+                                               collocation=True)
+            else:
+                rule = _line_rule(cfg)
+                kernel = lambda l, m: N_kernel(l, m, chi, shift, cfg.delta0,
+                                               collocation=True)
+        else:
+            rule, dim = _interval_rule(cfg), None
+            kernel = interval_kernel(gsk_vector_pair(cfg), cfg.delta0,
+                                     cfg.shift if which == "V" else None)
+        m = rule.size
+        row_bytes = 2 * m * 2 * 16 if dim else m * 32
+        if cut:
+            rows = 9
+            if dim is None:
+                z = rule.nodes
+                near = near_diagonal_mask(z[:, None], z[None, :], cfg.delta0)
+                rows = next(r for r in range(50, m // 3) if any(
+                    near[i].sum() > 1 for i in range(r, m, r)))
+            monkeypatch.setattr(determinants, "_BLOCK_BYTES", rows * row_bytes)
+        assert len(determinants.row_blocks(m, row_bytes)) >= (
+            3 if cut or dim is None else 1)
+        calls = []
+
+        @functools.wraps(kernel)
+        def spied(lam, mu, **kwargs):
+            calls.append(sorted(kwargs))
+            return kernel(lam, mu, **kwargs)
+
+        got = assemble_collocation(spied, rule, dim)
+        want = assemble_collocation(lambda lam, mu: kernel(lam, mu), rule, dim)
+        assert got.dtype == want.dtype == (
+            np.complex128 if name == "nonintegrable" else np.float64)
+        assert np.array_equal(got, want)
+        # the filling kernels, on more than one block, are asked for a
+        # block of no rows (the dtype), then write every block in place;
+        # M and N, and one block, are returned
+        blocks = len(determinants.row_blocks(m, row_bytes))
+        if dim is None and blocks > 1:
+            assert calls == [[]] + [["out", "scratch"]] * blocks
+        else:
+            assert calls == [[]] * blocks
+
     @pytest.mark.parametrize("dim", [None, 2])
     @pytest.mark.parametrize("fault", ["shape", "non-finite"])
     def test_fault_in_a_later_block(self, monkeypatch, dim, fault):
@@ -657,15 +721,16 @@ class TestStreamedMemory:
                 tracemalloc.stop()
 
     def test_real_V_peak_at_large_n(self, standard_cfg):
-        # the default block budget at n = 2038: the float64 matrix
-        # (8 n^2 bytes) and one block of the real kernel's values and
-        # temporaries, 1.64 x 8 n^2 measured; with complex kernel values
-        # (their real part written into the same float64 matrix) it was 2.28
+        # the default block budget at n = 2038 (257 rows a block, 0.126 of
+        # the matrix): the float64 matrix (8 n^2 bytes), its values written
+        # in place, and the real kernel's three block temporaries, 1.40 x
+        # 8 n^2 measured; with the values in a fresh block of their own it
+        # was 1.64, with complex kernel values 2.28
         cfg = with_n(replace(standard_cfg, x=800.0), 2038)
         unit = 8 * cfg.resolved_n() ** 2
         assert real_on_axis(cfg, "V")
         _, peak = self._peak(lambda: _det(cfg, "V"))
-        assert peak <= 1.75 * unit
+        assert peak <= 1.45 * unit
 
     def test_chi_at_far_path_peak(self, standard_cfg):
         # the 400 line points at distance 1/2 take r = 87 proxy points: the
@@ -682,12 +747,18 @@ class TestStreamedMemory:
         assert peak < z.size * n * 16 / 4
 
     def test_peaks(self, cfg):
-        unit = cfg.resolved_n() ** 2 * 16
+        # unit: a complex n x n array; the float64 matrix is half of it, a
+        # block of float64 values (n/32 rows) 1/64 = 0.0156.  Measured at
+        # n = 1059: V 0.561 (three block temporaries; 0.586 with the values
+        # of each block in fresh arrays), the solve 0.527 (one; 0.559), W
+        # 0.466.  V and the solve are bounded less than a block above that
+        n = cfg.resolved_n()
+        unit = n ** 2 * 16
         _, peak_V = self._peak(lambda: _det(cfg, "V"))
         chi, peak_solve = self._peak(lambda: solve_chi(cfg))
         _, peak_W = self._peak(lambda: _det(cfg, "W", chi=chi))
-        assert peak_V <= 1.5 * unit
-        assert peak_solve <= 1.5 * unit
+        assert peak_V <= 0.57 * unit
+        assert peak_solve <= 0.54 * unit
         assert peak_W < 0.5 * unit
 
 
@@ -926,7 +997,8 @@ class TestRealContour:
 class TestMpmathOracle:
     """40-digit Nystrom determinants of V and V~ on the package's own
     float64 rule of 48 nodes (and its 24-node half), kernels from the
-    closed forms.
+    closed forms; of M and N on small loop and line rules, from the
+    package's float64 kernel values.
 
     The float64 value may differ by first-order perturbation of det(D):
     |d det / det| = |tr(D^-1 dD)| <= n cond(D) |dD| / |D|, and the matrix
@@ -949,4 +1021,36 @@ class TestMpmathOracle:
                 want = complex(mp_nystrom_det(cfg, r, which == "V"))
                 cond = np.linalg.cond(complex_collocation(kernel, r))
                 bound = 10 * r.size * cond * np.finfo(float).eps
+                assert abs(value - want) <= bound * abs(want)
+
+    @pytest.mark.parametrize("which,m", [("M", 16), ("M", 24), ("N", 24)])
+    @pytest.mark.parametrize("name", ["standard", "nonintegrable"])
+    def test_contour_matches_40_digit_elimination(self, request, name, which,
+                                                  m):
+        # det(I + M) on a loop and det(I + N) on the line of m nodes (and
+        # their halves, 8 or 12 and 16): the package's determinant (on
+        # standard the float64 B from the k = 0 planes) against a 40-digit
+        # elimination of the complex A from the same float64 nodes, weights
+        # and kernel values, within 10 (m dim) cond(A) eps.  Measured: at
+        # most 1.4e-15 relative, 1.5 % of the bound
+        base = request.getfixturevalue(name + "_cfg")
+        size = {"m_loop" if which == "M" else "m_line": m}
+        cfg = replace(base, numerics=replace(base.numerics, **size))
+        chi, shift = solve_chi(cfg), cfg.shift
+        got = _det(cfg, which, chi=chi)
+        assert (got.value.imag == 0.0) == real_on_axis(cfg, which)
+        if which == "M":
+            rule = experiments._loop_rule(cfg)
+            kernel = lambda l, m: M_kernel(l, m, chi, shift)
+        else:
+            rule = _line_rule(cfg)
+            kernel = lambda l, m: N_kernel(l, m, chi, shift, cfg.delta0)
+        assert rule.size == m
+        with mp.workdps(40):
+            for r, value in ((rule, got.value), (rule.half(), got.half)):
+                z = r.nodes
+                want = complex(mp_collocation_det(
+                    kernel(z[:, None], z[None, :]), r.weights))
+                cond = np.linalg.cond(complex_collocation(kernel, r, 2))
+                bound = 10 * r.size * 2 * cond * np.finfo(float).eps
                 assert abs(value - want) <= bound * abs(want)
