@@ -18,15 +18,15 @@ K diag(w) = X Y^T skips the n x n matrix when R < n: Sylvester's identity
 det(I_n + X Y^T) = det(I_R + Y^T X) takes the determinant on the smaller
 side.
 
-Collocation matrices are filled in row blocks of at most _BLOCK_BYTES of
-kernel values, so a kernel's own temporaries stay bounded however large the
-rule: the only order x order arrays are the collocation matrix and the copy
-LAPACK factors.  V~ and V write the blocks of a matrix of more than one
-block into its rows themselves, with one set of block-sized temporaries
-per matrix.  The kernel's output decides the matrix's arithmetic: float64
-blocks on real weights give a float64 matrix, factored in real arithmetic;
-so do the k = 0 planes alone of a 2 x 2 matrix kernel, whose matrix a
-conjugation symmetry fixes; anything else gives a complex one.
+Collocation matrices are filled in row blocks that every kernel returns,
+sized so that a block's values and the kernel's temporaries stay within
+_BLOCK_BYTES however large the rule; a block is dropped once it is weighted
+into the matrix, so the only order x order arrays are the collocation
+matrix and the copy LAPACK factors.  The kernel's output decides the
+matrix's arithmetic: float64 blocks on real weights give a float64 matrix,
+factored in real arithmetic; so do the k = 0 planes alone of a 2 x 2 matrix
+kernel, whose matrix a conjugation symmetry fixes; anything else gives a
+complex one.
 """
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
            "factored_det", "assemble_collocation", "row_blocks",
            "require_memory"]
 
-# bytes of kernel values evaluated per block of rows.  Loop and line kernels
-# up to 400 nodes at N = 2 (10.24 MB) stay one block; smaller blocks
-# would make N_kernel re-evaluate its column-side chi once per block
+# bytes charged per block of rows (see assemble_collocation).  Loop and
+# line kernels up to 400 nodes at N = 2 (10.24 MB) stay one block; smaller
+# blocks would make N_kernel re-evaluate its column-side chi once per block
 _BLOCK_BYTES = 16 << 20
 
 
@@ -78,15 +78,13 @@ def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
     return None
 
 
-def require_memory(order: int, what: str, itemsize: int,
-                   values: Optional[int] = None):
+def require_memory(order: int, what: str, itemsize: int, values: int):
     """ConfigError (exit 2) when a dense factorization of the given order
     would not fit in available memory.  Charged: the collocation matrix and
     the LU copy, order x order each at the factored matrix's ``itemsize``
-    (16 complex, 8 real), and the kernel values, ``values`` bytes (default
-    a third such array)."""
-    matrix = order * order * itemsize
-    need = 2 * matrix + (matrix if values is None else values)
+    (16 complex, 8 real), and the kernel values alive with them, ``values``
+    bytes."""
+    need = 2 * order * order * itemsize + values
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ConfigError(
@@ -115,9 +113,10 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
                          dim: Optional[int] = None) -> np.ndarray:
     """I + K diag(w) on the rule; dim None for a scalar kernel.
 
-    ``kernel(z[i0:i1, None], z[None, :])`` is evaluated per row block and
+    ``kernel(z[i0:i1, None], z[None, :])`` returns each row block, which is
     written, weighted (for a matrix kernel with block (j, k) = w_k K(z_j, z_k)
-    in the row-major (node, component) layout), into one preallocated matrix.
+    in the row-major (node, component) layout), into one preallocated matrix
+    and then dropped.
     The matrix takes the dtype of the first block and the weights: float64
     for float64 values on an interval rule, complex otherwise.  Into a
     float64 matrix a later complex block must have a zero imaginary part
@@ -127,40 +126,25 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     (``kernels.M_kernel``): the matrix is then a float64 one similar to A
     (``_swap_planes``).
     A block the kernel returns is the assembler's to overwrite.
-    A scalar filling kernel (``kernels.interval_kernel``: a ``fills``
-    attribute) on a rule of more than one block writes each block into the
-    matrix's rows itself, its temporaries in ``fills`` arrays of a block's
-    size that this matrix alone uses; the rows are weighted after, in
-    place.  Its dtype comes first, from a block of no rows.
     The memory guard (``require_memory``) runs just before the matrix is
-    allocated, charged with the kernel values' bytes and the matrix's
-    entry size.
+    allocated, charged with the matrix and LAPACK's copy at the matrix's
+    entry size and the first block's bytes: no block outlives its
+    weighting, so no other kernel values are alive with them.
     """
     m, z = rule.size, rule.nodes
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
     what = "scalar" if dim is None else "matrix"
-    # a scalar kernel is charged 32 bytes an entry, its values and the
-    # temporaries of its evaluation (general_kernel_V's real path holds at
-    # most four float64 arrays of the block's size at once), a matrix
-    # kernel 16: the block size is fixed before the first block's dtype
-    blocks = row_blocks(m, w.size * (dim or 1) * (16 if dim else 32))
-    # one block is returned: the empty block would cost 0.2-0.6 ms, 40 %
-    # of a 104-node V
-    fills = 0 if dim or len(blocks) == 1 else getattr(kernel, "fills", 0)
-    D, swap, cell = None, False, ()
-    if fills:
-        D = _matrix(kernel(z[:0, None], z[None, :]), w, False, what, rule)
-        # one set of temporaries, reused by every block of this matrix
-        scratch = [np.empty(blocks[0][1] * m, D.dtype) for _ in range(fills)]
-    for i0, i1 in blocks:
-        if fills:
-            K = kernel(z[i0:i1, None], z[None, :], out=D[i0:i1], scratch=[
-                s[:(i1 - i0) * m].reshape(i1 - i0, m) for s in scratch])
-        else:
-            K = kernel(z[i0:i1, None], z[None, :])
-        if D is None and dim is not None:
+    # a scalar kernel is charged 64 bytes an entry, four complex arrays of
+    # the block's size: the most the complex general_kernel_V holds at once
+    # (its values, and a shift's denominator and term while the next
+    # shift's replace them); a matrix kernel 16, its values.  The block
+    # size is fixed before the first block's dtype
+    D = None
+    for i0, i1 in row_blocks(m, w.size * (dim or 1) * (16 if dim else 64)):
+        K = kernel(z[i0:i1, None], z[None, :])
+        if D is None:
             swap = dim == 2 and np.shape(K)[2:] == (1, 2)
-            cell = (1 if swap else dim, dim)
+            cell = () if dim is None else (1 if swap else dim, dim)
         shape = (i1 - i0, m) + cell
         if np.shape(K) != shape:
             raise NumericError(
@@ -169,14 +153,16 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
             raise NumericError(f"{what} kernel produced non-finite values at "
                                f"node pairs")
         if D is None:
-            D = _matrix(K, w, swap, what, rule)
+            dtype = np.dtype(float) if swap else np.result_type(K, w)
+            require_memory(w.size, f"{what} kernel on the {rule.domain_kind} "
+                           f"rule of {m} nodes", dtype.itemsize, K.nbytes)
+            D = np.empty((w.size, w.size), dtype=dtype)
         elif np.iscomplexobj(K) and not np.iscomplexobj(D) and not swap:
             if np.any(K.imag):
                 raise NumericError(f"{what} kernel returned complex values "
                                    f"for a real collocation matrix")
             K = K.real
         if dim is None:
-            # in place where the kernel filled these rows itself
             np.multiply(K, w, out=D[i0:i1])
         elif swap:
             _swap_planes(K, rule, D, i0, i1)
@@ -189,19 +175,6 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     idx = np.arange(D.shape[0])
     D[idx, idx] += 1.0
     return D
-
-
-def _matrix(K: np.ndarray, w: np.ndarray, swap: bool, what: str,
-            rule: QuadratureRule) -> np.ndarray:
-    """The uninitialized collocation matrix for kernel values like the
-    block K (rows, m, ...) on the column weights w, after the memory guard,
-    charged with the m x m values at K's entry size."""
-    m = rule.size
-    dtype = np.dtype(float) if swap else np.result_type(K, w)
-    require_memory(w.size, f"{what} kernel on the {rule.domain_kind} rule "
-                   f"of {m} nodes", dtype.itemsize,
-                   K.itemsize * m * int(np.prod(K.shape[1:])))
-    return np.empty((w.size, w.size), dtype=dtype)
 
 
 def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,

@@ -32,7 +32,8 @@ from .determinants import (DetResult, factored_det, nystrom_det,
                            nystrom_det_matrix, require_memory)
 from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
-                      gsk_shift_spec, gsk_vector_pair, interval_kernel)
+                      bracket_kernel, general_kernel_V, gsk_shift_spec,
+                      gsk_vector_pair)
 from .quadrature import (QuadratureRule, compactified_line_rule,
                          gauss_legendre_rule, stadium_loop_rule)
 from .rhp import AlphaEvaluator, ChiSolution, make_alpha, solve_chi
@@ -75,10 +76,10 @@ def _line_rule(cfg: ProblemConfig) -> QuadratureRule:
 
 def _require_interval_memory(cfg: ProblemConfig):
     """ConfigError before any rule is built when even a float64 n x n
-    interval matrix cannot fit: a lower bound, the exact check runs at the
-    matrix's allocation."""
+    interval matrix and LAPACK's copy cannot fit: a lower bound, the exact
+    check runs at the matrix's allocation."""
     n = cfg.resolved_n()
-    require_memory(n, f"interval rule of {n} nodes at x = {cfg.x:g}", 8)
+    require_memory(n, f"interval rule of {n} nodes at x = {cfg.x:g}", 8, 0)
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -372,9 +373,10 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
         pair = gsk_vector_pair(cfg) if chi is None else chi.pair
         rule = _interval_rule(cfg) if chi is None else chi.rule
         if which == "V":
-            return nystrom_det(interval_kernel(pair, d0, shift), rule)
+            return nystrom_det(
+                lambda l, m: general_kernel_V(l, m, pair, shift, d0), rule)
         # solve_chi factored this same I + V~ matrix on chi.rule already
-        return nystrom_det(interval_kernel(pair, d0), rule,
+        return nystrom_det(lambda l, m: bracket_kernel(l, m, pair, d0), rule,
                            value=None if chi is None else chi.det_tilde)
     if which in ("W", "M", "N"):
         if chi is None:

@@ -8,13 +8,15 @@ amplitude/phase functions.
 
 All evaluators are vectorized: scalar kernels map broadcastable complex
 arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
-(N, N) axis.  V~ and V map real arrays to float64 where the config makes
-them real (``real_kernel``, from the symmetry of the vector pair and the
-shift table), and M and N, asked for a collocation, then return their
-k = 0 planes alone, (..., 1, N); this module alone reads that decision,
-and the collocation matrices follow the dtype and the shape of the
-values.  V~, M and N are one integrable
-form, which ``_kernel_planes`` evaluates; their removable diagonals take
+(N, N) axis.  Each returns its values in an array of its own; a
+collocation matrix asks for them one row block at a time
+(``determinants.assemble_collocation``).  V~ and V map real arrays to
+float64 where the config makes them real (``real_kernel``, from the
+symmetry of the vector pair and the shift table), and M and N, asked for a
+collocation, then return their k = 0 planes alone, (..., 1, N); this module
+alone reads that decision, and the collocation matrices follow the dtype
+and the shape of the values.  V~, M and N are one integrable form, which
+``_kernel_planes`` evaluates; their removable diagonals take
 cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.
 """
 from __future__ import annotations
@@ -37,8 +39,7 @@ __all__ = [
     "eval_e", "gsk_vector_pair", "gsk_shift_spec",
     "general_kernel_V",
     "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
-    "U_plus_kernel", "U_minus_kernel", "bracket_kernel", "interval_kernel",
-    "real_kernel",
+    "U_plus_kernel", "U_minus_kernel", "bracket_kernel", "real_kernel",
 ]
 
 # fraction of (b - a) below which the divided-difference branch takes over
@@ -64,15 +65,16 @@ def _sinc(w):
     return np.where(small, 1.0 - w * w / 6.0, np.sin(wd) / wd)
 
 
-def _rank2(a0, a1, b0, b1, out=None):
+def _rank2(a0, a1, b0, b1):
     """a0 b0 + a1 b1 over the broadcast grid of the lam-side a's and the
-    mu-side b's, as one GEMM of inner dimension 2 (einsum's optimize=True
-    contracts it so), written into ``out`` if given.  The mu side goes
-    first: the GEMM then writes a (lam rows, mu columns) grid
-    C-contiguous, the layout of the difference lam - mu it is combined
-    with."""
+    mu-side b's, as one GEMM of inner dimension 2 (einsum contracts a pair
+    by matmul, on the one path there is, given so that no call searches
+    for it).  The mu side goes first: the GEMM then writes a
+    (lam rows, mu columns) grid C-contiguous, the layout of the difference
+    lam - mu it is combined with."""
     return np.einsum("...a,...a->...", np.stack([b0, b1], axis=-1),
-                     np.stack([a0, a1], axis=-1), optimize=True, out=out)
+                     np.stack([a0, a1], axis=-1),
+                     optimize=["einsum_path", (0, 1)])
 
 
 def _row_block(lam, mu, shape) -> bool:
@@ -633,19 +635,13 @@ def real_kernel(pair: VectorPairSpec,
     return pair.real and (shift is None or _swap_closed(shift))
 
 
-def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float, out=None,
-                   scratch=None):
+def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
     """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu): ``_kernel_planes``'s
     N = 1, s = 0 case, its near-diagonal entries from ``bracket_dd``.  A
     ``real`` pair takes real points in float64: 2 Re(E_L,0(lam) E_R,0(mu))
     as the product of the real factors [2 Re E_L,0, -2 Im E_L,0] and
     [Re E_R,0, Im E_R,0], and the real part of ``bracket_dd``.  Otherwise
-    the factors are the complex E_L(lam) and E_R(mu).
-
-    Given ``out`` (the broadcast shape, of the values' dtype) and one
-    ``scratch`` array of that shape and dtype, the values are written into
-    ``out``, which is returned, and no array of the grid's size is
-    allocated (see ``interval_kernel``)."""
+    the factors are the complex E_L(lam) and E_R(mu)."""
     lam, mu = np.asarray(lam), np.asarray(mu)
     if real_kernel(pair) and np.isrealobj(lam) and np.isrealobj(mu):
         left, right = pair.E_L(lam)[..., 0], pair.E_R(mu)[..., 0]
@@ -656,70 +652,59 @@ def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float, out=None,
         lam, mu = lam.astype(complex), mu.astype(complex)
         rows, cols, part = [pair.E_L(lam)], [pair.E_R(mu)], np.asarray
     return _kernel_planes(lam, mu, rows, cols, np.zeros((1, 1)), near=(
-        delta0, lambda k, l, x, y: part(pair.bracket_dd(x, y))),
-        out=None if out is None else out[None, None],
-        den=None if scratch is None else scratch[0])[..., 0, 0]
+        delta0, lambda k, l, x, y: part(pair.bracket_dd(x, y))))[..., 0, 0]
 
 
 def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
-                     delta0: float, out=None, scratch=None):
+                     delta0: float):
     """V(lam,mu) = <E_L(lam),E_R(mu)>/(lam-mu) - sum_a gamma_a f_a(lam) e_{v_a}(mu)/(lam-mu+ic_a).
 
     Only the lam = mu singularity of the leading term is removable (via the
     regularity condition); the shifted denominators must stay away from
     their poles.  Where ``real_kernel(pair, shift)`` holds (a ``real`` pair
     and a table closed under the swap of its components), real points are
-    evaluated in float64 (``_real_V``).  ``out`` and ``scratch`` as for
-    ``bracket_kernel``, with two scratch arrays here and three on the real
-    path.
+    evaluated in float64 (``_real_V``).
     """
     if real_kernel(pair, shift) and np.isrealobj(lam) and np.isrealobj(mu):
-        return _real_V(lam, mu, pair, shift, delta0, out, scratch)
-    den_buf, term_buf = (None, None) if scratch is None else scratch[:2]
+        return _real_V(lam, mu, pair, shift, delta0)
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     # on real lam, mu every |lam - mu + ic_a| >= |c_a|: the pole guard's
     # pass over the grid is needed only when |c_a| itself is below its bound
     real = not (lam.imag.any() or mu.imag.any())
-    out = bracket_kernel(lam, mu, pair, delta0, out, scratch)
+    out = bracket_kernel(lam, mu, pair, delta0)
     EL = pair.E_L(lam)
     ER = pair.E_R(mu)
     for a_idx in range(shift.N):
         c_a = shift.c[a_idx]
-        # one pass over the broadcast grid
-        den = np.subtract(lam, mu - 1j * c_a, out=den_buf)
+        den = lam - (mu - 1j * c_a)       # one pass over the broadcast grid
         guard = 1e-12 * (abs(c_a) + 1.0)
         if (not real or abs(c_a) < guard) and np.min(np.abs(den)) < guard:
             raise ValueError(
                 f"general_kernel_V evaluated at the shifted pole lam - mu = "
                 f"-i c_{a_idx + 1}")
-        term = np.multiply(shift.gamma[a_idx] * EL[..., a_idx],
-                           ER[..., shift.v0[a_idx]], out=term_buf)
+        term = shift.gamma[a_idx] * EL[..., a_idx] * ER[..., shift.v0[a_idx]]
         term /= den
         out -= term
     return out
 
 
-def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float,
-            out=None, scratch=None):
+def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float):
     """V at real points in float64, for a table closed under the swap of the
     pair's components (``real_kernel``): shift 1 is the conjugate of
     shift 0, so the two terms are 2 Re(N / (d + i c)) with d = lam - mu,
     N = gamma_0 E_L,0(lam) E_R,v_0(mu) and c = c_0, that is
     2 (Re N d + Im N c) / (d^2 + c^2), Re N and Im N real rank-2 products.
-    At most four float64 arrays of the grid's size are alive at once: the
-    values and three temporaries, which are ``out`` and ``scratch`` when
-    given (see ``bracket_kernel``).
+    At most four float64 arrays of the grid's size are alive at once.
     """
-    d_buf, num_buf, im_buf = (None,) * 3 if scratch is None else scratch
-    out = bracket_kernel(lam, mu, pair, delta0, out, scratch)
+    out = bracket_kernel(lam, mu, pair, delta0)
     f = 2.0 * shift.gamma[0] * pair.E_L(lam)[..., 0]
     g = pair.E_R(mu)[..., shift.v0[0]]
     c = shift.c[0]
-    d = np.asarray(np.subtract(lam, mu, out=d_buf))
-    num = _rank2(f.real, -f.imag, g.real, g.imag, num_buf)  # Re N
+    d = np.asarray(lam - mu)
+    num = _rank2(f.real, -f.imag, g.real, g.imag)          # Re N
     num *= d
-    im = _rank2(f.real, f.imag, g.imag, g.real, im_buf)     # Im N
+    im = _rank2(f.real, f.imag, g.imag, g.real)            # Im N
     im *= c
     num += im
     del im
@@ -734,24 +719,6 @@ def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float,
     num /= d
     out -= num
     return out
-
-
-def interval_kernel(pair: VectorPairSpec, delta0: float,
-                    shift: Optional[ShiftSpec] = None) -> Callable:
-    """V~ (``bracket_kernel``; shift None) or V (``general_kernel_V``) of
-    ``pair`` as a filling kernel: ``kernel(lam, mu)`` returns the values,
-    and ``kernel(lam, mu, out=rows, scratch=arrays)`` writes them into
-    ``rows`` and returns it, its temporaries in the ``kernel.fills``
-    arrays of ``scratch`` (each of the rows' shape and dtype).
-    ``determinants.assemble_collocation`` fills each row block of a
-    collocation matrix of more than one block so.
-    """
-    def kernel(lam, mu, out=None, scratch=None):
-        if shift is None:
-            return bracket_kernel(lam, mu, pair, delta0, out, scratch)
-        return general_kernel_V(lam, mu, pair, shift, delta0, out, scratch)
-    kernel.fills = 1 if shift is None else 3 if real_kernel(pair, shift) else 2
-    return kernel
 
 
 # --------------------------------------------------------------------------
@@ -842,8 +809,7 @@ def W_factors(rule, chi, shift: ShiftSpec):
     return X, Y
 
 
-def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None, out=None,
-                   den=None):
+def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
     """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., K, N),
     from K factors rows[k] (..., r) on lam's side and N factors cols[l] on
     mu's; e None is 0.  Each (k, l) plane is formed contiguously (one GEMM
@@ -857,22 +823,18 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None, out=None,
     planes: their entries |lam - mu| < delta0 (``_near_entries``) are
     divided by 1, then written with ``values(k, l, lam_near, mu_near)``
     (1-D, those entries only), so no 0/0 is formed.  A complex value for
-    a float64 plane raises NumericError, never cut to its real part.
-
-    Given together, ``out`` (the plane-major buffer) and ``den`` (the
-    broadcast shape), both of the planes' dtype, are written in place of
-    fresh arrays."""
+    a float64 plane raises NumericError, never cut to its real part."""
     K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
     cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
     off_axis = np.any(np.imag(lam)) or np.any(np.imag(mu))
     shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
-    # den first for a matrix kernel (freed, its memory and out's join into
-    # one hole that the LAPACK copy of the collocation matrix fits in), last
-    # for a scalar one (first: 12,000 page faults per n = 1019 V, not 7,500)
-    if out is None:
-        den = np.empty(shape, dtype) if N > 1 else None
-        out = np.empty((K, N) + shape, dtype)
-        den = np.empty(shape, dtype) if den is None else den
+    # den first for a matrix kernel, last for a scalar one: the other way
+    # round, peak RSS rose (2-core box, glibc, OpenBLAS) from 73.2 to 74.4 MB
+    # on shipped-suite (M, N) and from 59.2 to 61.1-61.4 MB for verify at
+    # x = 800 and 400 (V~, V)
+    den = np.empty(shape, dtype) if N > 1 else None
+    buf = np.empty((K, N) + shape, dtype)
+    den = np.empty(shape, dtype) if den is None else den
     outer = _row_block(lam, mu, shape)
     s_den = None                  # consecutive planes of equal s share den
     for l, k in np.ndindex(N, K):
@@ -886,7 +848,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None, out=None,
                 idx = _near_entries(lam, mu, den, near[0])
                 den[idx] = 1.0
                 at = [np.broadcast_to(z, shape)[idx] for z in (lam, mu)]
-        plane = out[k, l, ...]
+        plane = buf[k, l, ...]
         if outer:
             np.matmul(rows[k][:, 0], cols[l].reshape(mu.size, -1).T, out=plane)
         else:
@@ -899,7 +861,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None, out=None,
             if not cplx and np.iscomplexobj(vals):
                 raise NumericError("complex near values in a real kernel")
             plane[idx] = vals
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
 def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:

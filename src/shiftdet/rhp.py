@@ -46,8 +46,8 @@ import numpy as np
 
 from .determinants import assemble_collocation, row_blocks
 from .kernels import (ConfigError, NumericError, ProblemConfig,
-                      VectorPairSpec, _chebyshev_interpolant, cauchy_rank,
-                      gsk_vector_pair, interval_kernel)
+                      VectorPairSpec, _chebyshev_interpolant, bracket_kernel,
+                      cauchy_rank, gsk_vector_pair)
 from .quadrature import QuadratureRule, gauss_legendre_rule
 
 __all__ = [
@@ -338,8 +338,10 @@ class ChiSolution(_OnCut):
 
 
 def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
-    """The kernel V~ of ``pair`` as a filling kernel (``interval_kernel``)."""
-    return interval_kernel(pair, delta0)
+    """The kernel V~ of ``pair`` (see ``bracket_kernel``) as a callable."""
+    def kernel(lam, mu):
+        return bracket_kernel(lam, mu, pair, delta0)
+    return kernel
 
 
 def _columns(op: Callable, D: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import functools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -18,8 +17,7 @@ from shiftdet.kernels import (ConfigError, M_kernel, N_kernel,
                               U_minus_kernel, U_plus_kernel, W_factors,
                               _chebyshev_interpolant,
                               bracket_kernel, cauchy_rank, general_kernel_V,
-                              gsk_shift_spec, gsk_vector_pair,
-                              interval_kernel)
+                              gsk_shift_spec, gsk_vector_pair)
 from shiftdet.quadrature import (compactified_line_rule, gauss_legendre_rule,
                                  stadium_loop_rule)
 from shiftdet.rhp import make_alpha, solve_chi
@@ -335,7 +333,8 @@ class TestMemoryGuard:
 
     def test_resolvent_solve_refused(self, monkeypatch, standard_cfg):
         monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
-        # V~ is real on standard: 3 * 128^2 entries of 8 bytes
+        # V~ is real on standard: the matrix, LAPACK's copy and the one
+        # block of values, 3 * 128^2 entries of 8 bytes
         with pytest.raises(ConfigError, match=r"128 nodes.*393216 bytes"):
             solve_chi(with_n(standard_cfg, 128))
 
@@ -353,14 +352,28 @@ class TestMemoryGuard:
         assert determinants._mem_available(str(tmp_path / "absent")) is None
 
     def test_itemsize_sets_the_charge(self, monkeypatch):
-        # 3 * 100^2 entries: 240000 bytes real, 480000 complex
+        # 2 * 100^2 entries: 160000 bytes real, 320000 complex, plus the
+        # kernel values' bytes
         monkeypatch.setattr(determinants, "_mem_available", lambda: 300000)
-        determinants.require_memory(100, "real", itemsize=8)
-        with pytest.raises(ConfigError, match=r"480000 bytes"):
-            determinants.require_memory(100, "complex", itemsize=16)
-        monkeypatch.setattr(determinants, "_mem_available", lambda: 200000)
-        with pytest.raises(ConfigError, match=r"240000 bytes"):
-            determinants.require_memory(100, "real", itemsize=8)
+        determinants.require_memory(100, "real", 8, 0)
+        with pytest.raises(ConfigError, match=r"320000 bytes"):
+            determinants.require_memory(100, "complex", 16, 0)
+        with pytest.raises(ConfigError, match=r"310000 bytes"):
+            determinants.require_memory(100, "real", 8, 150000)
+
+    def test_real_V_of_several_blocks_is_charged_one_block(self, monkeypatch,
+                                                           standard_cfg):
+        # 128 nodes in blocks of 10 rows: the float64 matrix and LAPACK's
+        # copy (2 * 128^2 * 8 = 262144 B) and the one block of values alive
+        # with them (10 * 128 * 8 = 10240 B), not all 128 rows of them
+        cfg = with_n(standard_cfg, 128)
+        assert real_on_axis(cfg, "V")
+        monkeypatch.setattr(determinants, "_BLOCK_BYTES", 10 * 128 * 64)
+        assert len(determinants.row_blocks(128, 128 * 64)) == 13
+        monkeypatch.setattr(determinants, "_mem_available", lambda: 10 ** 5)
+        with pytest.raises(ConfigError,
+                           match=r"interval rule of 128 nodes.*272384 bytes"):
+            _det(cfg, "V")
 
     def test_real_collocation_is_charged_8_bytes(self, monkeypatch):
         # 3 * 200^2 * 8 = 960000 B fits in 1 MB; complex (above) does not
@@ -475,36 +488,46 @@ class TestStreamedAssembly:
     """Collocation matrices filled in row blocks equal the one-block build."""
 
     @staticmethod
-    def _rows(monkeypatch, rows, cols, dim=1):
-        # a block budget of ``rows`` rows of ``cols`` nodes
+    def _rows(monkeypatch, rows, cols, dim=1, entry=16):
+        # a block budget of ``rows`` rows of ``cols`` nodes, ``entry`` bytes
+        # an entry (a scalar kernel is charged 64)
         monkeypatch.setattr(determinants, "_BLOCK_BYTES",
-                            rows * cols * dim * dim * 16)
+                            rows * cols * dim * dim * entry)
 
-    def test_scalar_kernel_and_resolvent(self, monkeypatch, standard_cfg):
-        cfg = replace(standard_cfg, x=400.0)
-        rule = gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b)
-        pair = gsk_vector_pair(cfg)
-        # rows 0..6, 7..13, ...: a boundary splits an off-diagonal near pair
-        near = near_diagonal_mask(rule.nodes[:, None], rule.nodes[None, :],
-                                  cfg.delta0)
-        assert any(near[i - 1, i] for i in range(7, rule.size, 7))
-        kernel = lambda l, m: general_kernel_V(l, m, pair, cfg.shift,
-                                               cfg.delta0)
-        results = []
-        for rows in (rule.size, 7):
-            self._rows(monkeypatch, rows, rule.size)
-            assert len(determinants.row_blocks(rule.size, 16 * rule.size)) \
-                == -(-rule.size // rows)
-            results.append((nystrom_det(kernel, rule), solve_chi(cfg)))
-        (det1, chi1), (det2, chi2) = results
-        for a, b in ((det1.value, det2.value), (det1.half, det2.half),
-                     (chi1.det_tilde, chi2.det_tilde)):
-            assert abs(b - a) <= 1e-14 * abs(a)
-        assert _rel(chi2.FL_nodes, chi1.FL_nodes) <= 1e-14
-        assert _rel(chi2.FR_nodes, chi1.FR_nodes) <= 1e-14
-        half = rule.half().nodes
-        assert _rel(chi2.FL_at(half), chi1.FL_at(half)) <= 1e-14
-        assert _rel(chi2.FR_at(half), chi1.FR_at(half)) <= 1e-14
+    def test_scalar_kernel_and_resolvent(self, request, monkeypatch):
+        # V~ and V on standard and general, the complex V on nonintegrable,
+        # and the resolvent solve, at x = 400
+        for name in ("standard", "general", "nonintegrable"):
+            cfg = replace(request.getfixturevalue(name + "_cfg"), x=400.0)
+            rule = _interval_rule(cfg)
+            pair, n = gsk_vector_pair(cfg), rule.size
+            # rows 0..6, 7..13, ...: a boundary splits an off-diagonal near
+            # pair, so one falls on a block's first row
+            near = near_diagonal_mask(rule.nodes[:, None],
+                                      rule.nodes[None, :], cfg.delta0)
+            assert any(near[i - 1, i] for i in range(7, n, 7))
+            kernels = [lambda l, m: general_kernel_V(l, m, pair, cfg.shift,
+                                                     cfg.delta0)]
+            if name != "nonintegrable":
+                kernels.append(lambda l, m: bracket_kernel(l, m, pair,
+                                                           cfg.delta0))
+            dets, chis = [], []
+            for rows in (n, 7):
+                self._rows(monkeypatch, rows, n, entry=64)
+                assert len(determinants.row_blocks(n, 64 * n)) == -(-n // rows)
+                dets.append([nystrom_det(k, rule) for k in kernels])
+                chis.append(solve_chi(cfg))
+            for one, cut in zip(*dets):
+                assert abs(cut.value - one.value) <= 1e-14 * abs(one.value)
+                assert abs(cut.half - one.half) <= 1e-14 * abs(one.half)
+            chi1, chi2 = chis
+            assert abs(chi2.det_tilde - chi1.det_tilde) <= 1e-14 * abs(
+                chi1.det_tilde)
+            assert _rel(chi2.FL_nodes, chi1.FL_nodes) <= 1e-14
+            assert _rel(chi2.FR_nodes, chi1.FR_nodes) <= 1e-14
+            half = rule.half().nodes
+            assert _rel(chi2.FL_at(half), chi1.FL_at(half)) <= 1e-14
+            assert _rel(chi2.FR_at(half), chi1.FR_at(half)) <= 1e-14
 
     def test_matrix_kernel(self, monkeypatch, standard_cfg, standard_chi):
         line = _line_rule(standard_cfg)
@@ -581,68 +604,6 @@ class TestStreamedAssembly:
         want = (np.eye(m * dim) + K.transpose(0, 2, 1, 3).reshape(m * dim, m * dim)
                 * np.repeat(rule.weights, dim))
         assert np.array_equal(assemble_collocation(kernel, rule, dim), want)
-
-    @pytest.mark.parametrize("name,which", [
-        ("standard", "Vtilde"), ("standard", "V"), ("general", "Vtilde"),
-        ("general", "V"), ("nonintegrable", "V"), ("standard", "M"),
-        ("standard", "N")])
-    @pytest.mark.parametrize("cut", [False, True], ids=["default", "cut"])
-    def test_filled_matrix_is_exact(self, request, monkeypatch, name, which,
-                                    cut):
-        # the matrix as each binding assembles it (V~ and V write their
-        # blocks in place and weight them after) equals the one built from
-        # the same kernel's returned blocks, bit for bit, at equal blocking
-        # (across blockings the GEMM differs in the last bits).  Cut: at
-        # least 3 blocks, one of which has an off-diagonal near pair
-        # |lam - mu| < delta0 on its first row.  At x = 800 the default
-        # budget gives V~ and V 3 blocks (n = 1059; general, 1365 nodes, 4)
-        cfg = replace(request.getfixturevalue(name + "_cfg"), x=800.0)
-        if which in ("M", "N"):
-            chi, shift, dim = solve_chi(cfg), cfg.shift, 2
-            if which == "M":
-                rule = experiments._loop_rule(cfg)
-                kernel = lambda l, m: M_kernel(l, m, chi, shift,
-                                               collocation=True)
-            else:
-                rule = _line_rule(cfg)
-                kernel = lambda l, m: N_kernel(l, m, chi, shift, cfg.delta0,
-                                               collocation=True)
-        else:
-            rule, dim = _interval_rule(cfg), None
-            kernel = interval_kernel(gsk_vector_pair(cfg), cfg.delta0,
-                                     cfg.shift if which == "V" else None)
-        m = rule.size
-        row_bytes = 2 * m * 2 * 16 if dim else m * 32
-        if cut:
-            rows = 9
-            if dim is None:
-                z = rule.nodes
-                near = near_diagonal_mask(z[:, None], z[None, :], cfg.delta0)
-                rows = next(r for r in range(50, m // 3) if any(
-                    near[i].sum() > 1 for i in range(r, m, r)))
-            monkeypatch.setattr(determinants, "_BLOCK_BYTES", rows * row_bytes)
-        assert len(determinants.row_blocks(m, row_bytes)) >= (
-            3 if cut or dim is None else 1)
-        calls = []
-
-        @functools.wraps(kernel)
-        def spied(lam, mu, **kwargs):
-            calls.append(sorted(kwargs))
-            return kernel(lam, mu, **kwargs)
-
-        got = assemble_collocation(spied, rule, dim)
-        want = assemble_collocation(lambda lam, mu: kernel(lam, mu), rule, dim)
-        assert got.dtype == want.dtype == (
-            np.complex128 if name == "nonintegrable" else np.float64)
-        assert np.array_equal(got, want)
-        # the filling kernels, on more than one block, are asked for a
-        # block of no rows (the dtype), then write every block in place;
-        # M and N, and one block, are returned
-        blocks = len(determinants.row_blocks(m, row_bytes))
-        if dim is None and blocks > 1:
-            assert calls == [[]] + [["out", "scratch"]] * blocks
-        else:
-            assert calls == [[]] * blocks
 
     @pytest.mark.parametrize("dim", [None, 2])
     @pytest.mark.parametrize("fault", ["shape", "non-finite"])
@@ -721,16 +682,34 @@ class TestStreamedMemory:
                 tracemalloc.stop()
 
     def test_real_V_peak_at_large_n(self, standard_cfg):
-        # the default block budget at n = 2038 (257 rows a block, 0.126 of
-        # the matrix): the float64 matrix (8 n^2 bytes), its values written
-        # in place, and the real kernel's three block temporaries, 1.40 x
-        # 8 n^2 measured; with the values in a fresh block of their own it
-        # was 1.64, with complex kernel values 2.28
+        # the default block budget at n = 2038 (128 rows a block, 0.063 of
+        # the matrix): the float64 matrix (8 n^2 bytes) and a block's values
+        # and the real kernel's three temporaries, 1.260 x 8 n^2 measured;
+        # with blocks of 257 rows it was 1.64 (1.40 with the values written
+        # into the matrix rows), with complex kernel values 2.28
         cfg = with_n(replace(standard_cfg, x=800.0), 2038)
         unit = 8 * cfg.resolved_n() ** 2
         assert real_on_axis(cfg, "V")
         _, peak = self._peak(lambda: _det(cfg, "V"))
-        assert peak <= 1.45 * unit
+        assert peak <= 1.30 * unit
+
+    @pytest.mark.parametrize("cut,bound", [(False, 1.261), (True, 1.082)],
+                             ids=["default", "cut"])
+    def test_complex_V_peak_at_large_n(self, monkeypatch, nonintegrable_cfg,
+                                       cut, bound):
+        # the kernel that sets the charge of 64 bytes an entry: the complex
+        # matrix (16 n^2 bytes) and a block's values, denominator and shift
+        # term.  Measured at n = 2038: 1.260 x 16 n^2 at the default budget
+        # (128 rows a block, 0.063 of the matrix), 1.068 at 1/16 of the
+        # matrix; charged 48 bytes an entry, 1.344 and 1.090; 32, 1.513 and
+        # 1.131
+        cfg = with_n(replace(nonintegrable_cfg, x=800.0), 2038)
+        n = cfg.resolved_n()
+        assert not real_on_axis(cfg, "V")
+        if cut:
+            monkeypatch.setattr(determinants, "_BLOCK_BYTES", n * n)
+        _, peak = self._peak(lambda: _det(cfg, "V"))
+        assert peak <= bound * 16 * n * n
 
     def test_chi_at_far_path_peak(self, standard_cfg):
         # the 400 line points at distance 1/2 take r = 87 proxy points: the
@@ -748,16 +727,16 @@ class TestStreamedMemory:
 
     def test_peaks(self, cfg):
         # unit: a complex n x n array; the float64 matrix is half of it, a
-        # block of float64 values (n/32 rows) 1/64 = 0.0156.  Measured at
-        # n = 1059: V 0.561 (three block temporaries; 0.586 with the values
-        # of each block in fresh arrays), the solve 0.527 (one; 0.559), W
-        # 0.466.  V and the solve are bounded less than a block above that
+        # block of float64 values (n/64 rows) 1/128 = 0.0078.  Measured at
+        # n = 1059: V 0.539 (0.561 with blocks of n/32 rows written into the
+        # matrix rows, 0.586 returned), the solve 0.527, W 0.466.  V and the
+        # solve are bounded less than two blocks above that
         n = cfg.resolved_n()
         unit = n ** 2 * 16
         _, peak_V = self._peak(lambda: _det(cfg, "V"))
         chi, peak_solve = self._peak(lambda: solve_chi(cfg))
         _, peak_W = self._peak(lambda: _det(cfg, "W", chi=chi))
-        assert peak_V <= 0.57 * unit
+        assert peak_V <= 0.55 * unit
         assert peak_solve <= 0.54 * unit
         assert peak_W < 0.5 * unit
 

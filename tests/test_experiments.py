@@ -313,10 +313,10 @@ class TestEarlyMemoryRefusal:
 
     @staticmethod
     def _refusal(cfg):
-        # the float64 interval matrix, LAPACK's copy and the kernel values:
-        # 3 n^2 entries of 8 bytes (n = 104 on standard at x = 50)
+        # the float64 interval matrix and LAPACK's copy: 2 n^2 entries of
+        # 8 bytes (n = 104 on standard at x = 50: 173056)
         n = cfg.resolved_n()
-        return rf"{n} nodes.*{3 * n * n * 8} bytes"
+        return rf"{n} nodes.*{2 * n * n * 8} bytes"
 
     def test_verify(self, monkeypatch, unreachable, standard_cfg):
         self._memory(monkeypatch, 10 ** 5)
