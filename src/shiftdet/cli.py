@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    shiftdet verify  <cfg.json> [--out DIR] [--strict-line]
+    shiftdet verify  <cfg.json> [--out DIR]
     shiftdet sweep   <cfg.json> [--out DIR] [--x 25,50,100,200,400]
     shiftdet det     <cfg.json> --which M0
     shiftdet m-vs-m0 <cfg.json> [--out DIR] [--x 50,100,200,400]
@@ -90,7 +90,7 @@ def _write_manifest(args, config_hash: str, outputs: Sequence[str],
         "version": __version__,
         "command": args.command,
         "args": {k: v for k, v in vars(args).items()
-                 if k in ("config", "out", "x", "strict_line")},
+                 if k in ("config", "out", "x")},
         "config_path": os.path.abspath(args.config),
         "config_sha256": config_hash,
         "outputs": sorted(os.path.basename(p) for p in [*outputs, path]),
@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     _make_out_dir(args.out)
     report = verify_factorization(cfg)
-    ok = report.ok(args.strict_line)
+    ok = report.ok()
     tol = cfg.tolerances
     report_path = os.path.join(args.out, "identity_report.json")
     _write_json(report_path, {
@@ -125,7 +125,6 @@ def cmd_verify(args) -> int:
         "tolerances": {"r1": tol.r1, "r2": tol.r2, "r3": tol.r3},
         "certified": report.certified,
         "passed": report.passed,
-        "strict_line": bool(args.strict_line),
         "ok": ok,
     })
     _write_manifest(args, cfg_hash, [report_path], t0)
@@ -133,8 +132,7 @@ def cmd_verify(args) -> int:
         res = getattr(report, key)
         tag = "PASS" if report.passed[key] else "FAIL"
         cert = "certified" if report.certified[key] else "uncertified"
-        role = "" if key != "r3" or args.strict_line else " (advisory)"
-        print(f"{key} = {res:.3e} [{tag}] {cert}{role}")
+        print(f"{key} = {res:.3e} [{tag}] {cert}")
     print(f"wrote {report_path}")
     return 0 if ok else 1
 
@@ -203,9 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, out],
                        help="check the determinant factorization chain")
-    p.add_argument("--strict-line", action="store_true",
-                   help="let the line-representation residual r3 gate the "
-                        "exit code (advisory by default)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common, out],

@@ -135,9 +135,9 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     w = np.repeat(rule.weights, dim or 1)          # weight of each column
     what = "scalar" if dim is None else "matrix"
     # a scalar kernel is charged 64 bytes an entry, four complex arrays of
-    # the block's size: the most the complex general_kernel_V holds at once
-    # (its values, and a shift's denominator and term while the next
-    # shift's replace them); a matrix kernel 16, its values.  The block
+    # the block's size: the complex general_kernel_V holds three at once
+    # (its values, and a shift term's plane buffer and denominator), the
+    # fourth is to spare; a matrix kernel 16, its values.  The block
     # size is fixed before the first block's dtype
     D = None
     for i0, i1 in row_blocks(m, w.size * (dim or 1) * (16 if dim else 64)):

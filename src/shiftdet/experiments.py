@@ -106,10 +106,9 @@ class IdentityReport:
     passed: Dict[str, bool]      # residual -> below its tolerance
     config_echo: dict
 
-    def ok(self, strict_line: bool) -> bool:
-        """The verify gate: r1 and r2 pass, and r3 too when ``strict_line``."""
-        p = self.passed
-        return p["r1"] and p["r2"] and (p["r3"] or not strict_line)
+    def ok(self) -> bool:
+        """The verify gate: r1, r2 and r3 all pass."""
+        return all(self.passed.values())
 
 
 def verify_factorization(cfg: ProblemConfig) -> IdentityReport:
@@ -410,6 +409,10 @@ def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:
         raise ConfigError(f"unknown determinant {which!r}; choose one of "
                           f"{', '.join(DET_KINDS)}")
     cfg.validate()
-    if which not in ("M0", "Uplus", "Uminus"):     # no interval matrix
+    if which not in ("M0", "Uplus", "Uminus"):
         _require_interval_memory(cfg)
+    elif cfg.resolved_h() >= cfg.c / 2:   # the table sets h, c the U+- poles
+        raise ConfigError(f"{which}: loop half-height h={cfg.resolved_h()} "
+                          f"violates the strip h < c/2 = {cfg.c / 2} of U+-, "
+                          f"whose poles sit at lam - mu = -+ i c")
     return _det(cfg, which)

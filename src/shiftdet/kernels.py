@@ -17,7 +17,8 @@ collocation, then return their k = 0 planes alone, (..., 1, N); this module
 alone reads that decision, and the collocation matrices follow the dtype
 and the shape of the values.  V~, M and N are one integrable form, which
 ``_kernel_planes`` evaluates; their removable diagonals take
-cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.
+cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.  The
+complex V's shift terms and U+- are its one-plane case, ``_shifted``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,9 @@ __all__ = [
 
 # fraction of (b - a) below which the divided-difference branch takes over
 DIAG_SWITCH_FRACTION = 1e-4
+
+# least |c_a|: on real points a shift term's pole stays |c_a| away
+SHIFT_FLOOR = 1e-12
 
 # components of the generalized-sine-kernel vector pair
 GSK_N = 2
@@ -299,9 +303,10 @@ class ShiftSpec:
             raise ConfigError(f"{where}: gamma, c and v must have equal "
                               f"length, got {n}, {len(self.c)} and {len(self.v)}")
         for i, c in enumerate(self.c):
-            if c == 0.0 or not np.isfinite(c):
+            if not (np.isfinite(c) and abs(c) >= SHIFT_FLOOR):
                 raise ConfigError(f"{where}.c[{i}]: every shift c_a must be "
-                                  f"finite and nonzero, got {float(c)!r}")
+                                  f"finite and nonzero (|c_a| >= "
+                                  f"{SHIFT_FLOOR:g}), got {float(c)!r}")
         for i, v in enumerate(self.v):
             if not 1 <= v <= n:
                 raise ConfigError(f"{where}.v[{i}]: shift indices must lie in "
@@ -629,8 +634,8 @@ def real_kernel(pair: VectorPairSpec,
     conj E_L,k = E_L,sk and conj E_R,k = E_R,sk, with s the swap of the
     pair's two components, so the conjugate of term a is term s(a) when
     c_s(a) = -c_a, gamma_s(a) = conj gamma_a and v_s(a) = s(v_a)
-    (``_swap_closed``).  Then the terms come in conjugate pairs and V is
-    real too.
+    (``_swap_closed``).  Then the terms come in conjugate pairs, V is real
+    too, and ``_real_V`` sums each pair in float64.
     """
     return pair.real and (shift is None or _swap_closed(shift))
 
@@ -660,32 +665,18 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     """V(lam,mu) = <E_L(lam),E_R(mu)>/(lam-mu) - sum_a gamma_a f_a(lam) e_{v_a}(mu)/(lam-mu+ic_a).
 
     Only the lam = mu singularity of the leading term is removable (via the
-    regularity condition); the shifted denominators must stay away from
-    their poles.  Where ``real_kernel(pair, shift)`` holds (a ``real`` pair
-    and a table closed under the swap of its components), real points are
-    evaluated in float64 (``_real_V``).
+    regularity condition); shift term a is the s = c_a plane of row
+    gamma_a E_L,a and column E_R,v_a (``_shifted``).  Where
+    ``real_kernel(pair, shift)`` holds, real points are evaluated in
+    float64 (``_real_V``).
     """
     if real_kernel(pair, shift) and np.isrealobj(lam) and np.isrealobj(mu):
         return _real_V(lam, mu, pair, shift, delta0)
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    # on real lam, mu every |lam - mu + ic_a| >= |c_a|: the pole guard's
-    # pass over the grid is needed only when |c_a| itself is below its bound
-    real = not (lam.imag.any() or mu.imag.any())
+    lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
     out = bracket_kernel(lam, mu, pair, delta0)
-    EL = pair.E_L(lam)
-    ER = pair.E_R(mu)
-    for a_idx in range(shift.N):
-        c_a = shift.c[a_idx]
-        den = lam - (mu - 1j * c_a)       # one pass over the broadcast grid
-        guard = 1e-12 * (abs(c_a) + 1.0)
-        if (not real or abs(c_a) < guard) and np.min(np.abs(den)) < guard:
-            raise ValueError(
-                f"general_kernel_V evaluated at the shifted pole lam - mu = "
-                f"-i c_{a_idx + 1}")
-        term = shift.gamma[a_idx] * EL[..., a_idx] * ER[..., shift.v0[a_idx]]
-        term /= den
-        out -= term
+    EL, ER = pair.E_L(lam), pair.E_R(mu)
+    for a, (g, c, v) in enumerate(zip(shift.gamma, shift.c, shift.v0)):
+        out -= _shifted(lam, mu, g * EL[..., a], ER[..., v], c)
     return out
 
 
@@ -709,13 +700,7 @@ def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float):
     num += im
     del im
     d *= d                                                 # |d + ic|^2
-    d += c * c
-    # |d + ic| >= |c| on real points: only a |c| below the complex path's
-    # pole guard can reach it
-    guard = 1e-12 * (abs(c) + 1.0)
-    if abs(c) < guard and np.min(d) < guard * guard:
-        raise ValueError("general_kernel_V evaluated at the shifted pole "
-                         "lam - mu = -i c_1")
+    d += c * c                       # >= c^2 >= SHIFT_FLOOR^2 on real points
     num /= d
     out -= num
     return out
@@ -817,7 +802,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
     returned: no ufunc loops over length-N trailing axes.  The planes are
     float64 when the points, factors and e are real and every s_kl is 0.
     Where a point is off the real axis, a vanishing denominator of an
-    s_kl != 0 plane raises ValueError (a loop outside |Im z| < min|c_l|/2).
+    s_kl != 0 plane raises ValueError: the package's one pole guard.
 
     ``near = (delta0, values)`` removes the diagonal of the s_kl = 0
     planes: their entries |lam - mu| < delta0 (``_near_entries``) are
@@ -842,8 +827,9 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
             s_den = s[k, l]
             np.subtract(lam, mu - 1j * s_den if s_den else mu, out=den)
             if s_den and off_axis and np.min(np.abs(den)) < 1e-10:
-                raise ValueError("loop kernel denominator vanished: contour "
-                                 "violates the strip |Im z| < min|c_l|/2")
+                raise ValueError(f"shifted pole lam - mu = -i s reached, "
+                                 f"s = {s_den:g}: points must stay inside "
+                                 f"the strip |Im z| < |s|/2")
             if near is not None and not s_den:
                 idx = _near_entries(lam, mu, den, near[0])
                 den[idx] = 1.0
@@ -862,6 +848,12 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
                 raise NumericError("complex near values in a real kernel")
             plane[idx] = vals
     return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
+def _shifted(lam, mu, row, col, s: float):
+    """row(lam) col(mu) / (lam - mu + i s): a K = N = 1 ``_kernel_planes``."""
+    return _kernel_planes(lam, mu, [row[..., None]], [col[..., None]],
+                          np.full((1, 1), s))[..., 0, 0]
 
 
 def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
@@ -938,15 +930,11 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,
 
 def U_plus_kernel(lam, mu, alpha, c: float):
     """U+(lam,mu) = alpha(mu - ic) / alpha(lam) / (2 i pi (lam - mu + ic))."""
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    return (alpha.alpha_at(mu - 1j * c) / alpha.alpha_at(lam)
-            / (2j * pi * (lam - mu + 1j * c)))
+    return _shifted(lam, mu, 1.0 / (2j * pi * alpha.alpha_at(lam)),
+                    alpha.alpha_at(mu - 1j * c), c)
 
 
 def U_minus_kernel(lam, mu, alpha, c: float):
     """U-(lam,mu) = alpha(lam) / alpha(mu + ic) / (2 i pi (lam - mu - ic))."""
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    return (alpha.alpha_at(lam) / alpha.alpha_at(mu + 1j * c)
-            / (2j * pi * (lam - mu - 1j * c)))
+    return _shifted(lam, mu, alpha.alpha_at(lam) / (2j * pi),
+                    1.0 / alpha.alpha_at(mu + 1j * c), -c)

@@ -73,13 +73,22 @@ class TestVerifyCommand:
         jsonschema.validate(report, load_schema("identity_report.schema.json"))
         assert report["ok"] is True
 
-    def test_strict_line_standard(self, tmp_path, config_dir):
-        rc = cli.main(["verify", cfg_path(config_dir, "standard.json"),
-                       "--out", str(tmp_path), "--strict-line"])
-        assert rc == 0
+    def test_r3_gates_the_exit_code(self, tmp_path, config_dir, capsys):
+        # r3 gates like r1 and r2: a line residual above its tolerance
+        # fails verify, and --strict-line, which made it do so, is gone
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"),
+                              **{"tolerances.r3": 1e-20})
+        assert cli.main(["verify", config, "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL]" in lines[2] and lines[2].startswith("r3 = ")
         report = read_json(tmp_path / "identity_report.json")
-        assert report["strict_line"] is True
-        assert report["residuals"]["r3"] < 1e-4
+        assert "strict_line" not in report
+        assert report["passed"] == {"r1": True, "r2": True, "r3": False}
+        assert report["ok"] is False
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", config, "--strict-line"])
+        assert exc.value.code == 2
 
     def test_manifest_contents(self, tmp_path, config_dir):
         config = cfg_path(config_dir, "trivial.json")
@@ -118,7 +127,7 @@ class TestVerifyCommand:
         assert lines[1].startswith("r2 = ")
         assert lines[1].endswith("[PASS] certified")
         assert lines[2].startswith("r3 = ")
-        assert lines[2].endswith("[PASS] uncertified (advisory)")
+        assert lines[2].endswith("[PASS] uncertified")
         report = read_json(tmp_path / "identity_report.json")
         assert report["certified"] == {"r1": True, "r2": True, "r3": False}
         assert report["ok"] is True
@@ -175,6 +184,23 @@ class TestConfigErrors:
             rc = cli.main(["verify", config, "--out", str(tmp_path)])
         assert rc != 2, capsys.readouterr().err
         assert (tmp_path / "identity_report.json").exists()
+
+    @pytest.mark.parametrize("which", ["Uplus", "Uminus", "M0"])
+    def test_U_loop_outside_their_strip_rejected(self, tmp_path, config_dir,
+                                                 capsys, which):
+        # U+- have their poles at lam - mu = -+ i c with the top-level c,
+        # but the loop's height comes from the shift table: c = 0.1 with
+        # shifts -+0.4 gives h = 0.1, a loop that crosses those poles, on
+        # which Uplus read 0.1125 and Uminus 0.2943 (not conjugates) and
+        # det exited 0
+        config = write_config(tmp_path,
+                              cfg_path(config_dir, "standard.json"),
+                              c=0.1, shifts={"gamma": [1.0, 1.0],
+                                             "c": [-0.4, 0.4], "v": [1, 2]})
+        assert cli.main(["det", config, "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strip h < c/2 = 0.05" in captured.err
 
     def test_unknown_field(self, tmp_path, config_dir):
         config = write_config(tmp_path,
@@ -272,6 +298,9 @@ class TestConfigErrors:
          "config.shifts.c[0]: every shift c_a must be finite and nonzero"),
         ({"shifts.v": [3, 1]},
          "config.shifts.v[0]: shift indices must lie in 1..2, got 3"),
+        # |c_a| below 1e-12 is refused at the config, not after the solve
+        ({"shifts.c": [-1e-13, 1e-13]},
+         "config.shifts.c[0]: every shift c_a must be finite and nonzero"),
         # the canonical table built from c must not be checked before c
         ({"shifts": DROP, "c": 0}, "need c > 0, got 0"),
     ], ids=["v-float", "v-bool", "c-bool", "c-string", "c-nested",
@@ -279,7 +308,7 @@ class TestConfigErrors:
             "coeffs-not-list", "coeffs-empty", "shifts-empty", "x-bool",
             "c-string-top", "m_loop-float", "gamma-list-pair", "pair-unknown",
             "numerics-unknown", "tolerances-unknown", "r1-zero", "c-zero",
-            "v-out-of-range", "c-top-zero"])
+            "v-out-of-range", "c-tiny", "c-top-zero"])
     def test_malformed_input_rejected(self, tmp_path, config_dir, capsys,
                                       monkeypatch, patch, path):
         def no_run(cfg):

@@ -448,6 +448,20 @@ class TestDressedKernels:
         with pytest.raises(ValueError, match="strip"):
             M_kernel(lam, mu, standard_chi, table)
 
+    @pytest.mark.parametrize("U,sign", [(U_plus_kernel, 1),
+                                        (U_minus_kernel, -1)],
+                             ids=["Uplus", "Uminus"])
+    def test_U_pole_guard(self, standard_cfg, U, sign):
+        # off the axis lam - mu = -+ i c reaches U+-'s pole, which the plane
+        # evaluator's guard refuses, as it does for M
+        alpha = make_alpha(standard_cfg)
+        c = standard_cfg.c
+        lam = np.array([0.1 - sign * 0.5j * c])
+        mu = np.array([0.1 + sign * 0.5j * c])
+        with pytest.raises(ValueError, match="shifted pole.*strip"):
+            U(lam, mu, alpha, c)
+        assert np.isfinite(U(lam, mu.real, alpha, c)).all()
+
     def test_U_trivial_amplitude_closed_form(self, trivial_cfg):
         # alpha == 1 when F == 0; probe off-axis like the loop rule does
         alpha = make_alpha(trivial_cfg)
@@ -474,19 +488,24 @@ class TestDressedKernels:
 # --------------------------------------------------------------------------
 # The oracles below evaluate both branches on every entry and select with
 # np.where; the kernels evaluate the series only on the masked entries.
-# The two must agree bit for bit, not merely to rounding.  The bracket is
-# contracted as the kernels' plane evaluator contracts it (_plane_bracket):
-# the property under test is the near-entry selection, and einsum's
-# complex contraction rounds 0.6 % of the entries of a 1019-node grid
-# differently in the last bit (at most 2.2e-15 of max|K|).
+# The two must agree bit for bit, not merely to rounding.  The bracket and
+# V's shift terms are contracted as the kernels' plane evaluator contracts
+# them (_plane_product): the property under test is the near-entry
+# selection, and einsum's complex contraction rounds 0.6 % of the entries
+# of a 1019-node grid differently in the last bit (at most 2.2e-15 of
+# max|K|), as does a broadcast product against a GEMM of inner dimension 1.
 
-def _plane_bracket(lam, mu, pair):
-    """<E_L(lam), E_R(mu)> as ``_kernel_planes`` forms a plane: one GEMM
-    for a row block, else the broadcast product summed over components."""
-    EL, ER = pair.E_L(lam), pair.E_R(mu)
+def _plane_product(EL, ER, lam, mu):
+    """sum_r EL_r ER_r as ``_kernel_planes`` forms a plane from the factors
+    at lam and at mu: one GEMM for a row block, else the broadcast product
+    summed over components."""
     if _row_block(lam, mu, np.broadcast(lam, mu).shape):
         return EL[:, 0] @ ER.reshape(mu.size, -1).T
     return np.sum(EL * ER, axis=-1)
+
+
+def _plane_bracket(lam, mu, pair):
+    return _plane_product(pair.E_L(lam), pair.E_R(mu), lam, mu)
 
 
 def _where_gsk(lam, mu, cfg):
@@ -529,9 +548,10 @@ def _where_V(lam, mu, pair, shift, delta0):
     out = _where_base(lam, mu, pair, delta0)
     EL = pair.E_L(lam)
     ER = pair.E_R(mu)
-    for a_idx in range(shift.N):
-        out = out - (shift.gamma[a_idx] * EL[..., a_idx]
-                     * ER[..., shift.v0[a_idx]] / (d + 1j * shift.c[a_idx]))
+    for a, (g, c, v) in enumerate(zip(shift.gamma, shift.c, shift.v0)):
+        term = _plane_product((g * EL[..., a])[..., None],
+                              ER[..., v][..., None], lam, mu)
+        out = out - term / (d + 1j * c)
     return out
 
 
@@ -716,12 +736,13 @@ class TestSeparableForms:
         cfg = make_cfg(c=1.0)
         pair = gsk_vector_pair(cfg)
         # complex arguments can reach lam - mu = -i c_a
-        with pytest.raises(ValueError, match="shifted pole"):
+        with pytest.raises(ValueError, match="shifted pole.*strip"):
             general_kernel_V(0.3 - 1j, 0.3, pair, gsk_shift_spec(cfg), cfg.delta0)
-        # real ones stay |c_a| away, which a shift below the guard still hits
-        tiny = ShiftSpec.make([1.0, 1.0], [-1e-13, 1e-13], [1, 2])
-        with pytest.raises(ValueError, match="shifted pole"):
-            general_kernel_V(0.3, 0.3, pair, tiny, cfg.delta0)
+        # real ones stay |c_a| away, and the table keeps |c_a| >= 1e-12
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.shifts.c[0]: every shift c_a must be finite and "
+                "nonzero (|c_a| >= 1e-12), got -1e-13")):
+            ShiftSpec.make([1.0, 1.0], [-1e-13, 1e-13], [1, 2])
 
 
 # --------------------------------------------------------------------------
