@@ -18,15 +18,17 @@ K diag(w) = X Y^T skips the n x n matrix when R < n: Sylvester's identity
 det(I_n + X Y^T) = det(I_R + Y^T X) takes the determinant on the smaller
 side.
 
-Collocation matrices are filled in row blocks that every kernel returns,
-sized so that a block's values and the kernel's temporaries stay within
-_BLOCK_BYTES however large the rule; a block is dropped once it is weighted
-into the matrix, so the only order x order arrays are the collocation
-matrix and the copy LAPACK factors.  The kernel's output decides the
-matrix's arithmetic: float64 blocks on real weights give a float64 matrix,
-factored in real arithmetic; so do the k = 0 planes alone of a 2 x 2 matrix
-kernel, whose matrix a conjugation symmetry fixes; anything else gives a
-complex one.
+Collocation matrices are filled in row blocks from the kernel's grid
+(``kernels.Grid``), whose factors are evaluated once on the whole rule;
+each block's values and the kernel's temporaries are charged at most
+_BLOCK_BYTES (1 MiB, half the L2 cache of a core of the Xeon the budget was
+chosen on), so a block is formed, checked, weighted and written into the
+matrix while it is still in cache, and dropped.  The only order x order
+arrays are the collocation matrix and the copy LAPACK factors.  The
+kernel's output decides the matrix's arithmetic: float64 blocks on real
+weights give a float64 matrix, factored in real arithmetic; so do the
+k = 0 planes alone of a 2 x 2 matrix kernel, whose matrix a conjugation
+symmetry fixes; anything else gives a complex one.
 """
 from __future__ import annotations
 
@@ -42,10 +44,19 @@ __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
            "factored_det", "assemble_collocation", "row_blocks",
            "require_memory"]
 
-# bytes charged per block of rows (see assemble_collocation).  Loop and
-# line kernels up to 400 nodes at N = 2 (10.24 MB) stay one block; smaller
-# blocks would make N_kernel re-evaluate its column-side chi once per block
-_BLOCK_BYTES = 16 << 20
+# bytes charged per row block of a collocation matrix (see
+# assemble_collocation): 15 rows of V at n = 1059, 64 of the 256-node loop,
+# 40 of a 400-node line.  Swept on verify at x = 800 and 400 (2-core Xeon,
+# 2 MiB L2 a core, OpenBLAS), fresh processes, the assemblies' total time,
+# median of 9: 0.5 MiB 96.2 ms, 1 MiB 88.8, 2 MiB 92.0, 4 MiB 95.9, 8 MiB
+# 100.2, 16 MiB 105.5.  Each matrix alone at 16, 32, 64 and 128 rows a
+# block (warm, median of 15): V at n = 1059 13.4-13.9 ms (one block 24.1),
+# V~ 7.1-7.4 (8.8), M on 256 nodes 3.5-4.0 (4.8)
+_BLOCK_BYTES = 1 << 20
+# bytes per row block of rhp's interpolants and Cauchy sums (``stream`` in
+# row_blocks): one block on every shipped rule.  Their GEMMs sum over the
+# nodes, and smaller blocks would round W's half-rule value differently
+_STREAM_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,11 @@ def require_memory(order: int, what: str, itemsize: int, values: int):
 
 
 def _det(D: np.ndarray) -> complex:
+    """det D, factored as det D^T: the transpose of a C-contiguous D is
+    Fortran-ordered, so numpy copies it to LAPACK without a strided
+    gather."""
     try:
-        det = complex(np.linalg.det(D))
+        det = complex(np.linalg.det(D.T))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"determinant factorization failed: {exc}") from exc
     if not np.isfinite([det]).all():
@@ -102,21 +116,29 @@ def _det(D: np.ndarray) -> complex:
     return det
 
 
-def row_blocks(rows: int, row_bytes: int):
+def row_blocks(rows: int, row_bytes: int, stream: bool = False):
     """(i0, i1) ranges covering ``rows`` rows of ``row_bytes`` bytes each,
-    at most _BLOCK_BYTES per range (and at least one row)."""
-    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-    return [(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
+    at most _BLOCK_BYTES (_STREAM_BYTES for a ``stream``) per range, and at
+    least one row.  The fewest ranges that fit, of sizes that differ by at
+    most one row: no lone last row beside longer ones, whose products numpy
+    would take as matrix-vector ones, rounded unlike the other rows' GEMMs.
+    """
+    budget = _STREAM_BYTES if stream else _BLOCK_BYTES
+    count = -(-rows // max(1, budget // max(row_bytes, 1)))
+    return [(rows * i // count, rows * (i + 1) // count)
+            for i in range(count)]
 
 
 def assemble_collocation(kernel: Callable, rule: QuadratureRule,
                          dim: Optional[int] = None) -> np.ndarray:
     """I + K diag(w) on the rule; dim None for a scalar kernel.
 
-    ``kernel(z[i0:i1, None], z[None, :])`` returns each row block, which is
-    written, weighted (for a matrix kernel with block (j, k) = w_k K(z_j, z_k)
-    in the row-major (node, component) layout), into one preallocated matrix
-    and then dropped.
+    ``kernel(z[:, None], z[None, :])`` returns the kernel's ``kernels.Grid``
+    on the rule, its factors evaluated once; each row block
+    ``grid.block(slice(i0, i1))`` is checked and written, weighted (for a
+    matrix kernel with block (j, k) = w_k K(z_j, z_k) in the row-major
+    (node, component) layout), into one preallocated matrix while it is
+    still in cache, and then dropped.
     The matrix takes the dtype of the first block and the weights: float64
     for float64 values on an interval rule, complex otherwise.  Into a
     float64 matrix a later complex block must have a zero imaginary part
@@ -125,7 +147,7 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     (rows, m, 1, 2), is one whose matrix A obeys conj(A) = Q A Q
     (``kernels.M_kernel``): the matrix is then a float64 one similar to A
     (``_swap_planes``).
-    A block the kernel returns is the assembler's to overwrite.
+    A block the grid forms is the assembler's to overwrite.
     The memory guard (``require_memory``) runs just before the matrix is
     allocated, charged with the matrix and LAPACK's copy at the matrix's
     entry size and the first block's bytes: no block outlives its
@@ -139,9 +161,9 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     # (its values, and a shift term's plane buffer and denominator), the
     # fourth is to spare; a matrix kernel 16, its values.  The block
     # size is fixed before the first block's dtype
-    D = None
+    grid, D = kernel(z[:, None], z[None, :]), None
     for i0, i1 in row_blocks(m, w.size * (dim or 1) * (16 if dim else 64)):
-        K = kernel(z[i0:i1, None], z[None, :])
+        K = grid.block(slice(i0, i1))
         if D is None:
             swap = dim == 2 and np.shape(K)[2:] == (1, 2)
             cell = () if dim is None else (1 if swap else dim, dim)
@@ -231,8 +253,9 @@ def nystrom_det(kernel: Callable, rule: QuadratureRule,
                 value: Optional[complex] = None) -> DetResult:
     """Fredholm determinant of a scalar kernel over a quadrature rule.
 
-    The kernel must accept broadcast complex arrays (lam, mu) and be finite
-    at every node pair (diagonal limits are the kernel's responsibility).
+    The kernel must map broadcast complex arrays (lam, mu) to a
+    ``kernels.Grid`` of its values, finite at every node pair (diagonal
+    limits are the kernel's responsibility).
     A caller that has already factored the collocation matrix of ``kernel``
     on ``rule`` passes its determinant as ``value``; only the
     half-resolution rerun is computed then.  A kernel that returns float64

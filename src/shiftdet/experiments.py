@@ -82,6 +82,17 @@ def _require_interval_memory(cfg: ProblemConfig):
     require_memory(n, f"interval rule of {n} nodes at x = {cfg.x:g}", 8, 0)
 
 
+def _require_U_strip(cfg: ProblemConfig):
+    """ConfigError unless the loop lies inside the strip |Im z| < c/2 of
+    U+-, whose poles sit at lam - mu = -+ i c with the top-level c: the
+    loop's height comes from the shift table, which may be wider."""
+    h = cfg.resolved_h()
+    if h >= cfg.c / 2:
+        raise ConfigError(f"U+-: loop half-height h={h} violates the strip "
+                          f"h < c/2 = {cfg.c / 2} of U+-, whose poles sit at "
+                          f"lam - mu = -+ i c")
+
+
 def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
 
@@ -180,7 +191,9 @@ def limit_determinants(cfg: ProblemConfig) -> Tuple[DetResult, DetResult]:
     Where F is real on the axis, alpha(conj z) = 1/conj alpha(z), so
     conj U+(z, z') = -U-(conj z, conj z'); the stadium and its half rule
     are closed under conjugation with w[sigma] = -conj(w), so there
-    det(I+U+) = conj det(I+U-), and only U- is factored.
+    det(I+U+) = conj det(I+U-), and only U- is factored.  ConfigError
+    where the loop crosses the poles of U+- (``_require_U_strip``, in the
+    binding of U+- that both go through).
     """
     alpha = make_alpha(cfg)
     um = _det(cfg, "Uminus", alpha=alpha)
@@ -397,6 +410,7 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
         # kernel is the product of its blocks' determinants on the same rule
         up, um = limit_determinants(cfg)
         return DetResult(up.value * um.value, up.half * um.half, up.rule_size)
+    _require_U_strip(cfg)
     if alpha is None:
         alpha = make_alpha(cfg)
     U = U_plus_kernel if which == "Uplus" else U_minus_kernel
@@ -411,8 +425,4 @@ def compute_determinant(cfg: ProblemConfig, which: str) -> DetResult:
     cfg.validate()
     if which not in ("M0", "Uplus", "Uminus"):
         _require_interval_memory(cfg)
-    elif cfg.resolved_h() >= cfg.c / 2:   # the table sets h, c the U+- poles
-        raise ConfigError(f"{which}: loop half-height h={cfg.resolved_h()} "
-                          f"violates the strip h < c/2 = {cfg.c / 2} of U+-, "
-                          f"whose poles sit at lam - mu = -+ i c")
     return _det(cfg, which)

@@ -6,11 +6,13 @@ low-rank factors of the one-dimensional reduction W, the loop/line matrix
 kernels M and N, and the asymptotic kernels U+/U- -- from a small registry of admissible
 amplitude/phase functions.
 
-All evaluators are vectorized: scalar kernels map broadcastable complex
-arrays (lam, mu) to a broadcast array; matrix kernels append a trailing
-(N, N) axis.  Each returns its values in an array of its own; a
-collocation matrix asks for them one row block at a time
-(``determinants.assemble_collocation``).  V~ and V map real arrays to
+All evaluators are vectorized: a kernel maps broadcastable complex arrays
+(lam, mu) to a ``Grid`` of its values on the broadcast grid, a trailing
+(N, N) axis for matrix kernels.  A grid holds the kernel's factors,
+evaluated once, and forms its values a block of rows at a time from row
+slices of them: a collocation matrix asks for one block after another
+(``determinants.assemble_collocation``), a pointwise caller for all of
+them (``Grid.values``).  V~ and V map real arrays to
 float64 where the config makes them real (``real_kernel``, from the
 symmetry of the vector pair and the shift table), and M and N, asked for a
 collocation, then return their k = 0 planes alone, (..., 1, N); this module
@@ -33,7 +35,7 @@ import numpy as np
 from .quadrature import MIN_SIZE
 
 __all__ = [
-    "ConfigError", "NumericError",
+    "ConfigError", "NumericError", "Grid",
     "FunctionSpec", "ShiftSpec", "VectorPairSpec",
     "NumericsConfig", "ToleranceConfig", "ProblemConfig",
     "problem_config_from_json",
@@ -69,18 +71,6 @@ def _sinc(w):
     return np.where(small, 1.0 - w * w / 6.0, np.sin(wd) / wd)
 
 
-def _rank2(a0, a1, b0, b1):
-    """a0 b0 + a1 b1 over the broadcast grid of the lam-side a's and the
-    mu-side b's, as one GEMM of inner dimension 2 (einsum contracts a pair
-    by matmul, on the one path there is, given so that no call searches
-    for it).  The mu side goes first: the GEMM then writes a
-    (lam rows, mu columns) grid C-contiguous, the layout of the difference
-    lam - mu it is combined with."""
-    return np.einsum("...a,...a->...", np.stack([b0, b1], axis=-1),
-                     np.stack([a0, a1], axis=-1),
-                     optimize=["einsum_path", (0, 1)])
-
-
 def _row_block(lam, mu, shape) -> bool:
     """lam a (k, 1) column against a row of n points, (n,) or (1, n): the
     (k, n) broadcast ``shape`` of a collocation or interpolant row block."""
@@ -88,29 +78,64 @@ def _row_block(lam, mu, shape) -> bool:
             and mu.size == shape[1])
 
 
-def _near_entries(lam, mu, d, delta0: float):
-    """Index of the entries |d| < delta0 of the broadcast d = lam - mu.
+class Grid:
+    """A kernel's values on the broadcast grid of its points lam and mu,
+    held as the factors they are formed from, each evaluated once.
 
-    When lam is a column and mu a row with sorted real parts (every row
-    block of a Gauss rule), each row's candidates are the bisected window
-    |Re lam - Re mu| <= 2 delta0, which holds every entry with
-    |d| < delta0, rounding included; the exact test then runs on those
-    candidates only, and (row, column) arrays in row-major order are
-    returned.  Any other shape gets the boolean mask over the full grid.
+    ``block(rows)`` forms the values of a slice of the grid's rows where
+    lam is a column against a row of points (``_row_block``: every
+    collocation and interpolant grid); any other grid is formed only
+    whole, ``block(slice(None))``.  Every block is a new array, the
+    caller's to overwrite.  ``values()`` is the whole grid; ``shape`` and
+    ``size`` are those of its values.
     """
-    if _row_block(lam, mu, d.shape):
-        row = mu.reshape(-1).real
-        if np.all(row[1:] >= row[:-1]):
-            col = lam.reshape(-1).real
-            lo = np.searchsorted(row, col - 2.0 * delta0)
-            count = np.searchsorted(row, col + 2.0 * delta0, side="right") - lo
+
+    def __init__(self, shape: tuple, block: Callable[[slice], np.ndarray]):
+        self.shape, self.block = shape, block
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    def values(self) -> np.ndarray:
+        return self.block(slice(None))
+
+
+def _product(lam, mu, a, b) -> Callable:
+    """rows -> sum_r a_r b_r on a slice of the grid's rows (written into
+    ``out`` if given), from the factors a (..., r) at lam and b at mu: one
+    GEMM of a's row slice, (k, r), and b, (r, n), for a ``_row_block``; the
+    broadcast product summed over r for any other grid."""
+    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
+        a, b = a[:, 0], b.reshape(mu.size, -1).T
+        return lambda rows, out=None: np.matmul(a[rows], b, out=out)
+    return lambda rows, out=None: np.sum(a * b, axis=-1, out=out)
+
+
+def _near_entries(lam, mu, delta0: float):
+    """Index of the entries |lam - mu| < delta0 of the broadcast grid.
+
+    When lam is a column and mu a row with sorted real parts (every Gauss
+    rule's collocation grid), each row's candidates are the bisected window
+    |Re lam - Re mu| <= 2 delta0, which holds every entry with
+    |lam - mu| < delta0, rounding included; the exact test then runs on
+    those candidates only, and (row, column) arrays in row-major order are
+    returned.  Any other grid gets the boolean mask over all of it.
+    """
+    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
+        row = mu.reshape(-1)
+        if np.all(row.real[1:] >= row.real[:-1]):
+            col = lam.reshape(-1)
+            lo = np.searchsorted(row.real, col.real - 2.0 * delta0)
+            count = np.searchsorted(row.real, col.real + 2.0 * delta0,
+                                    side="right") - lo
             i = np.repeat(np.arange(col.size), count)
             # the k-th candidate of row i is column lo[i] + k
             j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count),
                                               count)
-            keep = np.abs(d[i, j]) < delta0
+            keep = np.abs(col[i] - row[j]) < delta0
             return i[keep], j[keep]
-    return np.abs(d) < delta0
+    return np.abs(lam - mu) < delta0
 
 
 # --------------------------------------------------------------------------
@@ -640,7 +665,7 @@ def real_kernel(pair: VectorPairSpec,
     return pair.real and (shift is None or _swap_closed(shift))
 
 
-def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
+def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float) -> Grid:
     """V~(lam, mu) = <E_L(lam), E_R(mu)>/(lam - mu): ``_kernel_planes``'s
     N = 1, s = 0 case, its near-diagonal entries from ``bracket_dd``.  A
     ``real`` pair takes real points in float64: 2 Re(E_L,0(lam) E_R,0(mu))
@@ -656,12 +681,12 @@ def bracket_kernel(lam, mu, pair: VectorPairSpec, delta0: float):
     else:
         lam, mu = lam.astype(complex), mu.astype(complex)
         rows, cols, part = [pair.E_L(lam)], [pair.E_R(mu)], np.asarray
-    return _kernel_planes(lam, mu, rows, cols, np.zeros((1, 1)), near=(
-        delta0, lambda k, l, x, y: part(pair.bracket_dd(x, y))))[..., 0, 0]
+    return _plane(_kernel_planes(lam, mu, rows, cols, np.zeros((1, 1)), near=(
+        delta0, lambda k, l, x, y: part(pair.bracket_dd(x, y)))))
 
 
 def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
-                     delta0: float):
+                     delta0: float) -> Grid:
     """V(lam,mu) = <E_L(lam),E_R(mu)>/(lam-mu) - sum_a gamma_a f_a(lam) e_{v_a}(mu)/(lam-mu+ic_a).
 
     Only the lam = mu singularity of the leading term is removable (via the
@@ -673,37 +698,55 @@ def general_kernel_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     if real_kernel(pair, shift) and np.isrealobj(lam) and np.isrealobj(mu):
         return _real_V(lam, mu, pair, shift, delta0)
     lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
-    out = bracket_kernel(lam, mu, pair, delta0)
+    bracket = bracket_kernel(lam, mu, pair, delta0)
     EL, ER = pair.E_L(lam), pair.E_R(mu)
-    for a, (g, c, v) in enumerate(zip(shift.gamma, shift.c, shift.v0)):
-        out -= _shifted(lam, mu, g * EL[..., a], ER[..., v], c)
-    return out
+    terms = [_shifted(lam, mu, g * EL[..., a], ER[..., v], c)
+             for a, (g, c, v) in enumerate(zip(shift.gamma, shift.c, shift.v0))]
+
+    def block(rows):
+        out = bracket.block(rows)
+        for term in terms:
+            out -= term.block(rows)
+        return out
+    return Grid(bracket.shape, block)
 
 
-def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec, delta0: float):
+def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
+            delta0: float) -> Grid:
     """V at real points in float64, for a table closed under the swap of the
     pair's components (``real_kernel``): shift 1 is the conjugate of
     shift 0, so the two terms are 2 Re(N / (d + i c)) with d = lam - mu,
     N = gamma_0 E_L,0(lam) E_R,v_0(mu) and c = c_0, that is
-    2 (Re N d + Im N c) / (d^2 + c^2), Re N and Im N real rank-2 products.
-    At most four float64 arrays of the grid's size are alive at once.
+    2 (Re N d + Im N c) / (d^2 + c^2), Re N and Im N real rank-2 products
+    of factors stacked once.  At most four float64 arrays of a block's
+    size are alive at once.
     """
-    out = bracket_kernel(lam, mu, pair, delta0)
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    bracket = bracket_kernel(lam, mu, pair, delta0)
     f = 2.0 * shift.gamma[0] * pair.E_L(lam)[..., 0]
     g = pair.E_R(mu)[..., shift.v0[0]]
     c = shift.c[0]
-    d = np.asarray(lam - mu)
-    num = _rank2(f.real, -f.imag, g.real, g.imag)          # Re N
-    num *= d
-    im = _rank2(f.real, f.imag, g.imag, g.real)            # Im N
-    im *= c
-    num += im
-    del im
-    d *= d                                                 # |d + ic|^2
-    d += c * c                       # >= c^2 >= SHIFT_FLOOR^2 on real points
-    num /= d
-    out -= num
-    return out
+    re_N = _product(lam, mu, np.stack([f.real, -f.imag], axis=-1),
+                    np.stack([g.real, g.imag], axis=-1))
+    im_N = _product(lam, mu, np.stack([f.real, f.imag], axis=-1),
+                    np.stack([g.imag, g.real], axis=-1))
+    outer = _row_block(lam, mu, bracket.shape)
+
+    def block(rows):
+        out = bracket.block(rows)
+        d = np.asarray((lam[rows] if outer else lam) - mu)
+        num = re_N(rows)
+        num *= d
+        im = im_N(rows)
+        im *= c
+        num += im
+        del im
+        d *= d                                             # |d + ic|^2
+        d += c * c                   # >= c^2 >= SHIFT_FLOOR^2 on real points
+        num /= d
+        out -= num
+        return out
+    return Grid(bracket.shape, block)
 
 
 # --------------------------------------------------------------------------
@@ -794,66 +837,83 @@ def W_factors(rule, chi, shift: ShiftSpec):
     return X, Y
 
 
-def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None):
+def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None) -> Grid:
     """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., K, N),
     from K factors rows[k] (..., r) on lam's side and N factors cols[l] on
-    mu's; e None is 0.  Each (k, l) plane is formed contiguously (one GEMM
-    for a ``_row_block``) in a plane-major (K, N, ...) buffer whose view is
-    returned: no ufunc loops over length-N trailing axes.  The planes are
-    float64 when the points, factors and e are real and every s_kl is 0.
-    Where a point is off the real axis, a vanishing denominator of an
-    s_kl != 0 plane raises ValueError: the package's one pole guard.
+    mu's; e None is 0.  The factors are evaluated once, by the caller; a
+    block of rows is formed plane by plane from row slices of them
+    (``_product``), each plane contiguous in a plane-major (K, N, ...)
+    buffer whose view is returned: no ufunc loops over length-N trailing
+    axes.  The planes are float64 when the points, factors and e are real
+    and every s_kl is 0.  Where a point is off the real axis, a vanishing
+    denominator of an s_kl != 0 plane raises ValueError: the package's one
+    pole guard.
 
     ``near = (delta0, values)`` removes the diagonal of the s_kl = 0
     planes: their entries |lam - mu| < delta0 (``_near_entries``) are
-    divided by 1, then written with ``values(k, l, lam_near, mu_near)``
-    (1-D, those entries only), so no 0/0 is formed.  A complex value for
-    a float64 plane raises NumericError, never cut to its real part."""
+    divided by 1, then written with ``values(k, l, lam_near, mu_near)``,
+    asked once a plane for those entries of the whole grid (1-D), so no
+    0/0 is formed.  A complex value for a float64 plane raises
+    NumericError, never cut to its real part."""
     K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
     cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
     off_axis = np.any(np.imag(lam)) or np.any(np.imag(mu))
     shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
-    # den first for a matrix kernel, last for a scalar one: the other way
-    # round, peak RSS rose (2-core box, glibc, OpenBLAS) from 73.2 to 74.4 MB
-    # on shipped-suite (M, N) and from 59.2 to 61.1-61.4 MB for verify at
-    # x = 800 and 400 (V~, V)
-    den = np.empty(shape, dtype) if N > 1 else None
-    buf = np.empty((K, N) + shape, dtype)
-    den = np.empty(shape, dtype) if den is None else den
     outer = _row_block(lam, mu, shape)
-    s_den = None                  # consecutive planes of equal s share den
-    for l, k in np.ndindex(N, K):
-        if s[k, l] != s_den:
-            s_den = s[k, l]
-            np.subtract(lam, mu - 1j * s_den if s_den else mu, out=den)
-            if s_den and off_axis and np.min(np.abs(den)) < 1e-10:
-                raise ValueError(f"shifted pole lam - mu = -i s reached, "
-                                 f"s = {s_den:g}: points must stay inside "
-                                 f"the strip |Im z| < |s|/2")
-            if near is not None and not s_den:
-                idx = _near_entries(lam, mu, den, near[0])
-                den[idx] = 1.0
-                at = [np.broadcast_to(z, shape)[idx] for z in (lam, mu)]
-        plane = buf[k, l, ...]
-        if outer:
-            np.matmul(rows[k][:, 0], cols[l].reshape(mu.size, -1).T, out=plane)
-        else:
-            np.sum(rows[k] * cols[l], axis=-1, out=plane)
-        if e is not None and e[k, l]:
-            plane += e[k, l]
-        np.divide(plane, den, out=plane)
-        if near is not None and not s_den and at[0].size:
-            vals = near[1](k, l, *at)
-            if not cplx and np.iscomplexobj(vals):
-                raise NumericError("complex near values in a real kernel")
-            plane[idx] = vals
-    return np.moveaxis(buf, (0, 1), (-2, -1))
+    product = [[_product(lam, mu, a, b) for b in cols] for a in rows]
+    vals = {}                     # (k, l) -> the near values of plane k, l
+    if near is not None:
+        idx = _near_entries(lam, mu, near[0])
+        if outer and not isinstance(idx, tuple):    # an unsorted row's mask
+            idx = np.nonzero(idx)
+        at = [np.broadcast_to(z, shape)[idx] for z in (lam, mu)]
+        if at[0].size:
+            vals = {(k, l): near[1](k, l, *at) for l, k in np.ndindex(N, K)
+                    if not s[k, l]}
+        if not cplx and any(map(np.iscomplexobj, vals.values())):
+            raise NumericError("complex near values in a real kernel")
+
+    def block(sl):
+        lam_b = lam[sl] if outer else lam
+        shape_b = np.broadcast(lam_b, mu).shape
+        if vals and outer:                  # the block's rows of idx, vals
+            i0, i1, _ = sl.indices(shape[0])
+            part = slice(*np.searchsorted(idx[0], (i0, i1)))
+            idx_b = (idx[0][part] - i0, idx[1][part])
+        elif vals:
+            part, idx_b = slice(None), idx
+        den, buf = np.empty(shape_b, dtype), np.empty((K, N) + shape_b, dtype)
+        s_den = None              # consecutive planes of equal s share den
+        for l, k in np.ndindex(N, K):
+            if s[k, l] != s_den:
+                s_den = s[k, l]
+                np.subtract(lam_b, mu - 1j * s_den if s_den else mu, out=den)
+                if s_den and off_axis and np.min(np.abs(den)) < 1e-10:
+                    raise ValueError(f"shifted pole lam - mu = -i s reached, "
+                                     f"s = {s_den:g}: points must stay "
+                                     f"inside the strip |Im z| < |s|/2")
+                if vals and not s_den:
+                    den[idx_b] = 1.0
+            plane = buf[k, l, ...]
+            product[k][l](sl, out=plane)
+            if e is not None and e[k, l]:
+                plane += e[k, l]
+            np.divide(plane, den, out=plane)
+            if (k, l) in vals:
+                plane[idx_b] = vals[k, l][part]
+        return np.moveaxis(buf, (0, 1), (-2, -1))
+    return Grid(shape + (K, N), block)
 
 
-def _shifted(lam, mu, row, col, s: float):
+def _plane(planes: Grid) -> Grid:
+    """The scalar kernel of a K = N = 1 ``_kernel_planes`` grid."""
+    return Grid(planes.shape[:-2], lambda rows: planes.block(rows)[..., 0, 0])
+
+
+def _shifted(lam, mu, row, col, s: float) -> Grid:
     """row(lam) col(mu) / (lam - mu + i s): a K = N = 1 ``_kernel_planes``."""
-    return _kernel_planes(lam, mu, [row[..., None]], [col[..., None]],
-                          np.full((1, 1), s))[..., 0, 0]
+    return _plane(_kernel_planes(lam, mu, [row[..., None]], [col[..., None]],
+                                 np.full((1, 1), s)))
 
 
 def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
@@ -874,7 +934,8 @@ def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
     return 1 if collocation and real_kernel(chi.pair, shift) else shift.N
 
 
-def M_kernel(lam, mu, chi, shift: ShiftSpec, collocation: bool = False):
+def M_kernel(lam, mu, chi, shift: ShiftSpec,
+             collocation: bool = False) -> Grid:
     """Loop-representation matrix kernel.
 
     M_{k,l}(lam,mu) = gamma_k [chi^{-1}(lam) chi(mu - i c_l)]_{v_k, l}
@@ -893,7 +954,7 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec, collocation: bool = False):
 
 
 def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,
-             collocation: bool = False):
+             collocation: bool = False) -> Grid:
     """Line-representation matrix kernel on the real axis.
 
     N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}
@@ -928,13 +989,13 @@ def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,
 # asymptotic comparison kernels
 # --------------------------------------------------------------------------
 
-def U_plus_kernel(lam, mu, alpha, c: float):
+def U_plus_kernel(lam, mu, alpha, c: float) -> Grid:
     """U+(lam,mu) = alpha(mu - ic) / alpha(lam) / (2 i pi (lam - mu + ic))."""
     return _shifted(lam, mu, 1.0 / (2j * pi * alpha.alpha_at(lam)),
                     alpha.alpha_at(mu - 1j * c), c)
 
 
-def U_minus_kernel(lam, mu, alpha, c: float):
+def U_minus_kernel(lam, mu, alpha, c: float) -> Grid:
     """U-(lam,mu) = alpha(lam) / alpha(mu + ic) / (2 i pi (lam - mu - ic))."""
     return _shifted(lam, mu, alpha.alpha_at(lam) / (2j * pi),
                     1.0 / alpha.alpha_at(mu + 1j * c), -c)

@@ -207,7 +207,8 @@ class _CauchySum(_OnCut):
         else:
             nodes, w, dens = rule.nodes, rule.weights, self.densities
         out = np.empty((points[0].size, dens.shape[1]), dtype=complex)
-        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size):
+        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size,
+                                  stream=True):
             den = nodes[None, :] - points[0][i0:i1, None]
             for p in points[1:]:
                 den *= nodes[None, :] - p[i0:i1, None]
@@ -251,7 +252,7 @@ class ChiSolution(_OnCut):
     FL_nodes: np.ndarray          # (n, N)
     FR_nodes: np.ndarray          # (n, N)
     det_tilde: complex
-    kernel: Callable              # base kernel V~(lam, mu), vectorized
+    kernel: Callable              # base kernel V~(lam, mu) -> kernels.Grid
     bandwidth_hint: int = 0       # Legendre modes needed by the densities
 
     @property
@@ -313,10 +314,10 @@ class ChiSolution(_OnCut):
         flat, nodes = z.reshape(-1), self.rule.nodes
         wF = self.rule.weights[:, None] * F_nodes
         acc = np.empty((flat.size, wF.shape[1]), dtype=complex)
-        for i0, i1 in row_blocks(flat.size, 16 * nodes.size):
+        for i0, i1 in row_blocks(flat.size, 16 * nodes.size, stream=True):
             pts = flat[i0:i1, None]
             K = self.kernel(pts, nodes) if left else self.kernel(nodes, pts)
-            acc[i0:i1] = _columns(np.matmul, K, wF)
+            acc[i0:i1] = _columns(np.matmul, K.values(), wF)
         return (E(flat) - acc).reshape(z.shape + (-1,))
 
     def FL_at(self, lam) -> np.ndarray:
@@ -338,7 +339,8 @@ class ChiSolution(_OnCut):
 
 
 def _base_kernel(pair: VectorPairSpec, delta0: float) -> Callable:
-    """The kernel V~ of ``pair`` (see ``bracket_kernel``) as a callable."""
+    """The kernel V~ of ``pair`` (see ``bracket_kernel``) as a callable
+    that returns its ``Grid``."""
     def kernel(lam, mu):
         return bracket_kernel(lam, mu, pair, delta0)
     return kernel
@@ -379,7 +381,7 @@ def solve_chi(cfg: ProblemConfig) -> ChiSolution:
         FL = _columns(np.linalg.solve, D, EL)
         FR = _columns(np.linalg.solve, D.T, w * ER) / w
         with np.errstate(over="ignore"):      # reported below, by name
-            det_tilde = complex(np.linalg.det(D))
+            det_tilde = complex(np.linalg.det(D.T))     # see determinants._det
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent system is singular at n={n}: {exc}") from exc
     if not (np.isfinite(FL).all() and np.isfinite(FR).all()):

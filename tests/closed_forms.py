@@ -116,8 +116,8 @@ def M0_kernel(lam, mu, alpha, c):
     mu = np.asarray(mu, dtype=complex)
     shape = np.broadcast(lam, mu).shape
     out = np.zeros(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c)
-    out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c)
+    out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c).values()
+    out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c).values()
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from shiftdet.cli import _build_parser, _parse_xs
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
-from shiftdet.kernels import (ConfigError, FunctionSpec, _kernel_planes,
+from shiftdet.kernels import (ConfigError, FunctionSpec, Grid, _kernel_planes,
                               gsk_vector_pair, real_kernel)
 from shiftdet.rhp import NearIntervalWarning
 
@@ -42,6 +42,21 @@ def identity():
 def cli_ladder(command: str) -> list:
     """The x grid the CLI's ``command`` runs when ``--x`` is not given."""
     return _parse_xs(_build_parser().parse_args([command, "cfg.json"]).x)
+
+
+def gridded(kernel, once: bool = False):
+    """A kernel that returns its values, as one that returns a ``Grid``
+    (the protocol of ``nystrom_det*``): each block of rows is ``kernel``
+    evaluated on those rows, or, ``once``, a copy of those rows of its
+    values on the whole grid."""
+    def grid(lam, mu):
+        lam, mu = np.asarray(lam), np.asarray(mu)
+        if once:
+            values = kernel(lam, mu)
+            return Grid(values.shape, lambda rows: values[rows].copy())
+        return Grid(np.broadcast(lam, mu).shape,
+                    lambda rows: kernel(lam[rows], mu))
+    return grid
 
 
 def with_n(cfg, n: int):
@@ -116,8 +131,8 @@ def equation_residuals(chi, refine: int = 2):
     probes = 0.5 * (chi.rule.nodes[:-1] + chi.rule.nodes[1:])
     EL_p = chi.pair.E_L(probes)
     ER_p = chi.pair.E_R(probes)
-    KL = chi.kernel(probes[:, None], lam_f[None, :]) * fine.weights
-    KR = chi.kernel(lam_f[None, :], probes[:, None]) * fine.weights
+    KL = chi.kernel(probes[:, None], lam_f[None, :]).values() * fine.weights
+    KR = chi.kernel(lam_f[None, :], probes[:, None]).values() * fine.weights
     res_L = chi.FL_at(probes) + np.einsum("pk,ka->pa", KL, FL_f) - EL_p
     res_R = chi.FR_at(probes) + np.einsum("pk,ka->pa", KR, FR_f) - ER_p
     scale_L = max(float(np.max(np.abs(EL_p))), 1e-300)
@@ -131,7 +146,7 @@ def complex_collocation(kernel, rule, dim=None) -> np.ndarray:
     arithmetic; a matrix kernel (dim not None) in the (node, component)
     layout."""
     lam, w = rule.nodes, rule.weights
-    K = kernel(lam[:, None], lam[None, :])
+    K = kernel(lam[:, None], lam[None, :]).values()
     if dim is None:
         return np.eye(rule.size) + K * w
     K = (K * w[:, None, None]).transpose(0, 2, 1, 3)
@@ -240,7 +255,8 @@ def mask_patched_N(lam, mu, chi, shift, delta0: float):
     eye_kl = shift.v0[:, None] == np.arange(shift.N)[None, :]
     csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _kernel_planes(lam, mu, rows, cols, csum, pref[:, None] * eye_kl)
+        out = _kernel_planes(lam, mu, rows, cols, csum,
+                             pref[:, None] * eye_kl).values()
     shape = out.shape[:-2]
     idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
     if not idx.any():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftdet import determinants, experiments
+from shiftdet import cli, determinants, experiments
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
 from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   _loop_rule, _sweep_row, _worker_count,
@@ -18,7 +18,7 @@ from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
 from closed_forms import M0_kernel, gsk_kernel, shift_kernel
-from helpers import cli_ladder, constant, identity, real_on_axis
+from helpers import cli_ladder, constant, gridded, identity, real_on_axis
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,23 @@ class TestAsymptoticSweep:
         assert got == (compute_determinant(cfg, "Uplus"),
                        compute_determinant(cfg, "Uminus"))
 
+    def test_loop_across_the_U_poles_refused(self, tmp_path, capsys,
+                                             standard_cfg):
+        # c = 0.1 with shifts -+0.4: the table's loop height h = 0.1 crosses
+        # the U+- poles at lam - mu = -+ 0.1 i; called directly,
+        # limit_determinants returned 0.2943 - 1.1e-12i with only
+        # NearIntervalWarnings.  It refuses with the message det prints
+        cfg = replace(standard_cfg, c=0.1, shift=ShiftSpec.make(
+            [1.0, 1.0], [-0.4, 0.4], [1, 2]))
+        cfg.validate()
+        with pytest.raises(ConfigError) as refused:
+            limit_determinants(cfg)
+        config = tmp_path / "narrow.json"
+        config.write_text(json.dumps(cfg.to_json()))
+        assert cli.main(["det", str(config), "--which", "Uplus"]) == 2
+        assert capsys.readouterr().err == f"config error: {refused.value}\n"
+        assert "strip h < c/2 = 0.05" in str(refused.value)
+
     def test_limit_factorizes(self, standard_cfg):
         d_up, d_um = limit_determinants(standard_cfg)
         d_m0 = compute_determinant(standard_cfg, "M0")
@@ -175,8 +192,8 @@ class TestAsymptoticSweep:
         # against a limit of exactly 1 with zero convergence delta
         row = _sweep_row(cfg, DetResult(1.0 + 0j, 1.0 + 0j, 1))
         rule = _interval_rule(cfg)
-        det_S = nystrom_det(lambda l, m: shift_kernel(l, m, cfg), rule)
-        det_St = nystrom_det(lambda l, m: gsk_kernel(l, m, cfg), rule)
+        det_S = nystrom_det(gridded(lambda l, m: shift_kernel(l, m, cfg)), rule)
+        det_St = nystrom_det(gridded(lambda l, m: gsk_kernel(l, m, cfg)), rule)
         ratio = det_S.value / det_St.value
         assert abs(row.ratio - ratio) <= 1e-12 * abs(ratio)
         assert abs(row.err - abs(ratio - 1.0)) <= 1e-12 * abs(ratio)
@@ -276,7 +293,8 @@ class TestComputeDeterminant:
         cfg = request.getfixturevalue(name + "_cfg")
         alpha = make_alpha(cfg)
         dense = nystrom_det_matrix(
-            lambda l, m: M0_kernel(l, m, alpha, cfg.c), _loop_rule(cfg), 2)
+            gridded(lambda l, m: M0_kernel(l, m, alpha, cfg.c)),
+            _loop_rule(cfg), 2)
         res = compute_determinant(cfg, "M0")
         assert res.rule_size == dense.rule_size == cfg.numerics.m_loop
         assert abs(res.value - dense.value) <= 1e-13 * abs(dense.value)

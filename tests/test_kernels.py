@@ -22,7 +22,8 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
-from helpers import (bracket, constant, identity, mask_near_diagonal_eval,
+from helpers import (bracket, constant, gridded, identity,
+                     mask_near_diagonal_eval,
                      mask_patched_N, near_diagonal_mask, polynomial,
                      scaled_gaussian, validate_regularity)
 
@@ -291,7 +292,7 @@ class TestPlaneWaveAndSine:
         d0 = make_cfg().delta0
         for mu, near in [(d0 / 10, True), (10 * d0, False)]:
             lam, mu = np.zeros((1, 1)), np.array([mu])
-            i, _ = _near_entries(lam, mu, lam - mu, d0)
+            i, _ = _near_entries(lam, mu, d0)
             assert i.size == near
 
 
@@ -323,7 +324,8 @@ class TestShiftKernel:
         lam = rng.uniform(-1, 1, 100)
         mu = rng.uniform(-1, 1, 100)
         lhs = shift_kernel(lam, mu, cfg)
-        rhs = general_kernel_V(lam, mu, pair, table, delta0=cfg.delta0)
+        rhs = general_kernel_V(lam, mu, pair, table,
+                               delta0=cfg.delta0).values()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     @settings(max_examples=60, deadline=None)
@@ -333,7 +335,8 @@ class TestShiftKernel:
         cfg = make_cfg(x=x, c=c)
         lhs = shift_kernel(lam, mu, cfg)
         rhs = general_kernel_V(lam, mu, gsk_vector_pair(cfg),
-                               gsk_shift_spec(cfg), delta0=cfg.delta0)
+                               gsk_shift_spec(cfg),
+                               delta0=cfg.delta0).values()
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
@@ -374,7 +377,8 @@ class TestGeneralV:
         lam = np.linspace(-0.9, 0.9, 7)
         mu = lam[::-1].copy()
         np.testing.assert_allclose(
-            general_kernel_V(lam, mu, pair, table, delta0=cfg.delta0),
+            general_kernel_V(lam, mu, pair, table,
+                             delta0=cfg.delta0).values(),
             gsk_kernel(lam, mu, cfg), rtol=1e-13)
 
     def test_zero_left_vectors_give_zero(self):
@@ -386,7 +390,8 @@ class TestGeneralV:
                        bracket_dd=lambda lam, mu: np.zeros(
                            np.broadcast(lam, mu).shape, complex))
         table = gsk_shift_spec(cfg)
-        out = general_kernel_V(0.3, -0.1, zero, table, delta0=cfg.delta0)
+        out = general_kernel_V(0.3, -0.1, zero, table,
+                               delta0=cfg.delta0).values()
         assert abs(out) < 1e-14
 
 
@@ -425,7 +430,8 @@ class TestDressedKernels:
     def test_M_trivial_amplitude_closed_form(self, trivial_cfg, trivial_chi):
         table = gsk_shift_spec(trivial_cfg)
         lam, mu = 0.3 - 0.25j, -0.4 - 0.25j
-        got = M_kernel(np.array([lam]), np.array([mu]), trivial_chi, table)[0]
+        got = M_kernel(np.array([lam]), np.array([mu]), trivial_chi,
+                       table).values()[0]
         want = np.zeros((2, 2), dtype=complex)
         for k in range(2):
             for l in range(2):
@@ -437,7 +443,7 @@ class TestDressedKernels:
     def test_N_trivial_amplitude_vanishes(self, trivial_cfg, trivial_chi):
         table = gsk_shift_spec(trivial_cfg)
         got = N_kernel(np.array([0.4]), np.array([-0.1]), trivial_chi, table,
-                       trivial_cfg.delta0)
+                       trivial_cfg.delta0).values()
         np.testing.assert_allclose(got, 0.0, atol=1e-13)
 
     def test_M_strip_violation_rejected(self, standard_cfg, standard_chi):
@@ -446,7 +452,7 @@ class TestDressedKernels:
         lam = np.array([0.0 + 0.5j])
         mu = np.array([0.0 - 0.5j])
         with pytest.raises(ValueError, match="strip"):
-            M_kernel(lam, mu, standard_chi, table)
+            M_kernel(lam, mu, standard_chi, table).values()
 
     @pytest.mark.parametrize("U,sign", [(U_plus_kernel, 1),
                                         (U_minus_kernel, -1)],
@@ -459,16 +465,16 @@ class TestDressedKernels:
         lam = np.array([0.1 - sign * 0.5j * c])
         mu = np.array([0.1 + sign * 0.5j * c])
         with pytest.raises(ValueError, match="shifted pole.*strip"):
-            U(lam, mu, alpha, c)
-        assert np.isfinite(U(lam, mu.real, alpha, c)).all()
+            U(lam, mu, alpha, c).values()
+        assert np.isfinite(U(lam, mu.real, alpha, c).values()).all()
 
     def test_U_trivial_amplitude_closed_form(self, trivial_cfg):
         # alpha == 1 when F == 0; probe off-axis like the loop rule does
         alpha = make_alpha(trivial_cfg)
         c = trivial_cfg.c
         lam, mu = 0.3 - 0.25j, -0.2 - 0.25j
-        up = U_plus_kernel(lam, mu, alpha, c)
-        um = U_minus_kernel(lam, mu, alpha, c)
+        up = U_plus_kernel(lam, mu, alpha, c).values()
+        um = U_minus_kernel(lam, mu, alpha, c).values()
         assert abs(up - 1 / (2j * np.pi * (lam - mu + 1j * c))) < 1e-14
         assert abs(um - 1 / (2j * np.pi * (lam - mu - 1j * c))) < 1e-14
 
@@ -479,8 +485,10 @@ class TestDressedKernels:
         blk = M0_kernel(lam, mu, alpha, c)[0]
         assert blk.shape == (2, 2)
         assert blk[0, 1] == 0.0 and blk[1, 0] == 0.0
-        assert abs(blk[0, 0] - U_minus_kernel(lam, mu, alpha, c)[0]) < 1e-15
-        assert abs(blk[1, 1] - U_plus_kernel(lam, mu, alpha, c)[0]) < 1e-15
+        assert abs(blk[0, 0]
+                   - U_minus_kernel(lam, mu, alpha, c).values()[0]) < 1e-15
+        assert abs(blk[1, 1]
+                   - U_plus_kernel(lam, mu, alpha, c).values()[0]) < 1e-15
 
 
 # --------------------------------------------------------------------------
@@ -591,9 +599,9 @@ class TestMaskedAssembly:
         for got, want in [
             (gsk_kernel(lam, mu, cfg), _where_gsk(lam, mu, cfg)),
             (shift_kernel(lam, mu, cfg), _where_shift(lam, mu, cfg)),
-            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0),
+            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0).values(),
              _where_V(lam, mu, pair, cfg.shift, cfg.delta0)),
-            (base(lam, mu), _where_base(lam, mu, pair, cfg.delta0)),
+            (base(lam, mu).values(), _where_base(lam, mu, pair, cfg.delta0)),
         ]:
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
@@ -604,7 +612,8 @@ class TestMaskedAssembly:
         N = len(s)
         rows = [np.ones(lam.shape + (1,))] * N if rows is None else rows
         return _kernel_planes(lam, mu, rows, [np.ones(mu.shape + (1,))] * N,
-                              np.asarray(s, dtype=float), near=(1e-4, near))
+                              np.asarray(s, dtype=float),
+                              near=(1e-4, near)).values()
 
     def test_series_only_on_masked_entries(self):
         # the near values are asked once per s = 0 plane, of exactly the
@@ -669,7 +678,7 @@ class TestBandedNearEntries:
         got = _kernel_planes(lam, mu, [np.sin(lam)[..., None]],
                              [np.ones(mu.shape + (1,))], np.zeros((1, 1)),
                              near=(2e-4, lambda k, l, x, y: near(x, y)))
-        got = got[..., 0, 0]
+        got = got.values()[..., 0, 0]
         want = mask_near_diagonal_eval(lam, mu, 2e-4,
                                        lambda l, m, d: np.sin(l) / d,
                                        self._near(want_seen))
@@ -684,8 +693,7 @@ class TestBandedNearEntries:
         near = 0
         for i0 in range(0, n, 256):
             lam = nodes[i0:i0 + 256, None]
-            assert isinstance(_near_entries(lam, nodes[None, :],
-                                            lam - nodes[None, :], 2e-4), tuple)
+            assert isinstance(_near_entries(lam, nodes[None, :], 2e-4), tuple)
             near += self._check(lam, nodes[None, :])
             self._check(lam, nodes)                  # FL_at's 1-D row
         # the diagonal, plus the endpoint clusters from n = 1019 on
@@ -702,7 +710,7 @@ class TestBandedNearEntries:
         nodes = gauss_legendre_rule(2038, -1.0, 1.0).nodes
         row = np.random.default_rng(3).permutation(nodes)[None, :]
         lam = nodes[:, None]
-        assert _near_entries(lam, row, lam - row, 2e-4).dtype == bool
+        assert _near_entries(lam, row, 2e-4).dtype == bool
         assert self._check(lam, row) > 2038
 
 
@@ -726,9 +734,10 @@ class TestSeparableForms:
         # x = 50 and 3.3e-13 to 6.4e-13 at x = 400 (n = 1019, 1325)
         cfg, pair, lam, mu = grid
         for got, want in [
-            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0),
+            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0).values(),
              shift_kernel(lam, mu, cfg)),
-            (bracket_kernel(lam, mu, pair, cfg.delta0), gsk_kernel(lam, mu, cfg)),
+            (bracket_kernel(lam, mu, pair, cfg.delta0).values(),
+             gsk_kernel(lam, mu, cfg)),
         ]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -737,7 +746,8 @@ class TestSeparableForms:
         pair = gsk_vector_pair(cfg)
         # complex arguments can reach lam - mu = -i c_a
         with pytest.raises(ValueError, match="shifted pole.*strip"):
-            general_kernel_V(0.3 - 1j, 0.3, pair, gsk_shift_spec(cfg), cfg.delta0)
+            general_kernel_V(0.3 - 1j, 0.3, pair, gsk_shift_spec(cfg),
+                             cfg.delta0).values()
         # real ones stay |c_a| away, and the table keeps |c_a| >= 1e-12
         with pytest.raises(ConfigError, match=re.escape(
                 "config.shifts.c[0]: every shift c_a must be finite and "
@@ -821,7 +831,7 @@ class TestBlasContractions:
 
     @staticmethod
     def _check_M(chi, lam, mu, shift):
-        got = M_kernel(lam, mu, chi, shift)
+        got = M_kernel(lam, mu, chi, shift).values()
         want = _c_einsum_M(lam, mu, chi, shift)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -832,7 +842,7 @@ class TestBlasContractions:
         # diagonal) relative to their largest; every other entry relative
         # to its terms' size, as a row block far out on the line holds
         # only small values, some of them cancelled
-        got = N_kernel(lam, mu, chi, shift, delta0)
+        got = N_kernel(lam, mu, chi, shift, delta0).values()
         want, scale, near = _c_einsum_N(lam, mu, chi, shift, delta0)
         assert got.shape == want.shape
         comp = np.abs(shift.c[:, None] + shift.c[None, :]) < 1e-14
@@ -866,7 +876,7 @@ class TestBlasContractions:
         # the bound is relative to the terms' own size
         cfg, chi, _, line = solved
         lam, mu = line[:, None], line[None, :]
-        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0)
+        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0).values()
         want, scale, near = _c_einsum_N(lam, mu, chi, cfg.shift, cfg.delta0)
         far = np.isfinite(scale) & ~near[..., None, None]
         assert np.all(np.abs(got - want)[far] <= 1e-14 * scale[far])
@@ -903,9 +913,13 @@ class TestRemovableDiagonal:
                                 rows * rule.size * N * N * 16)
         blocks = determinants.row_blocks(rule.size, 16 * rule.size * N * N)
         assert len(blocks) == (1 if rows is None else -(-rule.size // rows))
-        got, want = (determinants.assemble_collocation(
-            lambda l, m: kernel(l, m, chi, cfg.shift, cfg.delta0), rule, N)
-            for kernel in (N_kernel, mask_patched_N))
+        # the oracle's values of the whole grid, handed out a block at a
+        # time: its chi factors evaluated once, as N_kernel's are
+        got = determinants.assemble_collocation(
+            lambda l, m: N_kernel(l, m, chi, cfg.shift, cfg.delta0), rule, N)
+        want = determinants.assemble_collocation(gridded(
+            lambda l, m: mask_patched_N(l, m, chi, cfg.shift, cfg.delta0),
+            once=True), rule, N)
         assert np.isfinite(got).all() and np.array_equal(got, want)
 
     def test_pointwise_near_pairs(self, solved):
@@ -917,6 +931,6 @@ class TestRemovableDiagonal:
         mu = lam + step * (-1.0) ** np.arange(lam.size)
         near = near_diagonal_mask(lam, mu, cfg.delta0)
         assert 0 < near.sum() < lam.size and not (lam == mu).any()
-        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0)
+        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0).values()
         want = mask_patched_N(lam, mu, chi, cfg.shift, cfg.delta0)
         assert np.isfinite(got).all() and np.array_equal(got, want)

@@ -13,7 +13,8 @@ from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
 from helpers import (constant, direct_alpha, direct_chi, direct_delta_chi,
-                     equation_residuals, transposed_jump_residual, with_n)
+                     equation_residuals, gridded, transposed_jump_residual,
+                     with_n)
 
 
 class TestResolventSolve:
@@ -68,7 +69,7 @@ class TestOneMatrixSolve:
         # the right equation solved directly on I + B, B = V~^T diag(w)
         rule = chi_1019.rule
         lam = rule.nodes
-        K = chi_1019.kernel(lam[:, None], lam[None, :])
+        K = chi_1019.kernel(lam[:, None], lam[None, :]).values()
         B = K.T * rule.weights[None, :]
         FR = np.linalg.solve(np.eye(rule.size) + B, chi_1019.pair.E_R(lam))
         err = np.max(np.abs(chi_1019.FR_nodes - FR)) / np.max(np.abs(FR))
@@ -81,12 +82,13 @@ class TestOneMatrixSolve:
         rule = chi_1019.rule
         lam = rule.nodes
         D = assemble_collocation(chi_1019.kernel, rule)
-        K = chi_1019.kernel(lam[:, None], lam[None, :])
+        K = chi_1019.kernel(lam[:, None], lam[None, :]).values()
         assert D.dtype == np.float64
         assert np.max(np.abs(D - np.eye(rule.size) - K.real * rule.weights)) < 1e-15
         FL = np.linalg.solve(D, chi_1019.pair.E_L(lam).view(float))
         assert np.array_equal(chi_1019.FL_nodes, FL.view(complex))
-        assert chi_1019.det_tilde == complex(np.linalg.det(D))
+        # det D factored as det D^T, Fortran-ordered
+        assert chi_1019.det_tilde == complex(np.linalg.det(D.T))
 
     def test_FL_at_the_nodes_is_FL_nodes(self, chi_1019):
         nodes = chi_1019.rule.nodes
@@ -109,7 +111,7 @@ class TestOneMatrixSolve:
             flat = lam.reshape(-1)
             # V~ is real on both configs: K is float64 at real points, and
             # w F goes through it as real and imaginary columns
-            K = chi_1019.kernel(flat[:, None], rule.nodes)
+            K = chi_1019.kernel(flat[:, None], rule.nodes).values()
             assert K.dtype == np.float64
             want = chi_1019.pair.E_L(flat) - (K @ wF.view(float)).view(complex)
             assert np.array_equal(chi_1019.FL_at(lam),
@@ -121,7 +123,7 @@ class TestOneMatrixSolve:
         rule = gauss_legendre_rule(64, standard_cfg.a, standard_cfg.b)
 
         def singular(pair, delta0):
-            return lambda lam, mu: -np.diag(1.0 / rule.weights)
+            return gridded(lambda lam, mu: -np.diag(1.0 / rule.weights))
         monkeypatch.setattr(rhp, "_base_kernel", singular)
         with pytest.raises(NumericError, match="singular"):
             solve_chi(with_n(standard_cfg, 64))
