@@ -14,9 +14,9 @@ downstream identity residuals certify that they measure mathematics rather
 than quadrature error.
 
 An operator given as factors X, Y (n x R) of its collocation product
-K diag(w) = X Y^T skips the n x n matrix when R < n: Sylvester's identity
-det(I_n + X Y^T) = det(I_R + Y^T X) takes the determinant on the smaller
-side.
+K diag(w) = X Y^T (``kernels.LowRank``) skips the n x n matrix when R < n:
+Sylvester's identity det(I_n + X Y^T) = det(I_R + Y^T X) takes the
+determinant on the smaller side.
 
 Collocation matrices are filled in row blocks from the kernel's grid
 (``kernels.Grid``), whose factors are evaluated once on the whole rule;
@@ -33,11 +33,11 @@ symmetry fixes; anything else gives a complex one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import ConfigError, NumericError
+from .kernels import ConfigError, LowRank, NumericError
 from .quadrature import QuadratureRule
 
 __all__ = ["DetResult", "nystrom_det", "nystrom_det_matrix",
@@ -219,15 +219,22 @@ def _swap_planes(K: np.ndarray, rule: QuadratureRule, D: np.ndarray,
     contiguous.  The planes are weighted in K's own memory, and Y is read
     through sigma as a view.  The identity is added after.
     """
-    m, X, Y = rule.size, K[..., 0, 0], K[..., 0, 1]
+    X, Y = K[..., 0, 0], K[..., 0, 1]
     X *= rule.weights
     Y *= rule.weights
-    Y = Y[:, rule.conjugation]
-    B = D.reshape(2, m, 2, m)
-    np.add(X.real, Y.imag, out=B[0, i0:i1, 0])
-    np.add(Y.real, X.imag, out=B[0, i0:i1, 1])
-    np.subtract(Y.real, X.imag, out=B[1, i0:i1, 0])
-    np.subtract(X.real, Y.imag, out=B[1, i0:i1, 1])
+    _real_similar(X, Y[:, rule.conjugation], D, slice(i0, i1))
+
+
+def _real_similar(X: np.ndarray, Y: np.ndarray, D: np.ndarray, rows: slice):
+    """Rows ``rows`` of each half of [[Re X + Im Y, Re Y + Im X],
+    [Re Y - Im X, Re X - Im Y]], written into D (2h x 2h): the real
+    B = Re S - Im(QS) of an S whose first h rows are [X, Y] and which obeys
+    conj(S) = Q S Q, Q the swap of the two halves."""
+    B = D.reshape(2, -1, 2, D.shape[1] // 2)
+    np.add(X.real, Y.imag, out=B[0, rows, 0])
+    np.add(Y.real, X.imag, out=B[0, rows, 1])
+    np.subtract(Y.real, X.imag, out=B[1, rows, 0])
+    np.subtract(X.real, Y.imag, out=B[1, rows, 1])
 
 
 def _half(rule: QuadratureRule) -> QuadratureRule:
@@ -271,22 +278,55 @@ def nystrom_det_matrix(kernel: Callable, rule: QuadratureRule,
     return _nystrom(kernel, rule, dim, None)
 
 
-def _sylvester_det(X: np.ndarray, Y: np.ndarray) -> complex:
-    """det(I_n + X Y^T) for X, Y of shape (n, R), as det(I_R + Y^T X)
-    when R < n."""
-    D = Y.T @ X if X.shape[1] < X.shape[0] else X @ Y.T
-    idx = np.arange(D.shape[0])
+def _sylvester_det(op: LowRank, rule: QuadratureRule) -> complex:
+    """det(I_n + X Y^T) for the factors ``op`` on ``rule``, as
+    det(I_R + Y^T X) when R < n.
+
+    The memory guard (``require_memory``) runs before the factors are
+    formed, charged with X, Y, the Sylvester matrix and LAPACK's copy.
+    Y = diag(Y_b) is multiplied one block at a time: row block b of Y^T X
+    is Y_b^T times X's row block b, column block b of X Y^T is X's column
+    block b times Y_b^T.  ``real`` factors (X its first half of rows) give
+    the first half of the rows of S = Y^T X or X Y^T, which obeys
+    conj(S) = Q S Q with Q the swap of its halves; the real
+    B = Re S - Im(QS) is formed from them (``_real_similar``), and I + B,
+    similar to I + S, is factored in float64.
+    """
+    order = min(op.n, op.rank)
+    rows = order // 2 if op.real else order        # the rows of S formed
+    x_rows = op.n // 2 if op.real else op.n
+    require_memory(order, f"low-rank factors on the {rule.domain_kind} "
+                   f"rule of {rule.size} nodes", 8 if op.real else 16,
+                   16 * (x_rows * op.rank + op.n * op.rank // op.blocks
+                         + (rows * order if op.real else 0)))
+    X, Y = op.form()
+    nb, rb = Y.shape[1:]
+    S = np.empty((rows, order), dtype=complex)
+    if op.rank < op.n:
+        for b in range(rows // rb):
+            np.matmul(Y[b].T, X[b * nb:(b + 1) * nb], out=S[b * rb:(b + 1) * rb])
+    else:
+        for b in range(op.blocks):
+            np.matmul(X[:, b * rb:(b + 1) * rb], Y[b].T,
+                      out=S[:, b * nb:(b + 1) * nb])
+    del X, Y
+    D = S
+    if op.real:
+        D = np.empty((order, order))
+        _real_similar(S[:, :rows], S[:, rows:], D, slice(None))
+        del S
+    idx = np.arange(order)
     D[idx, idx] += 1.0
     return _det(D)
 
 
-def factored_det(factors: Callable[[QuadratureRule],
-                                   Tuple[np.ndarray, np.ndarray]],
+def factored_det(factors: Callable[[QuadratureRule], LowRank],
                  rule: QuadratureRule) -> DetResult:
     """Fredholm determinant of an operator given by its collocation factors.
 
-    ``factors(r)`` returns X, Y of shape (r.size, R) with X Y^T = K diag(w)
-    on the rule r; it is called on ``rule`` and on its half-resolution rule.
+    ``factors(r)`` returns the ``kernels.LowRank`` factors of K diag(w) on
+    the rule r; it is called on ``rule`` and on its half-resolution rule.
     """
-    return DetResult(_sylvester_det(*factors(rule)),
-                     _sylvester_det(*factors(_half(rule))), rule.size)
+    half_rule = _half(rule)
+    return DetResult(_sylvester_det(factors(rule), rule),
+                     _sylvester_det(factors(half_rule), half_rule), rule.size)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .determinants import (DetResult, factored_det, nystrom_det,
                            nystrom_det_matrix, require_memory)
-from .kernels import (ConfigError, M_kernel, N_kernel, NumericError,
+from .kernels import (ConfigError, M_kernel, N_factors, NumericError,
                       ProblemConfig, U_minus_kernel, U_plus_kernel, W_factors,
                       bracket_kernel, general_kernel_V, gsk_shift_spec,
                       gsk_vector_pair)
@@ -393,18 +393,18 @@ def _det(cfg: ProblemConfig, which: str, chi: Optional[ChiSolution] = None,
     if which in ("W", "M", "N"):
         if chi is None:
             chi = solve_chi(cfg)
+        # W diag(w) and N diag(w) have low x-independent rank: factored,
+        # not assembled
         if which == "W":
-            # W diag(w) has low x-independent rank: factored, not assembled
             return factored_det(lambda r: W_factors(r, chi, shift), chi.rule)
-        # where the config is real the kernels return the k = 0 planes
+        if which == "N":
+            return factored_det(lambda r: N_factors(r, chi, shift),
+                                _line_rule(cfg))
+        # where the config is real the kernel returns the k = 0 planes
         # alone, and the matrix is factored in float64
-        if which == "M":
-            return nystrom_det_matrix(
-                lambda l, m: M_kernel(l, m, chi, shift, collocation=True),
-                _loop_rule(cfg), shift.N)
         return nystrom_det_matrix(
-            lambda l, m: N_kernel(l, m, chi, shift, d0, collocation=True),
-            _line_rule(cfg), shift.N)
+            lambda l, m: M_kernel(l, m, chi, shift, collocation=True),
+            _loop_rule(cfg), shift.N)
     if which == "M0":
         # M0 = diag(U-, U+): the Nystrom determinant of a block-diagonal
         # kernel is the product of its blocks' determinants on the same rule

@@ -2,9 +2,9 @@
 
 Builds every kernel in the factorization chain -- the generalized sine
 kernel S~, its shifted companion S, the general V with shift table, the
-low-rank factors of the one-dimensional reduction W, the loop/line matrix
-kernels M and N, and the asymptotic kernels U+/U- -- from a small registry of admissible
-amplitude/phase functions.
+loop matrix kernel M, the low-rank factors of the one-dimensional
+reduction W and of the line kernel N, and the asymptotic kernels U+/U- --
+from a small registry of admissible amplitude/phase functions.
 
 All evaluators are vectorized: a kernel maps broadcastable complex arrays
 (lam, mu) to a ``Grid`` of its values on the broadcast grid, a trailing
@@ -14,12 +14,13 @@ slices of them: a collocation matrix asks for one block after another
 (``determinants.assemble_collocation``), a pointwise caller for all of
 them (``Grid.values``).  V~ and V map real arrays to
 float64 where the config makes them real (``real_kernel``, from the
-symmetry of the vector pair and the shift table), and M and N, asked for a
-collocation, then return their k = 0 planes alone, (..., 1, N); this module
-alone reads that decision, and the collocation matrices follow the dtype
-and the shape of the values.  V~, M and N are one integrable form, which
-``_kernel_planes`` evaluates; their removable diagonals take
-cancellation-free forms on |lam - mu| < delta0 = 1e-4 (b - a) only.  The
+symmetry of the vector pair and the shift table), and M, asked for a
+collocation, then returns its k = 0 planes alone, (..., 1, N), as N's
+factors then hold their k = 0 rows alone (``LowRank.real``); this module
+alone reads that decision, and the determinants follow the dtype and the
+shape of what they are given.  V~ and M are one integrable form, which
+``_kernel_planes`` evaluates; V~'s removable diagonal takes a
+cancellation-free form on |lam - mu| < delta0 = 1e-4 (b - a) only.  The
 complex V's shift terms and U+- are its one-plane case, ``_shifted``.
 """
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
     "problem_config_from_json",
     "eval_e", "gsk_vector_pair", "gsk_shift_spec",
     "general_kernel_V",
-    "W_factors", "cauchy_rank", "M_kernel", "N_kernel",
+    "LowRank", "W_factors", "N_factors", "cauchy_rank", "M_kernel",
     "U_plus_kernel", "U_minus_kernel", "bracket_kernel", "real_kernel",
 ]
 
@@ -99,6 +100,26 @@ class Grid:
 
     def values(self) -> np.ndarray:
         return self.block(slice(None))
+
+
+@dataclass(frozen=True)
+class LowRank:
+    """An operator's collocation product K diag(w) = X Y^T of order n, held
+    as its sizes and the way to form its factors, so that their memory is
+    checked before they exist (``determinants.factored_det``).
+
+    ``form()`` returns X, (n, R), and Y = diag(Y_1, ..., Y_B) as its
+    ``blocks`` equal diagonal blocks, (B, n/B, R/B).  ``real`` marks
+    factors with conj(X) = Q X Q' and conj(Y) = Q Y Q', Q and Q' the swaps
+    of the two halves of the rows and of the columns (B = 2); X is then
+    its first half of rows alone, (n/2, R), the rest being fixed by it.
+    """
+
+    n: int
+    rank: int
+    blocks: int
+    real: bool
+    form: Callable[[], tuple]
 
 
 def _product(lam, mu, a, b) -> Callable:
@@ -790,8 +811,9 @@ def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
     return t, P
 
 
-def W_factors(rule, chi, shift: ShiftSpec):
-    """Factors X, Y (n x R) with X Y^T = W diag(w) on the interval ``rule``.
+def W_factors(rule, chi, shift: ShiftSpec) -> LowRank:
+    """Factors X, Y (n x R) with X Y^T = W diag(w) on the interval ``rule``,
+    Y one block.
 
     W(lam,mu) = -sum_n gamma_n <F_L(lam), chi(mu - i c_n) e_n>
                                <e_{v_n}, E_R(mu)> / (lam - mu + i c_n),
@@ -806,46 +828,98 @@ def W_factors(rule, chi, shift: ShiftSpec):
     """
     lam, n, N = rule.nodes, rule.size, chi.N
     a, b = rule.descriptor["a"], rule.descriptor["b"]
-    FL = chi.FL_at(lam)                                 # (n, N)
-    ER = chi.pair.E_R(lam)                              # (n, N)
-    # every g_{., n} (n x N) before the factors are allocated, so that
-    # chi_at's temporaries never sit on top of X and Y
-    g = [chi.chi_at(lam - 1j * c)[:, :, k]
-         * (ER[:, shift.v0[k]] * rule.weights)[:, None]
-         for k, c in enumerate(shift.c)]
     ranks = [min(cauchy_rank(c, a, b), n) for c in shift.c]
-    X = np.empty((n, N * sum(ranks)), dtype=complex)
-    Y = np.empty_like(X)
-    col, t = 0, None
-    for k, r in enumerate(ranks):
-        c = shift.c[k]
-        if t is None or t.size != r:          # shifts of equal |c| share P
-            if r == n:
-                t, P = lam.real, np.eye(n)
-            else:
-                t, P = _chebyshev_interpolant(lam, r, a, b)
-            PT = np.empty((n, r), dtype=complex)
-        # P T_n: the real P times T_n's real and imaginary parts, in place
-        T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
-        np.matmul(P, T.view(float), out=PT.view(float))
-        for a_idx in range(N):                 # column block (k, a) of r
-            cols = slice(col, col + r)
-            np.multiply(PT, -shift.gamma[k] * FL[:, a_idx, None],
-                        out=X[:, cols])
-            np.multiply(g[k][:, a_idx, None], P, out=Y[:, cols])
-            col += r
-    return X, Y
+
+    def form():
+        FL = chi.FL_at(lam)                                 # (n, N)
+        ER = chi.pair.E_R(lam)                              # (n, N)
+        # every g_{., n} (n x N) before the factors are allocated, so that
+        # chi_at's temporaries never sit on top of X and Y
+        g = [chi.chi_at(lam - 1j * c)[:, :, k]
+             * (ER[:, shift.v0[k]] * rule.weights)[:, None]
+             for k, c in enumerate(shift.c)]
+        X = np.empty((n, N * sum(ranks)), dtype=complex)
+        Y = np.empty_like(X)
+        col, t = 0, None
+        for k, r in enumerate(ranks):
+            c = shift.c[k]
+            if t is None or t.size != r:      # shifts of equal |c| share P
+                if r == n:
+                    t, P = lam.real, np.eye(n)
+                else:
+                    t, P = _chebyshev_interpolant(lam, r, a, b)
+                PT = np.empty((n, r), dtype=complex)
+            # P T_n: the real P times T_n's real and imaginary parts, in place
+            T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
+            np.matmul(P, T.view(float), out=PT.view(float))
+            for a_idx in range(N):             # column block (k, a) of r
+                cols = slice(col, col + r)
+                np.multiply(PT, -shift.gamma[k] * FL[:, a_idx, None],
+                            out=X[:, cols])
+                np.multiply(g[k][:, a_idx, None], P, out=Y[:, cols])
+                col += r
+        return X, Y[None]
+    return LowRank(n, N * sum(ranks), 1, False, form)
 
 
-def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None) -> Grid:
-    """(e_kl + sum_r rows[k]_r cols[l]_r) / (lam - mu + i s_kl), (..., K, N),
-    from K factors rows[k] (..., r) on lam's side and N factors cols[l] on
-    mu's; e None is 0.  The factors are evaluated once, by the caller; a
+def N_factors(rule, chi, shift: ShiftSpec) -> LowRank:
+    """Factors of N diag(w) on the line ``rule``, N the line kernel
+
+    N_{k,l}(lam,mu) = pref_k [I - chi^{-1}(z) chi(z')]_{v_k, l} / (z - z'),
+
+    pref_k = sgn(c_k) gamma_k / (2 i pi), z = lam + i c_k/2,
+    z' = mu - i c_l/2.  Since I - chi^-1(z) chi(z') =
+    chi^-1(z) (chi(z) - chi(z')) and chi's far sum is
+    chi(z) = I - sum_j rho_j / (t_j - z) (``chi_proxies``, at the r of the
+    closest shifted line point; the nodes where r reaches n), the quotient
+    is the divided difference -chi^-1(z) sum_j rho_j / ((t_j - z)(t_j - z')),
+    no denominator z - z' is formed, and compensated pairs c_k + c_l = 0
+    need no diagonal limit.  With rows (k, lam), component-major, and the
+    inner index (l, j), R = N r:
+
+        X[(k, lam), (l, j)] = -pref_k [chi^-1(z) rho_j]_{v_k, l} / (t_j - z)
+        Y[(l, mu), (l, j)]  = w_mu / (t_j - z'),
+
+    Y block diagonal in l.  Where ``real_kernel(chi.pair, shift)`` holds,
+    the factors are ``real``: on the real axis conj chi^-1(z) =
+    S chi^-1(conj z) S and conj rho_j = S rho_j S with S the swap, the
+    table is closed under it and sgn(c_s(k)) = -sgn(c_k) turns conj pref_k
+    into pref_s(k), so conjugation swaps both halves of X's rows and
+    columns and of Y's; X then holds its k = 0 rows alone.
+    """
+    lam, m, N = rule.nodes, rule.size, shift.N
+    t, rho = chi.chi_proxies(lam[:, None] + 0.5j * shift.c)
+    r, real = t.size, real_kernel(chi.pair, shift)
+    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
+    # rho_j[q, l] as the (q, (l, j)) matrix: a row of chi^-1 times it is
+    # every column (l, j) of that row of X before its denominator
+    rho_lj = rho[:, :, :N].transpose(1, 2, 0).reshape(chi.N, N * r)
+
+    def form():
+        K = 1 if real else N
+        X = np.empty((K, m, N, r), dtype=complex)
+        for k in range(K):
+            z = lam + 0.5j * shift.c[k]
+            np.matmul(-pref[k] * chi.chi_inv_at(z)[:, shift.v0[k], :], rho_lj,
+                      out=X[k].reshape(m, N * r))
+            X[k] /= (t - z[:, None])[:, None, :]
+        Y = np.empty((N, m, r), dtype=complex)
+        for l, c in enumerate(shift.c):
+            np.divide(rule.weights[:, None], t - (lam - 0.5j * c)[:, None],
+                      out=Y[l])
+        return X.reshape(K * m, N * r), Y
+    return LowRank(N * m, N * r, N, real, form)
+
+
+def _kernel_planes(lam, mu, rows, cols, s, near=None) -> Grid:
+    """sum_r rows[k]_r cols[l]_r / (lam - mu + i s_kl), (..., K, N), from K
+    factors rows[k] (..., r) on lam's side and N factors cols[l] on mu's.
+    The factors are evaluated once, by the caller; a
     block of rows is formed plane by plane from row slices of them
     (``_product``), each plane contiguous in a plane-major (K, N, ...)
     buffer whose view is returned: no ufunc loops over length-N trailing
-    axes.  The planes are float64 when the points, factors and e are real
-    and every s_kl is 0.  Where a point is off the real axis, a vanishing
+    axes.  The planes are float64 when the points and factors are real and
+    every s_kl is 0.  Where a point is off the real axis, a vanishing
     denominator of an s_kl != 0 plane raises ValueError: the package's one
     pole guard.
 
@@ -856,7 +930,7 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None) -> Grid:
     0/0 is formed.  A complex value for a float64 plane raises
     NumericError, never cut to its real part."""
     K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
-    cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, e, *rows, *cols)))
+    cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, *rows, *cols)))
     off_axis = np.any(np.imag(lam)) or np.any(np.imag(mu))
     shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
     outer = _row_block(lam, mu, shape)
@@ -896,8 +970,6 @@ def _kernel_planes(lam, mu, rows, cols, s, e=None, near=None) -> Grid:
                     den[idx_b] = 1.0
             plane = buf[k, l, ...]
             product[k][l](sl, out=plane)
-            if e is not None and e[k, l]:
-                plane += e[k, l]
             np.divide(plane, den, out=plane)
             if (k, l) in vals:
                 plane[idx_b] = vals[k, l][part]
@@ -917,19 +989,18 @@ def _shifted(lam, mu, row, col, s: float) -> Grid:
 
 
 def _row_components(chi, shift: ShiftSpec, collocation: bool) -> int:
-    """How many row components k a loop or line kernel evaluates: all N,
-    or only k = 0 for a ``collocation`` where ``real_kernel(chi.pair,
-    shift)`` holds.
+    """How many row components k the loop kernel M evaluates: all N, or
+    only k = 0 for a ``collocation`` where ``real_kernel(chi.pair, shift)``
+    holds.
 
-    The collocation matrix A of M on a loop rule, or of N on the line,
-    then obeys conj(A) = Q A Q, with Q = sigma (x) s: sigma the rule's
-    node conjugation (the reversal on the loop, the identity on the line)
-    and s the swap of the two components.  On the real axis
-    conj chi(z) = S chi(conj z) S with S the swap, the table is closed
-    under s, and conjugation flips the sign of 1/(2 i pi) while the loop's
-    weights go to -conj(w) (on the line sgn(c_s(k)) = -sgn(c_k) does it).
-    So the k = 0 planes fix A, and ``determinants.assemble_collocation``
-    builds from them the real B = Re A - Im(QA), which is similar to A.
+    The collocation matrix A of M on a loop rule then obeys
+    conj(A) = Q A Q, with Q = sigma (x) s: sigma the rule's node
+    conjugation (the reversal) and s the swap of the two components.  On
+    the real axis conj chi(z) = S chi(conj z) S with S the swap, the table
+    is closed under s, and conjugation flips the sign of 1/(2 i pi) while
+    the loop's weights go to -conj(w).  So the k = 0 planes fix A, and
+    ``determinants.assemble_collocation`` builds from them the real
+    B = Re A - Im(QA), which is similar to A.
     """
     return 1 if collocation and real_kernel(chi.pair, shift) else shift.N
 
@@ -951,38 +1022,6 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec,
     cols = [chi.chi_at(mu - 1j * c)[..., :, l] for l, c in enumerate(shift.c)]
     s = np.broadcast_to(shift.c, (shift.N, shift.N))      # s_kl = c_l
     return _kernel_planes(lam, mu, rows, cols, s)
-
-
-def N_kernel(lam, mu, chi, shift: ShiftSpec, delta0: float,
-             collocation: bool = False) -> Grid:
-    """Line-representation matrix kernel on the real axis.
-
-    N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}
-                      / (2 i pi (lam - mu + i (c_k + c_l)/2)).
-
-    For compensated pairs c_k + c_l = 0 the denominator vanishes on the
-    diagonal; there the entry is the exact divided difference
-    sgn(c_k) gamma_k [chi^{-1}(z) dchi(z, z')]_{v_k, l} / (2 i pi) with
-    z = lam + i c_k/2, z' = mu - i c_l/2 on the same horizontal line.  A
-    ``collocation`` gets only the row components ``_row_components``
-    names: (..., 1, N) where the config is real.
-    """
-    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
-    # pref_k (I - A B) = pref_k I + (-pref_k A) B
-    rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
-            for k, c in enumerate(
-                shift.c[:_row_components(chi, shift, collocation)])]
-    cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
-    e = pref[:, None] * (shift.v0[:, None] == np.arange(shift.N))
-    csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
-
-    def divided(k, l, lam, mu):
-        # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
-        z, zp = lam + 0.5j * shift.c[k], mu - 0.5j * shift.c[l]
-        dchi = chi.delta_chi(z, zp)                        # (M, N, N)
-        return pref[k] * np.matmul(chi.chi_inv_at(z), dchi)[:, shift.v0[k], l]
-
-    return _kernel_planes(lam, mu, rows, cols, csum, e, near=(delta0, divided))
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,16 @@ class NearIntervalWarning(UserWarning):
     """Evaluation point is within the degraded-accuracy zone around [a, b]."""
 
 
+def _legendre_table(t: np.ndarray, K: int) -> np.ndarray:
+    """P[k, j] = P_k(t_j), k < K (K >= 2), by the three-term recurrence."""
+    P = np.empty((K, t.size))
+    P[0] = 1.0
+    P[1] = t
+    for k in range(1, K - 1):
+        P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
+    return P
+
+
 def _segment_distance(z, a: float, b: float):
     z = np.asarray(z, dtype=complex)
     re = np.clip(z.real, a, b)
@@ -82,23 +92,25 @@ class _NearCutCauchy:
         self.a, self.b = a, b
         n = rule.size
         K = max(2, min(n, n_modes))
-        t = (2.0 * rule.nodes.real - (a + b)) / (b - a)
         w_hat = 2.0 * rule.weights.real / (b - a)
-        # P table: P[k, j] = P_k(t_j)
-        P = np.empty((K, n))
-        P[0] = 1.0
-        P[1] = t
-        for k in range(1, K - 1):
-            P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
+        P = _legendre_table(self._unit(rule.nodes.real), K)
         dens = np.asarray(densities, dtype=complex).reshape(n, -1)
         k_arr = np.arange(K)[:, None]
         self.coefs = (k_arr + 0.5) * (P @ (w_hat[:, None] * dens))  # (K, D)
         self.K = K
         self.D = dens.shape[1]
 
+    def _unit(self, z):
+        """z mapped affinely from [a, b] to [-1, 1]."""
+        return (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+
+    def density(self, t: np.ndarray) -> np.ndarray:
+        """The density's Legendre series at real points t of [a, b], (M, D)."""
+        return _legendre_table(self._unit(t), self.K).T @ self.coefs
+
     def eval(self, z_flat: np.ndarray) -> np.ndarray:
         """Return C(z) for a 1-D complex array, shape (M, D)."""
-        zh = (2.0 * z_flat - (self.a + self.b)) / (self.b - self.a)
+        zh = self._unit(z_flat)
         q_prev = 0.5 * (np.log(zh + 1.0) - np.log(zh - 1.0))       # Q_0
         out = np.multiply.outer(q_prev, self.coefs[0])
         if self.K > 1:
@@ -195,6 +207,23 @@ class _CauchySum(_OnCut):
             wd = rule.weights[:, None] * self.densities
             got = self._proxies[r] = (t, _columns(np.matmul, P.T, wd))
         return got
+
+    def proxies(self, dist: float):
+        """Points t and densities dens_hat with C(z) ~ sum_j dens_hat_j /
+        (t_j - z) for points at least ``dist`` from [a, b]: the r Chebyshev
+        proxies of the far sum; where r reaches n the nodes and w dens; and
+        within ``near_threshold``, where the n-node sum loses accuracy, the
+        density's Legendre series of the near form (K <= n modes) on a
+        Gauss rule of r nodes, which integrates it against 1/(t - z) to
+        rho^-(2r - K) <= rho^-r, the Bernstein bound of cauchy_rank."""
+        r = cauchy_rank(dist, self.a, self.b)
+        if r < self.rule.size:
+            return self._proxy(r)
+        if dist >= self.near_threshold:
+            return (self.rule.nodes.real,
+                    self.rule.weights[:, None] * self.densities)
+        fine = gauss_legendre_rule(r, self.a, self.b)
+        return fine.nodes, fine.weights[:, None] * self.near.density(fine.nodes)
 
     def eval(self, dist: float, *points) -> np.ndarray:
         """sum_j w_j dens_j / prod_p (lam_j - p) at each i of the 1-D point
@@ -303,6 +332,17 @@ class ChiSolution(_OnCut):
         """
         D = self._R.divided(z1, z2)
         return -D.reshape(D.shape[:-1] + (self.N, self.N))
+
+    def chi_proxies(self, z):
+        """Points t (r,) and matrices rho_hat (r, N, N) with
+        chi(z') = I - sum_j rho_hat_j / (t_j - z') at every z' at least as
+        far from [a, b] as the closest point of ``z``: the far sum of
+        ``chi_at`` at that point's r, or within ``near_threshold`` its
+        Legendre series on a finer Gauss rule (``_CauchySum.proxies``).
+        It does not warn there; ``chi_inv_at`` at the same points does."""
+        dist = float(np.min(_segment_distance(z, self.a, self.b)))
+        t, rho = self._R.proxies(dist)
+        return t, rho.reshape(-1, self.N, self.N)
 
     def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
                      left: bool) -> np.ndarray:

@@ -11,9 +11,10 @@ The package computes det(I+M0) as det(I+U-) det(I+U+); ``M0_kernel`` is
 the 2x2 block kernel whose dense 2m x 2m Nystrom determinant checks that
 product.
 
-The package computes det(I+W) from low-rank factors (``W_factors``);
-``W_kernel`` evaluates W entry by entry, and its dense n x n Nystrom
-determinant checks the factored one.
+The package computes det(I+W) and det(I+N) from low-rank factors
+(``W_factors``, ``N_factors``); ``W_kernel`` and ``N_kernel`` evaluate W
+and N entry by entry, and their dense Nystrom determinants check the
+factored ones.
 
 ``mp_nystrom_det`` is the high-precision reference: the Nystrom
 determinant of V~ or V on a given float64 rule, with the kernel from its
@@ -28,9 +29,9 @@ import mpmath as mp
 import numpy as np
 
 from shiftdet.kernels import (U_minus_kernel, U_plus_kernel, _gsk_near,
-                              _phase_parts, _sinc)
+                              _kernel_planes, _phase_parts, _sinc)
 
-from helpers import mask_near_diagonal_eval
+from helpers import N_planes, mask_near_diagonal_eval
 
 
 def _phase(lam, mu, cfg):
@@ -103,6 +104,30 @@ def W_kernel(lam, mu, chi, pair, shift):
         out = out - (shift.gamma[n_idx] * g * ER[..., shift.v0[n_idx]]
                      / (lam - mu + 1j * shift.c[n_idx]))
     return out
+
+
+def N_kernel(lam, mu, chi, shift, delta0, collocation=False):
+    """Line-representation matrix kernel on the real axis, as a ``Grid``.
+
+    N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}
+                      / (2 i pi (lam - mu + i (c_k + c_l)/2)),
+
+    its planes from ``N_planes``.  For compensated pairs c_k + c_l = 0 the
+    denominator vanishes on the diagonal; there the entry is the exact
+    divided difference sgn(c_k) gamma_k [chi^{-1}(z) dchi(z, z')]_{v_k, l}
+    / (2 i pi) with z = lam + i c_k/2, z' = mu - i c_l/2 on the same
+    horizontal line.  A ``collocation`` gets the k = 0 planes alone,
+    (..., 1, N), where the config is real.
+    """
+    rows, cols, csum, pref = N_planes(lam, mu, chi, shift, collocation)
+
+    def divided(k, l, lam, mu):
+        # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
+        z, zp = lam + 0.5j * shift.c[k], mu - 0.5j * shift.c[l]
+        dchi = chi.delta_chi(z, zp)                        # (M, N, N)
+        return pref[k] * np.matmul(chi.chi_inv_at(z), dchi)[:, shift.v0[k], l]
+
+    return _kernel_planes(lam, mu, rows, cols, csum, near=(delta0, divided))
 
 
 def M0_kernel(lam, mu, alpha, c):

@@ -2,8 +2,8 @@
 
 The package never calls these; each is built on the package's public API,
 except ``cli_ladder``, which reads the CLI parser's own ``--x`` default,
-and ``mask_patched_N``, which forms N's planes with the private plane
-evaluator.
+and ``N_planes`` and ``mask_patched_N``, which form the dense N's planes
+with the private plane evaluator.
 """
 import warnings
 from dataclasses import replace
@@ -243,20 +243,40 @@ def mask_near_diagonal_eval(lam, mu, delta0: float, direct, near):
     return out
 
 
+def N_planes(lam, mu, chi, shift, collocation: bool = False):
+    """The factors of the dense line kernel N's planes for
+    ``_kernel_planes`` (the oracle ``closed_forms.N_kernel``), and pref_k.
+
+    pref_k [I - A B]_{v_k, l} with A = chi^-1(lam + i c_k/2),
+    B = chi(mu - i c_l/2) is the product of the row factor
+    (-pref_k A_{v_k, .}, pref_k e_{v_k}) and the column factor
+    (B_{., l}, e_l), e the unit vectors of the pair's components.  A
+    ``collocation`` takes the row k = 0 alone where ``real_kernel`` holds.
+    The planes' shifts are s_kl = (c_k + c_l)/2."""
+    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
+    K = 1 if collocation and real_kernel(chi.pair, shift) else shift.N
+    eye = np.eye(chi.N)
+    rows = []
+    for k, c in enumerate(shift.c[:K]):
+        A = -pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
+        e = np.broadcast_to(pref[k] * eye[shift.v0[k]], A.shape)
+        rows.append(np.concatenate([A, e], axis=-1))
+    cols = []
+    for l, c in enumerate(shift.c):
+        B = chi.chi_at(mu - 0.5j * c)[..., :, l]
+        cols.append(np.concatenate([B, np.broadcast_to(eye[l], B.shape)],
+                                   axis=-1))
+    return rows, cols, 0.5 * (shift.c[:, None] + shift.c[None, :]), pref
+
+
 def mask_patched_N(lam, mu, chi, shift, delta0: float):
-    """N_kernel as its planes with no removable diagonal (0/0 on the
+    """The dense N as its planes with no removable diagonal (0/0 on the
     compensated pairs' near-diagonal entries), those entries then
     overwritten through a boolean mask over the full grid: the oracle of
     the evaluator's near option."""
-    pref = np.sign(shift.c) * shift.gamma / (2j * pi)
-    rows = [-pref[k] * chi.chi_inv_at(lam + 0.5j * c)[..., shift.v0[k], :]
-            for k, c in enumerate(shift.c)]
-    cols = [chi.chi_at(mu - 0.5j * c)[..., :, l] for l, c in enumerate(shift.c)]
-    eye_kl = shift.v0[:, None] == np.arange(shift.N)[None, :]
-    csum = 0.5 * (shift.c[:, None] + shift.c[None, :])
+    rows, cols, csum, pref = N_planes(lam, mu, chi, shift)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _kernel_planes(lam, mu, rows, cols, csum,
-                             pref[:, None] * eye_kl).values()
+        out = _kernel_planes(lam, mu, rows, cols, csum).values()
     shape = out.shape[:-2]
     idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
     if not idx.any():

@@ -12,12 +12,12 @@ from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
-from shiftdet.kernels import (ConfigError, N_kernel, NumericsConfig,
-                              ShiftSpec, problem_config_from_json)
+from shiftdet.kernels import (ConfigError, NumericsConfig, ShiftSpec,
+                              problem_config_from_json)
 from shiftdet.quadrature import truncated_line_rule
 from shiftdet.rhp import make_alpha, solve_chi
 
-from closed_forms import M0_kernel, gsk_kernel, shift_kernel
+from closed_forms import M0_kernel, N_kernel, gsk_kernel, shift_kernel
 from helpers import cli_ladder, constant, gridded, identity, real_on_axis
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from shiftdet import determinants
 from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
                               NumericError, ProblemConfig, ShiftSpec,
-                              ToleranceConfig, M_kernel, N_kernel,
+                              ToleranceConfig, M_kernel,
                               U_minus_kernel, U_plus_kernel,
                               _chebyshev_interpolant, _kernel_planes,
                               _near_entries, _phase_parts, _row_block, _sinc,
@@ -21,7 +21,8 @@ from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
 from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import _base_kernel, make_alpha
 
-from closed_forms import M0_kernel, W_kernel, gsk_kernel, shift_kernel
+from closed_forms import (M0_kernel, N_kernel, W_kernel, gsk_kernel,
+                          shift_kernel)
 from helpers import (bracket, constant, gridded, identity,
                      mask_near_diagonal_eval,
                      mask_patched_N, near_diagonal_mask, polynomial,
