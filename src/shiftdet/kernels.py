@@ -797,7 +797,11 @@ def cauchy_rank(c: float, a: float, b: float) -> int:
 
 def _chebyshev_interpolant(nodes: np.ndarray, r: int, a: float, b: float):
     """r Chebyshev points t of [a, b] and the real (n, r) barycentric matrix
-    P with P @ f(t) ~ f(nodes) for f analytic near [a, b]."""
+    P with P @ f(t) ~ f(nodes) for f analytic near [a, b]; where r reaches
+    the n nodes, the nodes themselves and P = I (exact, and no more
+    points)."""
+    if r >= nodes.size:
+        return nodes.real, np.eye(nodes.size)
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(pi * np.arange(r) / (r - 1))
     bw = (-1.0) ** np.arange(r)
     bw[[0, -1]] *= 0.5
@@ -820,11 +824,11 @@ def W_factors(rule, chi, shift: ShiftSpec) -> LowRank:
     so W diag(w) = sum_{n,a} diag(-gamma_n F_L,a) C_n diag(g_{a,n}) with
     C_n(lam, mu) = 1/(lam - mu + i c_n) and
     g_{a,n}(mu) = chi_{a,n}(mu - i c_n) E_R,v_n(mu) w(mu).  C_n is
-    interpolated in both variables through the r = cauchy_rank(c_n)
-    Chebyshev points t: C_n ~ P T_n P^T with T_n = C_n(t, t), which leaves
-    R = N_shift N r columns.  When r >= n the rule's own nodes serve as
-    the points (P = I, exact).  chi(mu - i c_n) comes from ``chi_at``,
-    whose far path sums the same r Chebyshev points: O(n r N^2).
+    interpolated in both variables through the points t and (n, r) matrix
+    P of ``_chebyshev_interpolant`` for r = cauchy_rank(c_n), at most n:
+    C_n ~ P T_n P^T with T_n = C_n(t, t), which leaves R = N_shift N r
+    columns.  chi(mu - i c_n) comes from ``chi_at``, whose sums run over
+    the same r points: O(n r N^2).
     """
     lam, n, N = rule.nodes, rule.size, chi.N
     a, b = rule.descriptor["a"], rule.descriptor["b"]
@@ -844,10 +848,7 @@ def W_factors(rule, chi, shift: ShiftSpec) -> LowRank:
         for k, r in enumerate(ranks):
             c = shift.c[k]
             if t is None or t.size != r:      # shifts of equal |c| share P
-                if r == n:
-                    t, P = lam.real, np.eye(n)
-                else:
-                    t, P = _chebyshev_interpolant(lam, r, a, b)
+                t, P = _chebyshev_interpolant(lam, r, a, b)
                 PT = np.empty((n, r), dtype=complex)
             # P T_n: the real P times T_n's real and imaginary parts, in place
             T = 1.0 / (t[:, None] - t[None, :] + 1j * c)
@@ -870,8 +871,8 @@ def N_factors(rule, chi, shift: ShiftSpec) -> LowRank:
     pref_k = sgn(c_k) gamma_k / (2 i pi), z = lam + i c_k/2,
     z' = mu - i c_l/2.  Since I - chi^-1(z) chi(z') =
     chi^-1(z) (chi(z) - chi(z')) and chi's far sum is
-    chi(z) = I - sum_j rho_j / (t_j - z) (``chi_proxies``, at the r of the
-    closest shifted line point; the nodes where r reaches n), the quotient
+    chi(z) = I - sum_j rho_j / (t_j - z) (``chi_proxies``, at the
+    distance of the closest shifted line point), the quotient
     is the divided difference -chi^-1(z) sum_j rho_j / ((t_j - z)(t_j - z')),
     no denominator z - z' is formed, and compensated pairs c_k + c_l = 0
     need no diagonal limit.  With rows (k, lam), component-major, and the

@@ -13,22 +13,25 @@ by Nystrom discretization on a Gauss-Legendre rule, then reconstructs
 
 anywhere off [a, b].  Each of the three is I +- (or exp of) the Cauchy
 integral of one density given at the nodes, and each density has one
-evaluator, ``_CauchySum``, which owns its far sum, its near-cut form and the
+evaluator, ``_CauchySum``, which owns its sums, its near-cut form and the
 dispatch and warning between them; [chi(z1) - chi(z2)]/(z1 - z2) is the
-divided form of chi's sum.  Far from the interval the integrals are sums
-over the solving Gauss rule, with the factor 1/(mu - z) interpolated in mu
-through r Chebyshev proxy points of [a, b]: a point set at distance d from
-[a, b] needs r = cauchy_rank(d) of them (the Bernstein ellipse bound), so
-each point costs O(r) instead of O(n); where r would reach n the Gauss sum
-is taken as it stands.  Within ten node spacings of [a, b] plain quadrature
-of a Cauchy integral loses accuracy like exp(-2 n dist), so evaluation
-switches to a Legendre-expansion form: the density is projected onto
-Legendre polynomials with the already-available nodes and the transform is
-summed with second-kind functions Q_k, whose branch cut is exactly [a, b].
-The forward Q recurrence picks up the growing first-kind solution away from
-the cut, which is why the expansion form is used *only* inside the near zone
-and plain quadrature everywhere else; the two agree to ~1e-15 at the
-handover distance.
+divided form of chi's sum.  Every sum of a density runs over the points
+``_CauchySum.proxies`` picks for the distance d of the closest point it
+serves: far from the interval, the 1/(mu - z) factor interpolated in mu
+through the r = cauchy_rank(d) points of ``_chebyshev_interpolant`` (the
+Bernstein ellipse bound), so each point costs O(r) instead of O(n).  Within
+ten node spacings of [a, b] plain quadrature of a Cauchy integral loses
+accuracy like exp(-2 n dist), so evaluation switches to a Legendre-expansion
+form: the density is projected onto Legendre polynomials with the
+already-available nodes and the transform is summed with second-kind
+functions Q_k, whose branch cut is exactly [a, b].  The forward Q recurrence
+picks up the growing first-kind solution away from the cut, which is why the
+expansion form is used *only* inside the near zone and plain quadrature
+everywhere else.  The handover is where both are least accurate: on
+``standard`` at x = 50 (n = 104), against a Gauss rule of 3r nodes on the
+same Legendre series, the far sum is off by 1.4e-13 at the threshold and
+the near form by 7.7e-13 at 0.9 of it.  The divided form has no Q series;
+inside the zone its proxies are that Legendre series on a Gauss rule.
 
 Evaluations inside the near zone still emit ``NearIntervalWarning`` -- the
 degraded-accuracy flag promised by the evaluator contract -- since even the
@@ -174,18 +177,10 @@ class _OnCut:
 
 class _CauchySum(_OnCut):
     """C(z) = int_a^b dens(mu)/(mu - z) dmu of one density given at the
-    nodes of a Gauss rule (kept as (n, D)): far sum, near form, dispatch.
-
-    Far from [a, b] C is the Gauss sum, with 1/(lam_j - z) interpolated in
-    lam through the r = cauchy_rank(d) Chebyshev points t of [a, b] for
-    points at least d from [a, b] (the Bernstein ellipse bound): with P the
-    (n, r) barycentric matrix onto the nodes (``_chebyshev_interpolant``),
-    the sum runs over the t with the proxy densities dens_hat = P^T (w dens),
-    O(r) per point.  dens_hat is built on the first request for its r and
-    kept (threads asking at once may each build it, to the same values);
-    P is dropped.  Where r would reach n the Gauss sum is taken as it
-    stands.  Within ``near_threshold`` of the cut the Legendre-expansion
-    form ``near`` (built on first use, ``n_modes`` modes) takes over.
+    nodes of a Gauss rule (kept as (n, D)): its sums over ``proxies``, its
+    near form and the dispatch between them.  Within ``near_threshold`` of
+    the cut ``__call__`` takes the Legendre-expansion form ``near`` (built
+    on first use, ``n_modes`` modes).
     """
 
     def __init__(self, rule: QuadratureRule, densities: np.ndarray,
@@ -199,69 +194,47 @@ class _CauchySum(_OnCut):
     def near(self) -> _NearCutCauchy:
         return _NearCutCauchy(self.rule, self.densities, self.n_modes)
 
-    def _proxy(self, r: int):
+    def proxies(self, dist: float):
+        """Points t and densities dens_hat with C(z) ~ sum_j dens_hat_j /
+        (t_j - z) for points at least ``dist`` from [a, b], r =
+        cauchy_rank(dist) of them (the Bernstein ellipse bound): the points
+        and (n, r) matrix P of ``_chebyshev_interpolant`` with dens_hat =
+        P^T (w dens), built on the first request for its r and kept (threads
+        asking at once may each build it, to the same values); within
+        ``near_threshold``, where r > 2n and the n-node sum loses accuracy,
+        the density's Legendre series of the near form (K <= n modes) on a
+        Gauss rule of r nodes, which integrates it against 1/(t - z) to
+        rho^-(2r - K) <= rho^-r."""
+        rule = self.rule
+        r = cauchy_rank(dist, self.a, self.b)
+        if dist < self.near_threshold:
+            fine = gauss_legendre_rule(r, self.a, self.b)
+            return fine.nodes, fine.weights[:, None] * self.near.density(fine.nodes)
+        r = min(r, rule.size)
         got = self._proxies.get(r)
         if got is None:
-            rule = self.rule
             t, P = _chebyshev_interpolant(rule.nodes, r, self.a, self.b)
             wd = rule.weights[:, None] * self.densities
             got = self._proxies[r] = (t, _columns(np.matmul, P.T, wd))
         return got
 
-    def proxies(self, dist: float):
-        """Points t and densities dens_hat with C(z) ~ sum_j dens_hat_j /
-        (t_j - z) for points at least ``dist`` from [a, b]: the r Chebyshev
-        proxies of the far sum; where r reaches n the nodes and w dens; and
-        within ``near_threshold``, where the n-node sum loses accuracy, the
-        density's Legendre series of the near form (K <= n modes) on a
-        Gauss rule of r nodes, which integrates it against 1/(t - z) to
-        rho^-(2r - K) <= rho^-r, the Bernstein bound of cauchy_rank."""
-        r = cauchy_rank(dist, self.a, self.b)
-        if r < self.rule.size:
-            return self._proxy(r)
-        if dist >= self.near_threshold:
-            return (self.rule.nodes.real,
-                    self.rule.weights[:, None] * self.densities)
-        fine = gauss_legendre_rule(r, self.a, self.b)
-        return fine.nodes, fine.weights[:, None] * self.near.density(fine.nodes)
-
     def eval(self, dist: float, *points) -> np.ndarray:
-        """sum_j w_j dens_j / prod_p (lam_j - p) at each i of the 1-D point
-        arrays ``points`` (all of one size M, all at least ``dist`` from
-        [a, b]), shape (M, D), in row blocks."""
-        rule = self.rule
-        r = cauchy_rank(dist, self.a, self.b)
-        if r < rule.size:
-            (nodes, dens), w = self._proxy(r), 1.0
-        else:
-            nodes, w, dens = rule.nodes, rule.weights, self.densities
+        """sum_j dens_hat_j / prod_p (t_j - p) over the ``proxies(dist)`` at
+        each i of the 1-D point arrays ``points`` (all of one size M, all at
+        least ``dist`` from [a, b]), shape (M, D), in row blocks."""
+        t, dens = self.proxies(dist)
         out = np.empty((points[0].size, dens.shape[1]), dtype=complex)
-        for i0, i1 in row_blocks(out.shape[0], 16 * nodes.size,
-                                  stream=True):
-            den = nodes[None, :] - points[0][i0:i1, None]
+        for i0, i1 in row_blocks(out.shape[0], 16 * t.size, stream=True):
+            den = t[None, :] - points[0][i0:i1, None]
             for p in points[1:]:
-                den *= nodes[None, :] - p[i0:i1, None]
-            out[i0:i1] = np.divide(w, den, out=den) @ dens
+                den *= t[None, :] - p[i0:i1, None]
+            out[i0:i1] = np.divide(1.0, den, out=den) @ dens
         return out
 
     def __call__(self, z) -> np.ndarray:
         """C(z), shape z.shape + (D,); z must avoid [a, b] itself."""
         return _cauchy_transform(self.rule, self.densities, lambda: self.near,
                                  self.near_threshold, z, self)
-
-    def divided(self, z1, z2) -> np.ndarray:
-        """int_a^b dens(mu) / ((mu - z1)(mu - z2)) dmu by the far sum at the
-        distance of the closest point of either set.  It has no near form:
-        a point within ``near_threshold`` warns (and takes the Gauss sum)."""
-        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
-                                     np.asarray(z2, dtype=complex))
-        dist = min(float(np.min(_segment_distance(z, self.a, self.b),
-                                initial=np.inf)) for z in (z1, z2))
-        if dist < self.near_threshold:
-            # caller -> ChiSolution.delta_chi -> here
-            _warn_near(self.near_threshold, self.a, self.b, stacklevel=4)
-        out = self.eval(dist, z1.reshape(-1), z2.reshape(-1))
-        return out.reshape(z1.shape + (-1,))
 
 
 # --------------------------------------------------------------------------
@@ -327,19 +300,26 @@ class ChiSolution(_OnCut):
         """[chi(z1) - chi(z2)] / (z1 - z2), exact divided difference.
 
         Finite at z1 = z2 (where it equals chi'(z1)); the sum is chi_at's
-        with the summand 1/((mu - z1)(mu - z2)) (``_CauchySum.divided``,
-        which warns within ``near_threshold`` of [a, b]).
+        with the summand 1/((t - z1)(t - z2)), over the proxies of the
+        closest point of either set (``_CauchySum.proxies``).  It warns
+        within ``near_threshold`` of [a, b].
         """
-        D = self._R.divided(z1, z2)
-        return -D.reshape(D.shape[:-1] + (self.N, self.N))
+        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                     np.asarray(z2, dtype=complex))
+        dist = min(float(np.min(_segment_distance(z, self.a, self.b),
+                                initial=np.inf)) for z in (z1, z2))
+        if dist < self.near_threshold:
+            # caller -> here
+            _warn_near(self.near_threshold, self.a, self.b, stacklevel=3)
+        D = self._R.eval(dist, z1.reshape(-1), z2.reshape(-1))
+        return -D.reshape(z1.shape + (self.N, self.N))
 
     def chi_proxies(self, z):
         """Points t (r,) and matrices rho_hat (r, N, N) with
         chi(z') = I - sum_j rho_hat_j / (t_j - z') at every z' at least as
-        far from [a, b] as the closest point of ``z``: the far sum of
-        ``chi_at`` at that point's r, or within ``near_threshold`` its
-        Legendre series on a finer Gauss rule (``_CauchySum.proxies``).
-        It does not warn there; ``chi_inv_at`` at the same points does."""
+        far from [a, b] as the closest point of ``z``: the proxies of chi's
+        density at that distance (``_CauchySum.proxies``).  It does not warn
+        within ``near_threshold``; ``chi_inv_at`` at the same points does."""
         dist = float(np.min(_segment_distance(z, self.a, self.b)))
         t, rho = self._R.proxies(dist)
         return t, rho.reshape(-1, self.N, self.N)

@@ -490,7 +490,8 @@ class TestFactoredW:
     def test_rank_beyond_rule_uses_the_nodes(self, standard_cfg):
         cfg = replace(standard_cfg, c=0.1, shift=None)
         chi = solve_chi(cfg)
-        assert cauchy_rank(0.1, cfg.a, cfg.b) >= chi.rule.size     # P = I
+        # _chebyshev_interpolant: the nodes and P = I
+        assert cauchy_rank(0.1, cfg.a, cfg.b) >= chi.rule.size
         X, _ = W_factors(chi.rule, chi, cfg.shift).form()
         assert X.shape == (chi.rule.size, 4 * chi.rule.size)
         _assert_agrees(_W_factored(chi, cfg.shift), _W_oracle(chi, cfg.shift))
@@ -521,8 +522,9 @@ class TestFactoredN:
     def test_matches_dense_oracle(self, request, name, x):
         # R = 2 r columns against 2 m rows: r = 87 (the line at +-i/2) on
         # the 24-, 128- and 400-node lines and their halves reaches both
-        # Sylvester sides; at x = 25 (n = 64) r >= n and the Gauss nodes
-        # serve.  The value is real exactly where real_kernel holds.
+        # Sylvester sides; at x = 25 (n = 64) r >= n and chi's proxies are
+        # its rule's nodes (``_chebyshev_interpolant``).  The value is real
+        # exactly where real_kernel holds.
         # Measured: at most 4.6e-14 relative
         base = (_complex_F(request.getfixturevalue("standard_cfg"))
                 if name == "complex-F" else

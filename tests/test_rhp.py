@@ -12,9 +12,9 @@ from shiftdet.quadrature import gauss_legendre_rule
 from shiftdet.rhp import (NearIntervalWarning, jump_residual_chi, make_alpha,
                           solve_chi)
 
-from helpers import (constant, direct_alpha, direct_chi, direct_delta_chi,
-                     equation_residuals, gridded, transposed_jump_residual,
-                     with_n)
+from helpers import (_chi_densities, constant, direct_alpha, direct_chi,
+                     direct_delta_chi, equation_residuals, gauss_sum, gridded,
+                     transposed_jump_residual, with_n)
 
 
 class TestResolventSolve:
@@ -194,6 +194,27 @@ class TestChiProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NearIntervalWarning)
             chi.delta_chi(lam + 0.5j, lam - 0.5j)
+
+    def test_divided_chi_in_the_near_zone_sums_the_near_form(self,
+                                                              standard_cfg):
+        # inside the zone (0.192 at n = 104) delta_chi sums the near form's
+        # Legendre density on a Gauss rule of r = cauchy_rank(d) nodes; the
+        # oracle takes 3r.  The n-node sum was off by 1.1e-10, 1.8e-5 and
+        # 1.5e-2 at these d.  Measured: at most 7.2e-15 of the largest entry
+        chi = solve_chi(replace(standard_cfg, x=50.0))
+        assert chi.rule.size == 104
+        lam, R = chi.rule.nodes, chi._R
+        for frac in (0.9, 0.5, 0.2):
+            d = frac * chi.near_threshold
+            z1, z2 = lam + 1j * d, lam[::-1] + 1j * d + 0.3
+            with pytest.warns(NearIntervalWarning) as record:
+                got = chi.delta_chi(z1, z2)
+            assert [w.filename for w in record] == [__file__]
+            fine = gauss_legendre_rule(3 * cauchy_rank(d, chi.a, chi.b),
+                                       chi.a, chi.b)
+            want = -gauss_sum(fine, R.near.density(fine.nodes), z1, z2)
+            err = np.max(np.abs(got - want.reshape(got.shape)))
+            assert err <= 1e-13 * np.max(np.abs(want)), frac
 
     def test_divided_chi_confluent_limit(self, standard_chi):
         z = 0.4 + 0.5j
@@ -379,21 +400,32 @@ class TestProxyFarPath:
             assert _rel(chi.delta_chi(z1, z2),
                         direct_delta_chi(chi, z1, z2)) <= 1e-14
 
-    def test_gauss_path_is_the_direct_sum_bit_for_bit(self, standard_cfg):
-        # r >= n: the loop (r = 168 at distance 0.25) on the rule of 104
+    def test_gauss_path_proxies_are_the_nodes(self, standard_cfg):
+        # r >= n: the loop (r = 168 at distance 0.25) on the rule of 104,
+        # where the proxies are the nodes and w rho themselves; summed as
+        # (w rho) / (t - z) they round apart from the direct w / (lam - z)
+        # products.  Measured: at most 2.2e-16
         cfg = replace(standard_cfg, x=50.0)
         chi, alpha = solve_chi(cfg), make_alpha(cfg)
         z = _loop_rule(cfg).nodes
         assert _rank(chi, z) >= chi.rule.size == 104
-        assert np.array_equal(chi.chi_at(z), direct_chi(chi, z))
-        assert np.array_equal(chi.chi_inv_at(z), direct_chi(chi, z, inverse=True))
-        assert np.array_equal(alpha.alpha_at(z), direct_alpha(alpha, z))
-        assert np.array_equal(chi.delta_chi(z, z[::-1]),
-                              direct_delta_chi(chi, z, z[::-1]))
+        dist = float(np.min(rhp._segment_distance(z, chi.a, chi.b)))
+        nodes, w = chi.rule.nodes, chi.rule.weights[:, None]
+        rho_R, rho_L = _chi_densities(chi)
+        for C, rho in ((chi._R, rho_R), (chi._L, rho_L),
+                       (alpha._C, alpha.logF_nodes / (2j * np.pi))):
+            t, dens = C.proxies(dist)
+            assert np.array_equal(t, nodes.real)
+            assert np.array_equal(dens, w * rho.reshape(nodes.size, -1))
+        assert _rel(chi.chi_at(z), direct_chi(chi, z)) <= 1e-15
+        assert _rel(chi.chi_inv_at(z), direct_chi(chi, z, inverse=True)) <= 1e-15
+        assert _rel(alpha.alpha_at(z), direct_alpha(alpha, z)) <= 1e-15
+        assert _rel(chi.delta_chi(z, z[::-1]),
+                    direct_delta_chi(chi, z, z[::-1])) <= 1e-15
 
     @pytest.mark.parametrize("name", ["standard", "nonintegrable"])
     def test_chi_proxies_sum_to_chi(self, request, name):
-        # the proxies N's factors sum: at the loop's r >= n the Gauss
+        # the proxies N's factors sum: at the loop's r >= n the rule's
         # nodes, on N's line (r = 87 < n = 104) the Chebyshev proxies, and
         # inside the near zone, a fifth of its width from the cut, where
         # chi_at takes the Legendre-expansion form, that form's density on
