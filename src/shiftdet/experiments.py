@@ -21,7 +21,6 @@ at least 10x below that residual's tolerance.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,8 +46,6 @@ __all__ = [
 
 DET_KINDS = ("V", "Vtilde", "W", "M", "N", "M0", "Uplus", "Uminus")
 
-# ceiling of the sweep / m-vs-m0 thread pool
-MAX_THREADS = 8
 # err(x)/err(2x) acceptance band of m-vs-m0 (O(1/x) decay), tested on the
 # doubling pairs (x, 2x) with x >= RATIO_GATE_X
 RATIO_BAND = (1.5, 3.0)
@@ -91,10 +88,6 @@ def _require_U_strip(cfg: ProblemConfig):
         raise ConfigError(f"U+-: loop half-height h={h} violates the strip "
                           f"h < c/2 = {cfg.c / 2} of U+-, whose poles sit at "
                           f"lam - mu = -+ i c")
-
-
-def _worker_count(n_jobs: int) -> int:
-    return min(n_jobs, os.cpu_count() or 1, MAX_THREADS)
 
 
 # --------------------------------------------------------------------------
@@ -244,11 +237,15 @@ def _ratio_grid(xs: List[float]):
 
 def _ladder(cfg: ProblemConfig, xs: Sequence[float], what: str,
             grid_rule: Callable, row: Callable) -> list:
-    """``row(replace(cfg, x=xv), det_M0)`` for each x, run concurrently.
+    """``row(replace(cfg, x=xv), det_M0)`` for each x, in x order.
 
     The config, shift table, x grid (with the ladder's ``grid_rule``) and
     the memory of the largest x's interval matrix are checked before any
-    determinant; the limit det_loop(I+M0) is computed once.
+    determinant; the limit det_loop(I+M0) is computed once.  The rows run
+    one at a time on one worker, so one row's matrices are alive at a time
+    and the up-front memory check covers what the ladder allocates.  Each
+    row's LAPACK calls already use every core; a second row thread would
+    only add memory.
     """
     cfg.validate()
     # the limit is that of det(I+S)/det(I+S~), S = V on the canonical table
@@ -270,7 +267,8 @@ def _ladder(cfg: ProblemConfig, xs: Sequence[float], what: str,
     grid_rule(xs)
     _require_interval_memory(replace(cfg, x=xs[-1]))
     det_M0 = _det(cfg, "M0")
-    with ThreadPoolExecutor(max_workers=_worker_count(len(xs))) as pool:
+    # bench/spans.py times each row as a job of this executor
+    with ThreadPoolExecutor(max_workers=1) as pool:
         return list(pool.map(lambda xv: row(replace(cfg, x=xv), det_M0), xs))
 
 

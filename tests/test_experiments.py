@@ -1,5 +1,6 @@
 import json
-import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from shiftdet import cli, determinants, experiments
 from shiftdet.determinants import DetResult, nystrom_det, nystrom_det_matrix
-from shiftdet.experiments import (DET_KINDS, SweepRow, _interval_rule,
-                                  _loop_rule, _sweep_row, _worker_count,
+from shiftdet.experiments import (DET_KINDS, SweepRow, _comparison_row,
+                                  _interval_rule, _loop_rule, _sweep_row,
                                   asymptotic_sweep, compute_determinant,
                                   fit_decay_slope, limit_determinants,
                                   m_vs_m0, verify_factorization)
@@ -367,24 +368,60 @@ class TestEarlyMemoryRefusal:
             ladder(standard_cfg, [25.0, 50.0, 100.0, 200.0])
 
 
-class TestWorkerConfiguration:
-    def test_default_pool_capped_at_eight(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _worker_count(20) == 8
-        assert _worker_count(3) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(20) == 1
+class TestOneRowAtATime:
+    """The ladders run their rows one at a time, in x order."""
 
+    def test_rows_are_the_row_functions_called_in_x_order(
+            self, standard_cfg, sweep_rows, comparison_rows):
+        det_M0 = experiments._det(standard_cfg, "M0")
+        for rows, row in ((sweep_rows, _sweep_row),
+                          (comparison_rows, _comparison_row)):
+            assert rows == [row(replace(standard_cfg, x=r.x), det_M0)
+                            for r in rows]
+
+    @pytest.mark.parametrize("ladder, row, xs", [
+        (asymptotic_sweep, "_sweep_row", [25.0, 50.0, 100.0, 200.0]),
+        (m_vs_m0, "_comparison_row", [50.0, 100.0, 200.0])],
+        ids=["sweep", "m-vs-m0"])
+    def test_at_most_one_row_in_flight(self, monkeypatch, standard_cfg,
+                                       ladder, row, xs):
+        real, lock = getattr(experiments, row), threading.Lock()
+        in_flight, peak, started = [0], [0], []
+
+        def probe(cfg_x, det_M0):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                started.append(cfg_x.x)
+            try:
+                time.sleep(0.02)    # a second row thread would overlap here
+                return real(cfg_x, det_M0)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+        monkeypatch.setattr(experiments, row, probe)
+        ladder(standard_cfg, xs)
+        assert peak[0] == 1
+        assert started == xs
+
+
+class TestWorkerConfiguration:
     @pytest.mark.parametrize("workers", ["one", "one per x"])
     def test_rows_do_not_depend_on_the_thread_count(
             self, monkeypatch, standard_cfg, sweep_rows, comparison_rows,
             workers):
-        # the default rows ran on min(#x, cpu count, 8) threads
-        monkeypatch.setattr(experiments, "_worker_count",
-                            lambda n_jobs: 1 if workers == "one" else n_jobs)
-        xs = [r.x for r in sweep_rows]
+        # the ladders run on one worker; rows run on one thread per x equal
+        # them, so no row reads state another row leaves behind
+        real, asked = experiments.ThreadPoolExecutor, []
+        xs = [r.x for r in sweep_rows]    # the longer of the two ladders
+
+        def pool(max_workers):
+            asked.append(max_workers)
+            return real(max_workers=1 if workers == "one" else len(xs))
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", pool)
         assert asymptotic_sweep(standard_cfg, xs) == sweep_rows
         assert m_vs_m0(standard_cfg, cli_ladder("m-vs-m0")) == comparison_rows
+        assert asked == [1, 1]
 
 
 def test_invalid_config_rejected_up_front():
