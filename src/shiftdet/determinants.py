@@ -133,7 +133,7 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
                          dim: Optional[int] = None) -> np.ndarray:
     """I + K diag(w) on the rule; dim None for a scalar kernel.
 
-    ``kernel(z[:, None], z[None, :])`` returns the kernel's ``kernels.Grid``
+    ``kernel(z, z)`` returns the kernel's ``kernels.Grid``
     on the rule, its factors evaluated once; each row block
     ``grid.block(slice(i0, i1))`` is checked and written, weighted (for a
     matrix kernel with block (j, k) = w_k K(z_j, z_k) in the row-major
@@ -161,7 +161,7 @@ def assemble_collocation(kernel: Callable, rule: QuadratureRule,
     # (its values, and a shift term's plane buffer and denominator), the
     # fourth is to spare; a matrix kernel 16, its values.  The block
     # size is fixed before the first block's dtype
-    grid, D = kernel(z[:, None], z[None, :]), None
+    grid, D = kernel(z, z), None
     for i0, i1 in row_blocks(m, w.size * (dim or 1) * (16 if dim else 64)):
         K = grid.block(slice(i0, i1))
         if D is None:

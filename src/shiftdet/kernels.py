@@ -6,16 +6,17 @@ loop matrix kernel M, the low-rank factors of the one-dimensional
 reduction W and of the line kernel N, and the asymptotic kernels U+/U- --
 from a small registry of admissible amplitude/phase functions.
 
-All evaluators are vectorized: a kernel maps broadcastable complex arrays
-(lam, mu) to a ``Grid`` of its values on the broadcast grid, a trailing
-(N, N) axis for matrix kernels.  A grid holds the kernel's factors,
-evaluated once, and forms its values a block of rows at a time from row
-slices of them: a collocation matrix asks for one block after another
-(``determinants.assemble_collocation``), a pointwise caller for all of
-them (``Grid.values``).  V~ and V map real arrays to
+Every kernel takes 1-D row points lam (m,) and 1-D column points mu (n,)
+-- a rule against itself, or evaluation points against a rule's nodes --
+and returns a ``Grid`` of its values on the (m, n) grid, a trailing (K, N)
+axis for matrix kernels.  A grid holds the kernel's factors, evaluated
+once, and forms its values a block of rows at a time from row slices of
+them: a collocation matrix asks for one block after another
+(``determinants.assemble_collocation``), an interpolant for all of them
+(``Grid.values``).  V~ and V map real arrays to
 float64 where the config makes them real (``real_kernel``, from the
 symmetry of the vector pair and the shift table), and M, asked for a
-collocation, then returns its k = 0 planes alone, (..., 1, N), as N's
+collocation, then returns its k = 0 planes alone, (m, n, 1, N), as N's
 factors then hold their k = 0 rows alone (``LowRank.real``); this module
 alone reads that decision, and the determinants follow the dtype and the
 shape of what they are given.  V~ and M are one integrable form, which
@@ -72,23 +73,15 @@ def _sinc(w):
     return np.where(small, 1.0 - w * w / 6.0, np.sin(wd) / wd)
 
 
-def _row_block(lam, mu, shape) -> bool:
-    """lam a (k, 1) column against a row of n points, (n,) or (1, n): the
-    (k, n) broadcast ``shape`` of a collocation or interpolant row block."""
-    return (len(shape) == 2 and lam.shape == (shape[0], 1)
-            and mu.size == shape[1])
-
-
 class Grid:
-    """A kernel's values on the broadcast grid of its points lam and mu,
+    """A kernel's values on the grid of its 1-D row points lam and 1-D
+    column points mu, (lam.size, mu.size) plus (K, N) for a matrix kernel,
     held as the factors they are formed from, each evaluated once.
 
-    ``block(rows)`` forms the values of a slice of the grid's rows where
-    lam is a column against a row of points (``_row_block``: every
-    collocation and interpolant grid); any other grid is formed only
-    whole, ``block(slice(None))``.  Every block is a new array, the
-    caller's to overwrite.  ``values()`` is the whole grid; ``shape`` and
-    ``size`` are those of its values.
+    ``block(rows)`` forms the values of a slice of the grid's rows, a new
+    array, the caller's to overwrite; ``values()`` is the whole grid,
+    ``block(slice(None))``.  ``shape`` and ``size`` are those of its
+    values.
     """
 
     def __init__(self, shape: tuple, block: Callable[[slice], np.ndarray]):
@@ -122,41 +115,35 @@ class LowRank:
     form: Callable[[], tuple]
 
 
-def _product(lam, mu, a, b) -> Callable:
-    """rows -> sum_r a_r b_r on a slice of the grid's rows (written into
-    ``out`` if given), from the factors a (..., r) at lam and b at mu: one
-    GEMM of a's row slice, (k, r), and b, (r, n), for a ``_row_block``; the
-    broadcast product summed over r for any other grid."""
-    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
-        a, b = a[:, 0], b.reshape(mu.size, -1).T
-        return lambda rows, out=None: np.matmul(a[rows], b, out=out)
-    return lambda rows, out=None: np.sum(a * b, axis=-1, out=out)
+def _product(a, b) -> Callable:
+    """rows -> a[rows] b^T, sum_r a_r b_r on a slice of the grid's rows
+    (written into ``out`` if given), from the factors a (m, r) at the row
+    points and b (n, r) at the column points: one GEMM a block."""
+    b = b.T
+    return lambda rows, out=None: np.matmul(a[rows], b, out=out)
 
 
 def _near_entries(lam, mu, delta0: float):
-    """Index of the entries |lam - mu| < delta0 of the broadcast grid.
+    """(row, column) index arrays, in row-major order, of the entries
+    |lam - mu| < delta0 of the grid of 1-D row points lam against 1-D
+    column points mu.
 
-    When lam is a column and mu a row with sorted real parts (every Gauss
-    rule's collocation grid), each row's candidates are the bisected window
-    |Re lam - Re mu| <= 2 delta0, which holds every entry with
-    |lam - mu| < delta0, rounding included; the exact test then runs on
-    those candidates only, and (row, column) arrays in row-major order are
-    returned.  Any other grid gets the boolean mask over all of it.
+    Where mu has sorted real parts (every Gauss rule), each row's
+    candidates are the bisected window |Re lam - Re mu| <= 2 delta0, which
+    holds every entry with |lam - mu| < delta0, rounding included, and the
+    exact test runs on those candidates only; any other mu takes the exact
+    test on the whole grid.
     """
-    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
-        row = mu.reshape(-1)
-        if np.all(row.real[1:] >= row.real[:-1]):
-            col = lam.reshape(-1)
-            lo = np.searchsorted(row.real, col.real - 2.0 * delta0)
-            count = np.searchsorted(row.real, col.real + 2.0 * delta0,
-                                    side="right") - lo
-            i = np.repeat(np.arange(col.size), count)
-            # the k-th candidate of row i is column lo[i] + k
-            j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count),
-                                              count)
-            keep = np.abs(col[i] - row[j]) < delta0
-            return i[keep], j[keep]
-    return np.abs(lam - mu) < delta0
+    if not np.all(mu.real[1:] >= mu.real[:-1]):
+        return np.nonzero(np.abs(lam[:, None] - mu) < delta0)
+    lo = np.searchsorted(mu.real, lam.real - 2.0 * delta0)
+    count = np.searchsorted(mu.real, lam.real + 2.0 * delta0,
+                            side="right") - lo
+    i = np.repeat(np.arange(lam.size), count)
+    # the k-th candidate of row i is column lo[i] + k
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    keep = np.abs(lam[i] - mu[j]) < delta0
+    return i[keep], j[keep]
 
 
 # --------------------------------------------------------------------------
@@ -747,15 +734,14 @@ def _real_V(lam, mu, pair: VectorPairSpec, shift: ShiftSpec,
     f = 2.0 * shift.gamma[0] * pair.E_L(lam)[..., 0]
     g = pair.E_R(mu)[..., shift.v0[0]]
     c = shift.c[0]
-    re_N = _product(lam, mu, np.stack([f.real, -f.imag], axis=-1),
+    re_N = _product(np.stack([f.real, -f.imag], axis=-1),
                     np.stack([g.real, g.imag], axis=-1))
-    im_N = _product(lam, mu, np.stack([f.real, f.imag], axis=-1),
+    im_N = _product(np.stack([f.real, f.imag], axis=-1),
                     np.stack([g.imag, g.real], axis=-1))
-    outer = _row_block(lam, mu, bracket.shape)
 
     def block(rows):
         out = bracket.block(rows)
-        d = np.asarray((lam[rows] if outer else lam) - mu)
+        d = lam[rows, None] - mu
         num = re_N(rows)
         num *= d
         im = im_N(rows)
@@ -913,16 +899,17 @@ def N_factors(rule, chi, shift: ShiftSpec) -> LowRank:
 
 
 def _kernel_planes(lam, mu, rows, cols, s, near=None) -> Grid:
-    """sum_r rows[k]_r cols[l]_r / (lam - mu + i s_kl), (..., K, N), from K
-    factors rows[k] (..., r) on lam's side and N factors cols[l] on mu's.
-    The factors are evaluated once, by the caller; a
-    block of rows is formed plane by plane from row slices of them
-    (``_product``), each plane contiguous in a plane-major (K, N, ...)
-    buffer whose view is returned: no ufunc loops over length-N trailing
-    axes.  The planes are float64 when the points and factors are real and
-    every s_kl is 0.  Where a point is off the real axis, a vanishing
+    """sum_r rows[k]_r cols[l]_r / (lam - mu + i s_kl) on the grid of 1-D
+    row points lam (m,) against 1-D column points mu (n,), (m, n, K, N),
+    from K factors rows[k] (m, r) at lam and N factors cols[l] (n, r) at
+    mu.  The factors are evaluated once, by the caller; a block of rows is
+    formed plane by plane, each plane one GEMM of a row slice of its
+    factors (``_product``) into a plane-major (K, N, rows, n) buffer whose
+    view is returned: no ufunc loops over length-N trailing axes.  The
+    planes are float64 when the points and factors are real and every
+    s_kl is 0.  Where a point is off the real axis, a vanishing
     denominator of an s_kl != 0 plane raises ValueError: the package's one
-    pole guard.
+    pole guard.  Points of any other shape raise ValueError.
 
     ``near = (delta0, values)`` removes the diagonal of the s_kl = 0
     planes: their entries |lam - mu| < delta0 (``_near_entries``) are
@@ -931,32 +918,29 @@ def _kernel_planes(lam, mu, rows, cols, s, near=None) -> Grid:
     0/0 is formed.  A complex value for a float64 plane raises
     NumericError, never cut to its real part."""
     K, N, lam, mu = len(rows), len(cols), np.asarray(lam), np.asarray(mu)
+    if lam.ndim != 1 or mu.ndim != 1:
+        raise ValueError(f"a kernel takes 1-D row and column points, got "
+                         f"shapes {lam.shape} and {mu.shape}")
     cplx = np.any(s) or any(map(np.iscomplexobj, (lam, mu, *rows, *cols)))
     off_axis = np.any(np.imag(lam)) or np.any(np.imag(mu))
-    shape, dtype = np.broadcast(lam, mu).shape, complex if cplx else float
-    outer = _row_block(lam, mu, shape)
-    product = [[_product(lam, mu, a, b) for b in cols] for a in rows]
+    dtype = complex if cplx else float
+    product = [[_product(a, b) for b in cols] for a in rows]
     vals = {}                     # (k, l) -> the near values of plane k, l
     if near is not None:
         idx = _near_entries(lam, mu, near[0])
-        if outer and not isinstance(idx, tuple):    # an unsorted row's mask
-            idx = np.nonzero(idx)
-        at = [np.broadcast_to(z, shape)[idx] for z in (lam, mu)]
-        if at[0].size:
-            vals = {(k, l): near[1](k, l, *at) for l, k in np.ndindex(N, K)
-                    if not s[k, l]}
+        if idx[0].size:
+            vals = {(k, l): near[1](k, l, lam[idx[0]], mu[idx[1]])
+                    for l, k in np.ndindex(N, K) if not s[k, l]}
         if not cplx and any(map(np.iscomplexobj, vals.values())):
             raise NumericError("complex near values in a real kernel")
 
     def block(sl):
-        lam_b = lam[sl] if outer else lam
-        shape_b = np.broadcast(lam_b, mu).shape
-        if vals and outer:                  # the block's rows of idx, vals
-            i0, i1, _ = sl.indices(shape[0])
+        lam_b = lam[sl, None]
+        shape_b = (lam_b.size, mu.size)
+        if vals:                            # the block's rows of idx, vals
+            i0, i1, _ = sl.indices(lam.size)
             part = slice(*np.searchsorted(idx[0], (i0, i1)))
             idx_b = (idx[0][part] - i0, idx[1][part])
-        elif vals:
-            part, idx_b = slice(None), idx
         den, buf = np.empty(shape_b, dtype), np.empty((K, N) + shape_b, dtype)
         s_den = None              # consecutive planes of equal s share den
         for l, k in np.ndindex(N, K):
@@ -975,7 +959,7 @@ def _kernel_planes(lam, mu, rows, cols, s, near=None) -> Grid:
             if (k, l) in vals:
                 plane[idx_b] = vals[k, l][part]
         return np.moveaxis(buf, (0, 1), (-2, -1))
-    return Grid(shape + (K, N), block)
+    return Grid((lam.size, mu.size, K, N), block)
 
 
 def _plane(planes: Grid) -> Grid:
@@ -1014,10 +998,10 @@ def M_kernel(lam, mu, chi, shift: ShiftSpec,
                       / (2 i pi (lam - mu + i c_l)),
     for lam, mu on a loop inside the strip |Im z| < min|c_l|/2.  A
     ``collocation`` gets only the row components ``_row_components``
-    names: (..., 1, N) where the config is real.
+    names: (m, n, 1, N) where the config is real.
     """
     v0 = shift.v0[:_row_components(chi, shift, collocation)]
-    Ainv = chi.chi_inv_at(lam)[..., v0, :]              # (..., k, r)
+    Ainv = chi.chi_inv_at(lam)[..., v0, :]              # (m, k, r)
     rows = [g / (2j * pi) * Ainv[..., k, :]
             for k, g in enumerate(shift.gamma[:v0.size])]
     cols = [chi.chi_at(mu - 1j * c)[..., :, l] for l, c in enumerate(shift.c)]

@@ -327,17 +327,20 @@ class ChiSolution(_OnCut):
     def _interpolant(self, z, F_nodes: np.ndarray, E: Callable,
                      left: bool) -> np.ndarray:
         """E(z) - sum_k K w_k F_nodes[k] with K = kernel(z, node_k) (left)
-        or kernel(node_k, z), one GEMM per row block of points.  Real points
-        keep their dtype, so a real kernel's float64 K multiplies the
-        complex w F as real columns (``_columns``)."""
+        or kernel(node_k, z), one GEMM per row block of points: the grid
+        of the block's points against the nodes (left), or the transpose
+        of the nodes' grid against them.  Real points keep their dtype, so
+        a real kernel's float64 K multiplies the complex w F as real
+        columns (``_columns``)."""
         z = np.asarray(z)
         flat, nodes = z.reshape(-1), self.rule.nodes
         wF = self.rule.weights[:, None] * F_nodes
         acc = np.empty((flat.size, wF.shape[1]), dtype=complex)
         for i0, i1 in row_blocks(flat.size, 16 * nodes.size, stream=True):
-            pts = flat[i0:i1, None]
-            K = self.kernel(pts, nodes) if left else self.kernel(nodes, pts)
-            acc[i0:i1] = _columns(np.matmul, K.values(), wF)
+            pts = flat[i0:i1]
+            K = (self.kernel(pts, nodes).values() if left
+                 else self.kernel(nodes, pts).values().T)
+            acc[i0:i1] = _columns(np.matmul, K, wF)
         return (E(flat) - acc).reshape(z.shape + (-1,))
 
     def FL_at(self, lam) -> np.ndarray:

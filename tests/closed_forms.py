@@ -28,7 +28,7 @@ from math import pi
 import mpmath as mp
 import numpy as np
 
-from shiftdet.kernels import (U_minus_kernel, U_plus_kernel, _gsk_near,
+from shiftdet.kernels import (Grid, U_minus_kernel, U_plus_kernel, _gsk_near,
                               _kernel_planes, _phase_parts, _sinc)
 
 from helpers import N_planes, mask_near_diagonal_eval
@@ -107,7 +107,8 @@ def W_kernel(lam, mu, chi, pair, shift):
 
 
 def N_kernel(lam, mu, chi, shift, delta0, collocation=False):
-    """Line-representation matrix kernel on the real axis, as a ``Grid``.
+    """Line-representation matrix kernel on the real axis, as a ``Grid`` of
+    1-D row points lam against 1-D column points mu.
 
     N_{k,l}(lam,mu) = sgn(c_k) gamma_k [I - chi^{-1}(lam + i c_k/2) chi(mu - i c_l/2)]_{v_k, l}
                       / (2 i pi (lam - mu + i (c_k + c_l)/2)),
@@ -131,19 +132,23 @@ def N_kernel(lam, mu, chi, shift, delta0, collocation=False):
 
 
 def M0_kernel(lam, mu, alpha, c):
-    """Block-diagonal comparison kernel diag(U-, U+) (2x2).
+    """Block-diagonal comparison kernel diag(U-, U+) (2x2), as a ``Grid`` of
+    1-D row points lam against 1-D column points mu.
 
     The leading large-x substitute for M: replacing chi by the diagonal
     alpha-matrix in M collapses the off-diagonal entries and leaves U- in
     the (1,1) slot and U+ in the (2,2) slot.
     """
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    shape = np.broadcast(lam, mu).shape
-    out = np.zeros(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = U_minus_kernel(lam, mu, alpha, c).values()
-    out[..., 1, 1] = U_plus_kernel(lam, mu, alpha, c).values()
-    return out
+    minus = U_minus_kernel(lam, mu, alpha, c)
+    plus = U_plus_kernel(lam, mu, alpha, c)
+
+    def block(rows):
+        U = minus.block(rows)
+        out = np.zeros(U.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = U
+        out[..., 1, 1] = plus.block(rows)
+        return out
+    return Grid(minus.shape + (2, 2), block)
 
 
 def _mp_function(spec):

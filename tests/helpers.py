@@ -44,19 +44,26 @@ def cli_ladder(command: str) -> list:
     return _parse_xs(_build_parser().parse_args([command, "cfg.json"]).x)
 
 
-def gridded(kernel, once: bool = False):
-    """A kernel that returns its values, as one that returns a ``Grid``
-    (the protocol of ``nystrom_det*``): each block of rows is ``kernel``
-    evaluated on those rows, or, ``once``, a copy of those rows of its
-    values on the whole grid."""
+def gridded(kernel):
+    """A closed-form kernel of broadcast points, as one that takes 1-D row
+    points lam and 1-D column points mu and returns a ``Grid`` (the
+    contract of the package's kernels): each block of rows is
+    ``kernel(lam[rows, None], mu[None, :])``."""
     def grid(lam, mu):
         lam, mu = np.asarray(lam), np.asarray(mu)
-        if once:
-            values = kernel(lam, mu)
-            return Grid(values.shape, lambda rows: values[rows].copy())
-        return Grid(np.broadcast(lam, mu).shape,
-                    lambda rows: kernel(lam[rows], mu))
+        return Grid((lam.size, mu.size),
+                    lambda rows: kernel(lam[rows, None], mu[None, :]))
     return grid
+
+
+def pointwise(kernel, lam, mu):
+    """A package kernel at the point pairs (lam_i, mu_i), for checks against
+    a closed form: the entries (i, i) of its grid of lam against mu, the two
+    broadcast to one 1-D length (a scalar a 1-element array)."""
+    lam, mu = (np.atleast_1d(z).reshape(-1)
+               for z in np.broadcast_arrays(lam, mu))
+    i = np.arange(lam.size)
+    return kernel(lam, mu).values()[i, i]
 
 
 def with_n(cfg, n: int):
@@ -131,8 +138,8 @@ def equation_residuals(chi, refine: int = 2):
     probes = 0.5 * (chi.rule.nodes[:-1] + chi.rule.nodes[1:])
     EL_p = chi.pair.E_L(probes)
     ER_p = chi.pair.E_R(probes)
-    KL = chi.kernel(probes[:, None], lam_f[None, :]).values() * fine.weights
-    KR = chi.kernel(lam_f[None, :], probes[:, None]).values() * fine.weights
+    KL = chi.kernel(probes, lam_f).values() * fine.weights
+    KR = chi.kernel(lam_f, probes).values().T * fine.weights
     res_L = chi.FL_at(probes) + np.einsum("pk,ka->pa", KL, FL_f) - EL_p
     res_R = chi.FR_at(probes) + np.einsum("pk,ka->pa", KR, FR_f) - ER_p
     scale_L = max(float(np.max(np.abs(EL_p))), 1e-300)
@@ -146,7 +153,7 @@ def complex_collocation(kernel, rule, dim=None) -> np.ndarray:
     arithmetic; a matrix kernel (dim not None) in the (node, component)
     layout."""
     lam, w = rule.nodes, rule.weights
-    K = kernel(lam[:, None], lam[None, :]).values()
+    K = kernel(lam, lam).values()
     if dim is None:
         return np.eye(rule.size) + K * w
     K = (K * w[:, None, None]).transpose(0, 2, 1, 3)
@@ -244,8 +251,9 @@ def mask_near_diagonal_eval(lam, mu, delta0: float, direct, near):
 
 
 def N_planes(lam, mu, chi, shift, collocation: bool = False):
-    """The factors of the dense line kernel N's planes for
-    ``_kernel_planes`` (the oracle ``closed_forms.N_kernel``), and pref_k.
+    """The factors of the dense line kernel N's planes at 1-D row points
+    lam and 1-D column points mu for ``_kernel_planes`` (the oracle
+    ``closed_forms.N_kernel``), and pref_k.
 
     pref_k [I - A B]_{v_k, l} with A = chi^-1(lam + i c_k/2),
     B = chi(mu - i c_l/2) is the product of the row factor
@@ -270,22 +278,21 @@ def N_planes(lam, mu, chi, shift, collocation: bool = False):
 
 
 def mask_patched_N(lam, mu, chi, shift, delta0: float):
-    """The dense N as its planes with no removable diagonal (0/0 on the
+    """The dense N on the grid of 1-D row points lam against 1-D column
+    points mu as its planes with no removable diagonal (0/0 on the
     compensated pairs' near-diagonal entries), those entries then
     overwritten through a boolean mask over the full grid: the oracle of
     the evaluator's near option."""
     rows, cols, csum, pref = N_planes(lam, mu, chi, shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _kernel_planes(lam, mu, rows, cols, csum).values()
-    shape = out.shape[:-2]
-    idx = np.broadcast_to(near_diagonal_mask(lam, mu, delta0), shape)
+    idx = near_diagonal_mask(lam[:, None], mu[None, :], delta0)
     if not idx.any():
         return out
-    z0 = np.broadcast_to(lam, shape)[idx]
-    z0p = np.broadcast_to(mu, shape)[idx]
+    i, j = np.nonzero(idx)
     for k, l in zip(*np.nonzero(np.abs(csum) < 1e-14)):
-        z = z0 + 0.5j * shift.c[k]
-        zp = z0p - 0.5j * shift.c[l]
+        z = lam[i] + 0.5j * shift.c[k]
+        zp = mu[j] - 0.5j * shift.c[l]
         # [I - chi^-1(z) chi(z')]/(z - z') == chi^-1(z) * dchi(z, z')
         dchi = chi.delta_chi(z, zp)
         cinv = chi.chi_inv_at(z)

@@ -132,7 +132,7 @@ def test_trivial_amplitude_dressed_determinants(trivial_cfg, trivial_chi):
     d_um = nystrom_det(
         lambda l, m: U_minus_kernel(l, m, alpha, trivial_cfg.c), loop)
     d_m0 = nystrom_det_matrix(
-        gridded(lambda l, m: M0_kernel(l, m, alpha, trivial_cfg.c)), loop, 2)
+        lambda l, m: M0_kernel(l, m, alpha, trivial_cfg.c), loop, 2)
     assert abs(d_up.value - 1.0) < 1e-10
     assert abs(d_um.value - 1.0) < 1e-10
     assert abs(d_m0.value - 1.0) < 1e-10
@@ -563,13 +563,13 @@ class TestFactoredN:
         m, N, r = rule.size, cfg.shift.N, Y.shape[2]
         got = np.concatenate([X[:, b * r:(b + 1) * r] @ Y[b].T
                               for b in range(N)], axis=1)
-        lam, mu = rule.nodes[:, None], rule.nodes[None, :]
-        want = (N_kernel(lam, mu, chi, cfg.shift, cfg.delta0).values()
+        lam = rule.nodes
+        want = (N_kernel(lam, lam, chi, cfg.shift, cfg.delta0).values()
                 * rule.weights[:, None, None]).transpose(2, 0, 3, 1)
-        rows, cols, csum, _ = N_planes(lam, mu, chi, cfg.shift)
+        rows, cols, csum, _ = N_planes(lam, lam, chi, cfg.shift)
         with np.errstate(divide="ignore"):
-            terms = np.array([[np.sum(np.abs(a * b), axis=-1)
-                               / np.abs(lam - mu + 1j * csum[k, l])
+            terms = np.array([[np.abs(a) @ np.abs(b).T
+                               / np.abs(lam[:, None] - lam + 1j * csum[k, l])
                                for l, b in enumerate(cols)]
                               for k, a in enumerate(rows)])
         terms = np.where(np.isfinite(terms), terms * np.abs(rule.weights), 0.0)
@@ -966,7 +966,7 @@ def _kernel(cfg, which, points=complex):
 
 def _on_grid(cfg, which):
     lam = _interval_rule(cfg).nodes
-    return _kernel(cfg, which)(lam[:, None], lam[None, :]).values()
+    return _kernel(cfg, which)(lam, lam).values()
 
 
 class TestRealArithmetic:
@@ -1043,12 +1043,12 @@ class TestRealArithmetic:
         rule = _interval_rule(cfg)
         near_pairs = 0
         for r in (rule, rule.half()):
-            lam, mu = r.nodes[:, None], r.nodes[None, :]
-            near = near_diagonal_mask(lam, mu, cfg.delta0)
+            lam = r.nodes
+            near = near_diagonal_mask(lam[:, None], lam, cfg.delta0)
             near_pairs += int(near.sum()) - r.size
             for which in ("Vtilde", "V"):
-                got = _kernel(cfg, which, points=float)(lam, mu).values()
-                want = _kernel(cfg, which)(lam, mu).values()
+                got = _kernel(cfg, which, points=float)(lam, lam).values()
+                want = _kernel(cfg, which)(lam, lam).values()
                 assert got.dtype == np.float64
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-14 * scale
@@ -1097,9 +1097,9 @@ class TestRealArithmetic:
         chi = solve_chi(cfg)
         want = np.float64 if real_on_axis(cfg, "Vtilde") else np.complex128
         half = chi.rule.half().nodes
-        assert chi.kernel(half[:, None], chi.rule.nodes).values().dtype == want
+        assert chi.kernel(half, chi.rule.nodes).values().dtype == want
         # complex points are never evaluated in float64
-        off = half[:, None] + 0.5j
+        off = half + 0.5j
         assert (chi.kernel(off, chi.rule.nodes).values().dtype
                 == np.complex128)
         # M's loop matrix and N's Sylvester matrix, of its low-rank
@@ -1185,9 +1185,8 @@ class TestRealContour:
                  lambda l, m, **kw: N_kernel(l, m, standard_chi, shift,
                                              standard_cfg.delta0, **kw))):
             lam = rule.nodes
-            top = kernel(lam[:40, None], lam[None, :],
-                         collocation=True).values()
-            full = kernel(lam[:40, None], lam[None, :]).values()
+            top = kernel(lam[:40], lam, collocation=True).values()
+            full = kernel(lam[:40], lam).values()
             assert top.shape == (40, rule.size, 1, 2)
             assert np.array_equal(top[..., 0, :], full[..., 0, :])
 
@@ -1250,7 +1249,7 @@ class TestMpmathOracle:
             for r, value in ((rule, got.value), (rule.half(), got.half)):
                 z = r.nodes
                 want = complex(mp_collocation_det(
-                    kernel(z[:, None], z[None, :]).values(), r.weights))
+                    kernel(z, z).values(), r.weights))
                 cond = np.linalg.cond(complex_collocation(kernel, r, 2))
                 bound = 10 * r.size * 2 * cond * np.finfo(float).eps
                 assert abs(value - want) <= bound * abs(want)

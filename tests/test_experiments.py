@@ -294,7 +294,7 @@ class TestComputeDeterminant:
         cfg = request.getfixturevalue(name + "_cfg")
         alpha = make_alpha(cfg)
         dense = nystrom_det_matrix(
-            gridded(lambda l, m: M0_kernel(l, m, alpha, cfg.c)),
+            lambda l, m: M0_kernel(l, m, alpha, cfg.c),
             _loop_rule(cfg), 2)
         res = compute_determinant(cfg, "M0")
         assert res.rule_size == dense.rule_size == cfg.numerics.m_loop

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftdet import determinants
-from shiftdet.kernels import (ConfigError, FunctionSpec, NumericsConfig,
+from shiftdet.kernels import (ConfigError, FunctionSpec, Grid, NumericsConfig,
                               NumericError, ProblemConfig, ShiftSpec,
                               ToleranceConfig, M_kernel,
                               U_minus_kernel, U_plus_kernel,
                               _chebyshev_interpolant, _kernel_planes,
-                              _near_entries, _phase_parts, _row_block, _sinc,
+                              _near_entries, _phase_parts, _sinc,
                               bracket_kernel, cauchy_rank, eval_e,
                               general_kernel_V, gsk_shift_spec,
                               gsk_vector_pair, problem_config_from_json)
@@ -23,10 +23,10 @@ from shiftdet.rhp import _base_kernel, make_alpha
 
 from closed_forms import (M0_kernel, N_kernel, W_kernel, gsk_kernel,
                           shift_kernel)
-from helpers import (bracket, constant, gridded, identity,
+from helpers import (bracket, constant, identity,
                      mask_near_diagonal_eval,
-                     mask_patched_N, near_diagonal_mask, polynomial,
-                     scaled_gaussian, validate_regularity)
+                     mask_patched_N, near_diagonal_mask, pointwise,
+                     polynomial, scaled_gaussian, validate_regularity)
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                               allow_nan=False, allow_infinity=False)
@@ -292,7 +292,7 @@ class TestPlaneWaveAndSine:
     def test_near_mask_threshold(self):
         d0 = make_cfg().delta0
         for mu, near in [(d0 / 10, True), (10 * d0, False)]:
-            lam, mu = np.zeros((1, 1)), np.array([mu])
+            lam, mu = np.zeros(1), np.array([mu])
             i, _ = _near_entries(lam, mu, d0)
             assert i.size == near
 
@@ -325,8 +325,8 @@ class TestShiftKernel:
         lam = rng.uniform(-1, 1, 100)
         mu = rng.uniform(-1, 1, 100)
         lhs = shift_kernel(lam, mu, cfg)
-        rhs = general_kernel_V(lam, mu, pair, table,
-                               delta0=cfg.delta0).values()
+        rhs = pointwise(lambda l, m: general_kernel_V(
+            l, m, pair, table, delta0=cfg.delta0), lam, mu)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     @settings(max_examples=60, deadline=None)
@@ -335,9 +335,9 @@ class TestShiftKernel:
     def test_partial_fractions_property(self, lam, mu, x, c):
         cfg = make_cfg(x=x, c=c)
         lhs = shift_kernel(lam, mu, cfg)
-        rhs = general_kernel_V(lam, mu, gsk_vector_pair(cfg),
-                               gsk_shift_spec(cfg),
-                               delta0=cfg.delta0).values()
+        rhs = pointwise(lambda l, m: general_kernel_V(
+            l, m, gsk_vector_pair(cfg), gsk_shift_spec(cfg),
+            delta0=cfg.delta0), lam, mu)[0]
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
@@ -378,8 +378,8 @@ class TestGeneralV:
         lam = np.linspace(-0.9, 0.9, 7)
         mu = lam[::-1].copy()
         np.testing.assert_allclose(
-            general_kernel_V(lam, mu, pair, table,
-                             delta0=cfg.delta0).values(),
+            pointwise(lambda l, m: general_kernel_V(
+                l, m, pair, table, delta0=cfg.delta0), lam, mu),
             gsk_kernel(lam, mu, cfg), rtol=1e-13)
 
     def test_zero_left_vectors_give_zero(self):
@@ -391,9 +391,9 @@ class TestGeneralV:
                        bracket_dd=lambda lam, mu: np.zeros(
                            np.broadcast(lam, mu).shape, complex))
         table = gsk_shift_spec(cfg)
-        out = general_kernel_V(0.3, -0.1, zero, table,
-                               delta0=cfg.delta0).values()
-        assert abs(out) < 1e-14
+        out = pointwise(lambda l, m: general_kernel_V(
+            l, m, zero, table, delta0=cfg.delta0), 0.3, -0.1)
+        assert abs(out[0]) < 1e-14
 
 
 class TestDressedKernels:
@@ -432,7 +432,7 @@ class TestDressedKernels:
         table = gsk_shift_spec(trivial_cfg)
         lam, mu = 0.3 - 0.25j, -0.4 - 0.25j
         got = M_kernel(np.array([lam]), np.array([mu]), trivial_chi,
-                       table).values()[0]
+                       table).values()[0, 0]
         want = np.zeros((2, 2), dtype=complex)
         for k in range(2):
             for l in range(2):
@@ -474,8 +474,8 @@ class TestDressedKernels:
         alpha = make_alpha(trivial_cfg)
         c = trivial_cfg.c
         lam, mu = 0.3 - 0.25j, -0.2 - 0.25j
-        up = U_plus_kernel(lam, mu, alpha, c).values()
-        um = U_minus_kernel(lam, mu, alpha, c).values()
+        up = pointwise(lambda l, m: U_plus_kernel(l, m, alpha, c), lam, mu)[0]
+        um = pointwise(lambda l, m: U_minus_kernel(l, m, alpha, c), lam, mu)[0]
         assert abs(up - 1 / (2j * np.pi * (lam - mu + 1j * c))) < 1e-14
         assert abs(um - 1 / (2j * np.pi * (lam - mu - 1j * c))) < 1e-14
 
@@ -483,38 +483,39 @@ class TestDressedKernels:
         alpha = make_alpha(standard_cfg)
         c = standard_cfg.c
         lam, mu = np.array([0.15 + 0.25j]), np.array([-0.35 + 0.25j])
-        blk = M0_kernel(lam, mu, alpha, c)[0]
+        blk = M0_kernel(lam, mu, alpha, c).values()[0, 0]
         assert blk.shape == (2, 2)
         assert blk[0, 1] == 0.0 and blk[1, 0] == 0.0
         assert abs(blk[0, 0]
-                   - U_minus_kernel(lam, mu, alpha, c).values()[0]) < 1e-15
+                   - U_minus_kernel(lam, mu, alpha, c).values()[0, 0]) < 1e-15
         assert abs(blk[1, 1]
-                   - U_plus_kernel(lam, mu, alpha, c).values()[0]) < 1e-15
+                   - U_plus_kernel(lam, mu, alpha, c).values()[0, 0]) < 1e-15
 
 
 # --------------------------------------------------------------------------
 # masked near-diagonal assembly against the full-grid np.where formulas
 # --------------------------------------------------------------------------
-# The oracles below evaluate both branches on every entry and select with
-# np.where; the kernels evaluate the series only on the masked entries.
-# The two must agree bit for bit, not merely to rounding.  The bracket and
-# V's shift terms are contracted as the kernels' plane evaluator contracts
-# them (_plane_product): the property under test is the near-entry
-# selection, and einsum's complex contraction rounds 0.6 % of the entries
-# of a 1019-node grid differently in the last bit (at most 2.2e-15 of
-# max|K|), as does a broadcast product against a GEMM of inner dimension 1.
+# The oracles below evaluate both branches on every entry of a column of
+# row points against a row of column points and select with np.where; the
+# kernels evaluate the series only on the near entries.  The two must agree
+# bit for bit, not merely to rounding.  The bracket and V's shift terms are
+# contracted as the kernels' plane evaluator contracts them
+# (_plane_product): the property under test is the near-entry selection,
+# and einsum's complex contraction rounds 0.6 % of the entries of a
+# 1019-node grid differently in the last bit (at most 2.2e-15 of max|K|),
+# as does a broadcast product against a GEMM of inner dimension 1.
 
-def _plane_product(EL, ER, lam, mu):
-    """sum_r EL_r ER_r as ``_kernel_planes`` forms a plane from the factors
-    at lam and at mu: one GEMM for a row block, else the broadcast product
-    summed over components."""
-    if _row_block(lam, mu, np.broadcast(lam, mu).shape):
-        return EL[:, 0] @ ER.reshape(mu.size, -1).T
-    return np.sum(EL * ER, axis=-1)
+def _plane_product(EL, ER):
+    """sum_r EL_r ER_r as ``_kernel_planes`` forms a plane: one GEMM of
+    the factors at the column of row points and at the row of column
+    points."""
+    r = EL.shape[-1]
+    out = EL.reshape(-1, r) @ ER.reshape(-1, r).T
+    return out.reshape(np.broadcast_shapes(EL.shape[:-1], ER.shape[:-1]))
 
 
 def _plane_bracket(lam, mu, pair):
-    return _plane_product(pair.E_L(lam), pair.E_R(mu), lam, mu)
+    return _plane_product(pair.E_L(lam), pair.E_R(mu))
 
 
 def _where_gsk(lam, mu, cfg):
@@ -559,7 +560,7 @@ def _where_V(lam, mu, pair, shift, delta0):
     ER = pair.E_R(mu)
     for a, (g, c, v) in enumerate(zip(shift.gamma, shift.c, shift.v0)):
         term = _plane_product((g * EL[..., a])[..., None],
-                              ER[..., v][..., None], lam, mu)
+                              ER[..., v][..., None])
         out = out - term / (d + 1j * c)
     return out
 
@@ -577,13 +578,14 @@ class TestMaskedAssembly:
 
     @staticmethod
     def _pairs(nodes):
+        """1-D row and column points of each case."""
         return {
-            "grid": (nodes[:, None], nodes[None, :]),
-            # ChiSolution.FL_at: lam[..., None] of shape (k, 1, 1) against
-            # the nodes; the first rows hold the left endpoint's near pairs
-            "FL_at": (nodes[:16, None, None], nodes),
-            "scalar": (np.complex128(nodes[3]), np.complex128(nodes[4])),
-            "diagonal": (np.complex128(nodes[3]), np.complex128(nodes[3])),
+            "grid": (nodes, nodes),
+            # ChiSolution.FL_at: a block of points against the nodes; the
+            # first rows hold the left endpoint's near pairs
+            "FL_at": (nodes[:16], nodes),
+            "scalar": (nodes[3:4], nodes[4:5]),
+            "diagonal": (nodes[3:4], nodes[3:4]),
         }
 
     def test_grid_has_off_diagonal_near_pairs(self, large_n):
@@ -596,13 +598,14 @@ class TestMaskedAssembly:
     def test_bit_equal_to_full_grid_formulas(self, large_n, which):
         cfg, pair, nodes = large_n
         lam, mu = self._pairs(nodes)[which]
+        col, row = lam[:, None], mu[None, :]
         base = _base_kernel(pair, cfg.delta0)
         for got, want in [
-            (gsk_kernel(lam, mu, cfg), _where_gsk(lam, mu, cfg)),
-            (shift_kernel(lam, mu, cfg), _where_shift(lam, mu, cfg)),
+            (gsk_kernel(col, row, cfg), _where_gsk(col, row, cfg)),
+            (shift_kernel(col, row, cfg), _where_shift(col, row, cfg)),
             (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0).values(),
-             _where_V(lam, mu, pair, cfg.shift, cfg.delta0)),
-            (base(lam, mu).values(), _where_base(lam, mu, pair, cfg.delta0)),
+             _where_V(col, row, pair, cfg.shift, cfg.delta0)),
+            (base(lam, mu).values(), _where_base(col, row, pair, cfg.delta0)),
         ]:
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
@@ -626,13 +629,13 @@ class TestMaskedAssembly:
             seen.append((k, l, lam, mu))
             return np.zeros(lam.shape, complex)
 
-        lam = np.array([0.0, 0.5, 1.0, 1.00005])[:, None]
-        out = self._ones(lam, lam.T, [[0.0, 1.0], [1.0, 0.0]], near)
-        i, j = np.nonzero(near_diagonal_mask(lam, lam.T, 1e-4))
+        lam = np.array([0.0, 0.5, 1.0, 1.00005])
+        out = self._ones(lam, lam, [[0.0, 1.0], [1.0, 0.0]], near)
+        i, j = np.nonzero(near_diagonal_mask(lam[:, None], lam, 1e-4))
         assert [(k, l) for k, l, _, _ in seen] == [(0, 0), (1, 1)]
         for _, _, lam_near, mu_near in seen:
-            assert np.array_equal(lam_near, lam[i, 0])
-            assert np.array_equal(mu_near, lam[j, 0])
+            assert np.array_equal(lam_near, lam[i])
+            assert np.array_equal(mu_near, lam[j])
         for k in range(2):
             np.testing.assert_array_equal(np.diag(out[..., k, k]), 0.0)
             assert out[0, 1, k, k] == 1.0 / (0.0 - 0.5)
@@ -648,23 +651,23 @@ class TestMaskedAssembly:
         def imaginary(k, l, lam, mu):
             return np.full(lam.shape, 2j)
 
-        lam = np.array([0.0, 0.5, 1.0])[:, None]
-        out = self._ones(lam, lam.T, [[0.0]], real)
+        lam = np.array([0.0, 0.5, 1.0])
+        out = self._ones(lam, lam, [[0.0]], real)
         assert out.dtype == np.float64
         assert out[0, 1, 0, 0] == 1.0 / (0.0 - 0.5)
         with pytest.raises(NumericError, match="complex near values"):
-            self._ones(lam, lam.T, [[0.0]], imaginary)
-        out = self._ones(lam, lam.T, [[0.0]], imaginary,
+            self._ones(lam, lam, [[0.0]], imaginary)
+        out = self._ones(lam, lam, [[0.0]], imaginary,
                          rows=[np.full(lam.shape + (1,), 1 + 0j)])
         assert out.dtype == np.complex128
         np.testing.assert_array_equal(np.diag(out[..., 0, 0]), 2j)
 
 
 class TestBandedNearEntries:
-    """A column against a row with sorted real parts (every Gauss-rule row
-    block) finds its near entries by bisection; the plane evaluator's
-    result is bit for bit the full-mask evaluation, which an unsorted row
-    still takes."""
+    """Row points against column points with sorted real parts (every
+    Gauss rule) find their near entries by bisection, unsorted columns by
+    the exact test on the whole grid; either way the plane evaluator's
+    result is bit for bit the full-mask evaluation."""
 
     @staticmethod
     def _near(seen):
@@ -680,7 +683,7 @@ class TestBandedNearEntries:
                              [np.ones(mu.shape + (1,))], np.zeros((1, 1)),
                              near=(2e-4, lambda k, l, x, y: near(x, y)))
         got = got.values()[..., 0, 0]
-        want = mask_near_diagonal_eval(lam, mu, 2e-4,
+        want = mask_near_diagonal_eval(lam[:, None], mu[None, :], 2e-4,
                                        lambda l, m, d: np.sin(l) / d,
                                        self._near(want_seen))
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -693,10 +696,7 @@ class TestBandedNearEntries:
         nodes = gauss_legendre_rule(n, -1.0, 1.0).nodes.astype(dtype)
         near = 0
         for i0 in range(0, n, 256):
-            lam = nodes[i0:i0 + 256, None]
-            assert isinstance(_near_entries(lam, nodes[None, :], 2e-4), tuple)
-            near += self._check(lam, nodes[None, :])
-            self._check(lam, nodes)                  # FL_at's 1-D row
+            near += self._check(nodes[i0:i0 + 256], nodes)
         # the diagonal, plus the endpoint clusters from n = 1019 on
         assert near == n if n < 1019 else near > n
 
@@ -704,15 +704,84 @@ class TestBandedNearEntries:
         # |Re d| < 2 delta0 keeps candidates whose imaginary part puts them
         # out of |d| < delta0; the exact test drops them
         nodes = gauss_legendre_rule(2038, -1.0, 1.0).nodes
-        on_axis = self._check(nodes[:, None], nodes[None, :])
-        assert 0 < self._check(nodes[:, None] + 1.5e-4j, nodes[None, :]) < on_axis
+        on_axis = self._check(nodes, nodes)
+        assert 0 < self._check(nodes + 1.5e-4j, nodes) < on_axis
 
-    def test_unsorted_row_takes_the_mask(self):
+    @pytest.mark.parametrize("order", ["permuted", "reversed"])
+    def test_unsorted_columns_take_the_full_test(self, order):
+        # (row, column) index arrays equal to np.nonzero of the exact test
+        # on the whole grid; the reversed case has one row exactly on a node
         nodes = gauss_legendre_rule(2038, -1.0, 1.0).nodes
-        row = np.random.default_rng(3).permutation(nodes)[None, :]
-        lam = nodes[:, None]
-        assert _near_entries(lam, row, 2e-4).dtype == bool
-        assert self._check(lam, row) > 2038
+        if order == "permuted":
+            lam, mu = nodes, np.random.default_rng(3).permutation(nodes)
+        else:
+            lam, mu = np.array([-0.3, nodes[700], nodes[3] + 1e-4]), nodes[::-1]
+        want = np.nonzero(np.abs(lam[:, None] - mu) < 2e-4)
+        got = _near_entries(lam, mu, 2e-4)
+        assert isinstance(got, tuple) and len(got) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert self._check(lam, mu) > (2038 if order == "permuted" else 1)
+
+
+class TestOneKernelContract:
+    """Every package kernel maps 1-D row points against 1-D column points
+    to a ``Grid`` of shape (rows, columns), plus (K, N) for a matrix
+    kernel, whose row blocks are its values bit for bit."""
+
+    ROWS = np.linspace(-0.9, 0.9, 7)
+    # 11 unsorted columns, two on row points: near entries in rows 1 and 5,
+    # one on each side of the blocks' split
+    COLS = np.random.default_rng(11).permutation(
+        np.concatenate([np.linspace(-0.95, 0.95, 9), ROWS[[1, 5]]]))
+
+    @classmethod
+    def _case(cls, request, which):
+        """(grid, dtype, cell) of one kernel; M and U+- on points off the
+        axis inside their strip, the rows below it, the columns above."""
+        lam, mu = cls.ROWS, cls.COLS
+        name = "nonintegrable" if which == "V-complex" else "standard"
+        cfg = request.getfixturevalue(name + "_cfg")
+        pair, d0 = gsk_vector_pair(cfg), cfg.delta0
+        off_lam, off_mu = lam - 0.25j, mu + 0.25j
+        if which.startswith("M"):
+            chi = request.getfixturevalue("standard_chi")
+            colloc = which == "M-collocation"
+            return (M_kernel(off_lam, off_mu, chi, cfg.shift,
+                             collocation=colloc),
+                    complex, (1 if colloc else 2, 2))
+        if which.startswith("U"):
+            U = U_plus_kernel if which == "Uplus" else U_minus_kernel
+            return U(off_lam, off_mu, make_alpha(cfg), cfg.c), complex, ()
+        return {
+            "Vtilde-float64": (bracket_kernel(lam, mu, pair, d0), float, ()),
+            "Vtilde-complex": (bracket_kernel(lam.astype(complex), mu, pair,
+                                              d0), complex, ()),
+            "V-real": (general_kernel_V(lam, mu, pair, cfg.shift, d0),
+                       float, ()),
+            "V-complex": (general_kernel_V(lam, mu, pair, cfg.shift, d0),
+                          complex, ()),
+            "chi.kernel": (request.getfixturevalue("standard_chi").kernel(
+                lam, mu), float, ()),
+        }[which]
+
+    @pytest.mark.parametrize("which", [
+        "Vtilde-float64", "Vtilde-complex", "V-real", "V-complex", "M",
+        "M-collocation", "Uplus", "Uminus", "chi.kernel"])
+    def test_row_blocks_are_the_values(self, request, which):
+        grid, dtype, cell = self._case(request, which)
+        values = grid.values()
+        assert grid.shape == values.shape == (7, 11) + cell
+        assert values.dtype == dtype
+        blocks = np.concatenate([grid.block(slice(0, 3)),
+                                 grid.block(slice(3, 7))])
+        assert np.array_equal(blocks, values)
+
+    def test_points_of_other_shapes_are_refused(self, standard_cfg):
+        pair, d0 = gsk_vector_pair(standard_cfg), standard_cfg.delta0
+        with pytest.raises(ValueError, match="1-D row and column points"):
+            bracket_kernel(self.ROWS[:, None], self.COLS[None, :], pair, d0)
+        with pytest.raises(ValueError, match="1-D row and column points"):
+            general_kernel_V(0.3, -0.1, pair, standard_cfg.shift, d0)
 
 
 # --------------------------------------------------------------------------
@@ -726,19 +795,21 @@ class TestSeparableForms:
         name, x = request.param
         cfg = replace(request.getfixturevalue(name + "_cfg"), x=x)
         nodes = gauss_legendre_rule(cfg.resolved_n(), cfg.a, cfg.b).nodes
-        return cfg, gsk_vector_pair(cfg), nodes[:, None], nodes[None, :]
+        return cfg, gsk_vector_pair(cfg), nodes
 
     def test_match_closed_forms_on_the_node_grid(self, grid):
         # the separable forms round the phase x p / 2 inside each factor
         # instead of the difference x (p(lam) - p(mu)) / 2, an absolute error
         # of ~eps x max|p| / (pi |lam - mu|); measured normwise 1.2e-13 at
         # x = 50 and 3.3e-13 to 6.4e-13 at x = 400 (n = 1019, 1325)
-        cfg, pair, lam, mu = grid
+        cfg, pair, nodes = grid
+        col, row = nodes[:, None], nodes[None, :]
         for got, want in [
-            (general_kernel_V(lam, mu, pair, cfg.shift, cfg.delta0).values(),
-             shift_kernel(lam, mu, cfg)),
-            (bracket_kernel(lam, mu, pair, cfg.delta0).values(),
-             gsk_kernel(lam, mu, cfg)),
+            (general_kernel_V(nodes, nodes, pair, cfg.shift,
+                              cfg.delta0).values(),
+             shift_kernel(col, row, cfg)),
+            (bracket_kernel(nodes, nodes, pair, cfg.delta0).values(),
+             gsk_kernel(col, row, cfg)),
         ]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -747,8 +818,8 @@ class TestSeparableForms:
         pair = gsk_vector_pair(cfg)
         # complex arguments can reach lam - mu = -i c_a
         with pytest.raises(ValueError, match="shifted pole.*strip"):
-            general_kernel_V(0.3 - 1j, 0.3, pair, gsk_shift_spec(cfg),
-                             cfg.delta0).values()
+            general_kernel_V(np.array([0.3 - 1j]), np.array([0.3]), pair,
+                             gsk_shift_spec(cfg), cfg.delta0).values()
         # real ones stay |c_a| away, and the table keeps |c_a| >= 1e-12
         with pytest.raises(ConfigError, match=re.escape(
                 "config.shifts.c[0]: every shift c_a must be finite and "
@@ -815,7 +886,8 @@ class TestBlasContractions:
         return cfg, solve_chi(cfg), _loop_rule(cfg).nodes, _line_rule(cfg).nodes
 
     # a one-entry table, complex gamma, a row block with fewer rows than
-    # columns (one GEMM per plane), and pointwise 1-D inputs (no GEMM)
+    # columns, and pointwise pairs (the entries (i, i) of their grid); the
+    # oracle's points are a column against a row, or the pairs themselves
     CASES = {"one-entry": dict(gamma=[0.7], c=[1.0], v=[1]),
              "complex-gamma": dict(gamma=[0.7 + 0.3j, -0.2 + 0.5j],
                                    c=[-1.0, 1.0], v=[2, 1]),
@@ -831,19 +903,28 @@ class TestBlasContractions:
         return nodes[:, None], nodes[None, :], ShiftSpec.make(**cls.CASES[case])
 
     @staticmethod
-    def _check_M(chi, lam, mu, shift):
-        got = M_kernel(lam, mu, chi, shift).values()
+    def _package(kernel, lam, mu):
+        """The package kernel at the oracle's points: the grid of 1-D row
+        points against 1-D column points, or the pairs' entries (i, i)."""
+        if np.ndim(lam) == 2:
+            return kernel(lam[:, 0], mu[0]).values()
+        return pointwise(kernel, lam, mu)
+
+    @classmethod
+    def _check_M(cls, chi, lam, mu, shift):
+        got = cls._package(lambda l, m: M_kernel(l, m, chi, shift), lam, mu)
         want = _c_einsum_M(lam, mu, chi, shift)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @staticmethod
-    def _check_N(chi, delta0, lam, mu, shift):
+    @classmethod
+    def _check_N(cls, chi, delta0, lam, mu, shift):
         # the divided-difference entries (compensated pairs near the
         # diagonal) relative to their largest; every other entry relative
         # to its terms' size, as a row block far out on the line holds
         # only small values, some of them cancelled
-        got = N_kernel(lam, mu, chi, shift, delta0).values()
+        got = cls._package(lambda l, m: N_kernel(l, m, chi, shift, delta0),
+                           lam, mu)
         want, scale, near = _c_einsum_N(lam, mu, chi, shift, delta0)
         assert got.shape == want.shape
         comp = np.abs(shift.c[:, None] + shift.c[None, :]) < 1e-14
@@ -876,9 +957,9 @@ class TestBlasContractions:
         # (nonintegrable: normwise 2.2e-13), so off the compensated diagonal
         # the bound is relative to the terms' own size
         cfg, chi, _, line = solved
-        lam, mu = line[:, None], line[None, :]
-        got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0).values()
-        want, scale, near = _c_einsum_N(lam, mu, chi, cfg.shift, cfg.delta0)
+        got = N_kernel(line, line, chi, cfg.shift, cfg.delta0).values()
+        want, scale, near = _c_einsum_N(line[:, None], line[None, :], chi,
+                                        cfg.shift, cfg.delta0)
         far = np.isfinite(scale) & ~near[..., None, None]
         assert np.all(np.abs(got - want)[far] <= 1e-14 * scale[far])
         assert (np.max(np.abs(got - want)[~far])
@@ -918,20 +999,24 @@ class TestRemovableDiagonal:
         # time: its chi factors evaluated once, as N_kernel's are
         got = determinants.assemble_collocation(
             lambda l, m: N_kernel(l, m, chi, cfg.shift, cfg.delta0), rule, N)
-        want = determinants.assemble_collocation(gridded(
-            lambda l, m: mask_patched_N(l, m, chi, cfg.shift, cfg.delta0),
-            once=True), rule, N)
+        values = mask_patched_N(rule.nodes, rule.nodes, chi, cfg.shift,
+                                cfg.delta0)
+        want = determinants.assemble_collocation(
+            lambda l, m: Grid(values.shape, lambda rows: values[rows].copy()),
+            rule, N)
         assert np.isfinite(got).all() and np.array_equal(got, want)
 
     def test_pointwise_near_pairs(self, solved):
-        # 1-D points off the grid (the full mask, not the bisection): every
-        # third pair far apart, the others near but not equal
+        # points off the grid against unsorted columns (the exact test on
+        # the whole grid, not the bisection): every third pair (i, i) far
+        # apart, the others near but not equal
         cfg, chi, rule = solved
         lam = rule.nodes
         step = np.where(np.arange(lam.size) % 3, 0.5, 5.0) * cfg.delta0
         mu = lam + step * (-1.0) ** np.arange(lam.size)
         near = near_diagonal_mask(lam, mu, cfg.delta0)
         assert 0 < near.sum() < lam.size and not (lam == mu).any()
+        mu = mu[::-1]
         got = N_kernel(lam, mu, chi, cfg.shift, cfg.delta0).values()
         want = mask_patched_N(lam, mu, chi, cfg.shift, cfg.delta0)
         assert np.isfinite(got).all() and np.array_equal(got, want)

@@ -69,7 +69,7 @@ class TestOneMatrixSolve:
         # the right equation solved directly on I + B, B = V~^T diag(w)
         rule = chi_1019.rule
         lam = rule.nodes
-        K = chi_1019.kernel(lam[:, None], lam[None, :]).values()
+        K = chi_1019.kernel(lam, lam).values()
         B = K.T * rule.weights[None, :]
         FR = np.linalg.solve(np.eye(rule.size) + B, chi_1019.pair.E_R(lam))
         err = np.max(np.abs(chi_1019.FR_nodes - FR)) / np.max(np.abs(FR))
@@ -82,7 +82,7 @@ class TestOneMatrixSolve:
         rule = chi_1019.rule
         lam = rule.nodes
         D = assemble_collocation(chi_1019.kernel, rule)
-        K = chi_1019.kernel(lam[:, None], lam[None, :]).values()
+        K = chi_1019.kernel(lam, lam).values()
         assert D.dtype == np.float64
         assert np.max(np.abs(D - np.eye(rule.size) - K.real * rule.weights)) < 1e-15
         FL = np.linalg.solve(D, chi_1019.pair.E_L(lam).view(float))
@@ -111,7 +111,7 @@ class TestOneMatrixSolve:
             flat = lam.reshape(-1)
             # V~ is real on both configs: K is float64 at real points, and
             # w F goes through it as real and imaginary columns
-            K = chi_1019.kernel(flat[:, None], rule.nodes).values()
+            K = chi_1019.kernel(flat, rule.nodes).values()
             assert K.dtype == np.float64
             want = chi_1019.pair.E_L(flat) - (K @ wF.view(float)).view(complex)
             assert np.array_equal(chi_1019.FL_at(lam),
